@@ -350,7 +350,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         CheckResult(
             "8a",
             "splits => invariants additive",
-            not backward_bad and split_seen and nonsplit_seen,
+            bool(not backward_bad and split_seen and nonsplit_seen),
             f"1000 triples ({split_seen} split, {nonsplit_seen} non-split)"
             + (f"; failures: {backward_bad[:2]}" if backward_bad else ""),
         ),

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx, is_prime
-from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
+from wildcoh.laurent import _NUMPY_P_LIMIT, InsufficientPrecisionError, LaurentSeries
 
 _GUARD = 8
 
@@ -66,16 +68,17 @@ class LocalCover:
     ctx: FieldCtx
     sigma_t: LaurentSeries
     x_t: LaurentSeries
-    _u_pows: dict[int, LaurentSeries] = field(default_factory=dict, repr=False)
-    _xu_pows: dict[int, LaurentSeries] = field(default_factory=dict, repr=False)
+    # caches derived from sigma_t and x_t; never passed in
+    _u_pows: dict[int, LaurentSeries] = field(default_factory=dict, init=False, repr=False)
+    _xu_pows: dict[int, LaurentSeries] = field(default_factory=dict, init=False, repr=False)
+    _sigma_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _unit_power(self, cache: dict[int, LaurentSeries], unit: LaurentSeries, e: int) -> LaurentSeries:
-        if e in cache:
-            return cache[e]
         if not cache:
             cache[0] = LaurentSeries.one(self.ctx, unit.prec)
-        if 1 not in cache:
             cache[1] = unit
+        if e in cache:
+            return cache[e]
         if e < 0 and -1 not in cache:
             cache[-1] = unit.invert()
         k = max(cache) if e > 0 else min(cache)
@@ -96,6 +99,58 @@ class LocalCover:
         """x**j expressed in t, exact to precision prec + p*j."""
         unit = self.x_t.shift(-self.p)
         return self._unit_power(self._xu_pows, unit, j).shift(self.p * j)
+
+    def _sigma_table(self, size: int) -> np.ndarray:
+        """Table T[e, j] = coefficient of t^j in sigma(t)**e, for e, j < size.
+
+        Built once per cover, large enough for x_t, the longest series
+        composed with sigma.  Row e is exact below column prec + e (sigma_t
+        is known mod t^(prec+1)); the entries beyond come from the
+        truncated sigma_t and must not be read.
+        """
+        table = self._sigma_rows
+        if table is None or len(table) < size:
+            if self.sigma_t.is_zero or self.sigma_t.valuation() != 1:
+                raise ValueError("substitution requires a series of valuation exactly 1")
+            size = max(size, self.prec + self.p)
+            # int64 holds every row-times-table sum below this limit
+            dtype = np.int64 if self.p <= _NUMPY_P_LIMIT else object
+            unit = np.zeros(size, dtype=dtype)  # sigma(t) / t
+            unit[: len(self.sigma_t.coeffs)] = self.sigma_t.coeffs
+            # sigma(t) / t is a series in t^step (step = n for the normal
+            # form), so row e is t^e times one in t^step: convolve every
+            # step-th digit only
+            step = int(np.gcd.reduce(np.flatnonzero(unit))) or size
+            unit = unit[::step]
+            table = np.zeros((size, size), dtype=dtype)
+            table[0, 0] = 1
+            for e in range(1, size):
+                # sigma^e = sigma^(e-1) * sigma, both read from their valuation on
+                row = table[e, e::step]
+                prev = np.convolve(table[e - 1, e - 1 :: step], unit[: len(row)])
+                row[:] = prev[: len(row)] % self.p
+            self._sigma_rows = table
+        return table
+
+    def apply_sigma(self, f: LaurentSeries) -> LaurentSeries:
+        """f(sigma(t)) for a series f of valuation >= 0, as f.substitute(sigma_t).
+
+        One product with the sigma-power table, known mod
+        t^min(f.prec, sigma_t.prec + val - 1): sigma^e is known below
+        sigma_t.prec + e - 1, and f's unknown digits enter from f.prec on.
+        """
+        if f.ctx != self.ctx:
+            raise ValueError("series context mismatch")
+        if f.is_zero:
+            return LaurentSeries.zero(self.ctx, f.prec)
+        lo = f.val
+        if lo < 0:
+            raise ValueError("apply_sigma requires a series of valuation >= 0")
+        hi = min(f.prec, self.sigma_t.prec + lo - 1)
+        table = self._sigma_table(hi)
+        coeffs = np.array(f.coeffs[: hi - lo], dtype=table.dtype)
+        out = (coeffs @ table[lo : lo + len(coeffs), lo:hi]) % self.p
+        return LaurentSeries(self.ctx, lo, out.tolist(), hi)
 
     def window(self, a: int, lo: int) -> "LatticeWindow":
         """Matrix of h -> sigma(h) mod t^a on the basis t^lo .. t^(a-1)."""
@@ -186,10 +241,6 @@ class NormalFormReport:
     prec: int
     checked: list[str]
 
-    @property
-    def ok(self) -> bool:
-        return True
-
 
 def verify_normal_form(cov: LocalCover) -> NormalFormReport:
     """Check the defining identities of the cover, to precision.
@@ -202,7 +253,7 @@ def verify_normal_form(cov: LocalCover) -> NormalFormReport:
 
     s = cov.sigma_t
     for _ in range(p - 1):
-        s = s.substitute(cov.sigma_t)
+        s = cov.apply_sigma(s)
     t = LaurentSeries.monomial(ctx, 1, s.prec)
     if not s.agrees(t):
         raise NormalFormError("sigma iterated p times is not the identity")
@@ -216,7 +267,7 @@ def verify_normal_form(cov: LocalCover) -> NormalFormReport:
         raise NormalFormError("sigma(t^-n) != t^-n + 1")
     checked.append("sigma(t^-n) = t^-n + 1")
 
-    if not cov.x_t.substitute(cov.sigma_t).agrees(cov.x_t):
+    if not cov.apply_sigma(cov.x_t).agrees(cov.x_t):
         raise NormalFormError("x is not sigma-invariant")
     checked.append("sigma(x) = x")
 

@@ -213,17 +213,17 @@ class LaurentSeries:
         ctx = self.ctx
         length = self.prec - self.val
         u = self.coeffs
-        inv0 = ctx.inv(u[0])
-        mul, add = ctx.mul, ctx.add
-        out = [inv0] + [0] * (length - 1)
-        for k in range(1, length):
-            acc = 0
-            for j in range(1, min(k, len(u) - 1) + 1):
-                if u[j] and out[k - j]:
-                    acc = add(acc, mul(u[j], out[k - j]))
-            out[k] = ctx.neg(mul(inv0, acc))
+        # Newton: h <- h - h (u h - 1) doubles the digits of h = u^(-1) known;
+        # u h - 1 vanishes below t^k, so only its digits k .. k2 are formed
+        h = [ctx.inv(u[0])]
+        while len(h) < length:
+            k = len(h)
+            k2 = min(2 * k, length)
+            err = _convolve(ctx, u[:k2], h, k2)[k:]
+            corr = _convolve(ctx, h, err, k2 - k)
+            h += [ctx.neg(c) for c in corr] + [0] * (k2 - k - len(corr))
         # f = t^val * u  =>  1/f = t^(-val) * u^(-1), known mod t^(prec - 2 val)
-        return LaurentSeries(ctx, -self.val, out, self.prec - 2 * self.val)
+        return LaurentSeries(ctx, -self.val, h, self.prec - 2 * self.val)
 
     def __pow__(self, e: int) -> "LaurentSeries":
         ctx = self.ctx

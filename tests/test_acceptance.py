@@ -41,6 +41,12 @@ def _assert_all(results, cid):
         assert result.passed, result.line()
 
 
+def test_every_result_passed_is_a_bool(results):
+    for checks in results.values():
+        for result in checks:
+            assert type(result.passed) is bool, result.line()
+
+
 def test_criterion_1_h1_oracle_equivalence(results):
     _assert_all(results, "1")
 

@@ -1,5 +1,7 @@
 """Local normal form: defining identities, windows, invariant parameter."""
 
+import random
+
 import pytest
 
 from wildcoh import ascover
@@ -127,3 +129,73 @@ def test_window_preconditions():
         cov.window(0, 0)
     with pytest.raises(InsufficientPrecisionError):
         cov.window(0, -30)
+
+
+def random_power_series(ctx, rng, val, prec):
+    coeffs = [rng.randrange(ctx.q) for _ in range(prec - val)]
+    coeffs[0] = rng.randrange(1, ctx.q)
+    return LaurentSeries(ctx, val, coeffs, prec)
+
+
+def test_apply_sigma_matches_horner_substitution():
+    # oracle: LaurentSeries.substitute, the Horner composition
+    rng = random.Random(160)
+    checked = 0
+    for p in (3, 5, 7, 13):
+        for n in (1, 2, 4):
+            cov = cover(p, n)
+            for _ in range(14):
+                val = rng.randint(1, 2 * p)
+                # up to past the table's first size, so that it is rebuilt larger
+                prec = val + rng.randint(1, cov.prec + 3 * p)
+                f = random_power_series(cov.ctx, rng, val, prec)
+                got, want = cov.apply_sigma(f), f.substitute(cov.sigma_t)
+                assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+                assert got.prec == min(f.prec, cov.sigma_t.prec + val - 1)
+                checked += 1
+    assert checked == 168
+
+
+def test_apply_sigma_edge_inputs():
+    cov = cover(5, 2)
+    zero = LaurentSeries.zero(cov.ctx, 9)
+    assert cov.apply_sigma(zero).is_zero and cov.apply_sigma(zero).prec == 9
+    const = LaurentSeries.one(cov.ctx, 20)
+    assert cov.apply_sigma(const) == const.substitute(cov.sigma_t)
+    with pytest.raises(ValueError):
+        cov.apply_sigma(LaurentSeries.monomial(cov.ctx, -1, 20))
+    with pytest.raises(ValueError):
+        cov.apply_sigma(LaurentSeries.one(FieldCtx(3), 20))
+
+
+def corrupted(cov, exp):
+    """The cover with 1 added to the coefficient of t^exp in sigma(t)."""
+    coeffs = list(cov.sigma_t.coeffs)
+    coeffs[exp - 1] = (coeffs[exp - 1] + 1) % cov.p
+    bad_sigma = LaurentSeries(cov.ctx, 1, coeffs, cov.sigma_t.prec)
+    return ascover.LocalCover(p=cov.p, n=cov.n, prec=cov.prec, ctx=cov.ctx,
+                              sigma_t=bad_sigma, x_t=cov.x_t)
+
+
+# sigma(t) has odd exponents only for n = 2: t^11 keeps that shape, t^12 breaks it
+@pytest.mark.parametrize("exp", [11, 12])
+def test_apply_sigma_matches_horner_on_corrupted_sigma(exp):
+    bad = corrupted(cover(5, 2), exp)
+    rng = random.Random(exp)
+    for _ in range(10):
+        val = rng.randint(1, 10)
+        f = random_power_series(bad.ctx, rng, val, val + rng.randint(1, bad.prec + 10))
+        got, want = bad.apply_sigma(f), f.substitute(bad.sigma_t)
+        assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+@pytest.mark.parametrize("exp", [11, 12])
+def test_corrupted_sigma_fails_order_check(exp):
+    bad = corrupted(cover(5, 2), exp)
+    with pytest.raises(ascover.NormalFormError, match="sigma iterated p times is not the identity"):
+        ascover.verify_normal_form(bad)
+    # the Horner oracle agrees that sigma^p != id for this series
+    s = bad.sigma_t
+    for _ in range(bad.p - 1):
+        s = s.substitute(bad.sigma_t)
+    assert not s.agrees(LaurentSeries.monomial(bad.ctx, 1, s.prec))

@@ -2,7 +2,7 @@
 
 import json
 
-from wildcoh import cli
+from wildcoh import cli, cohom
 from wildcoh.profile import RamificationProfile
 
 
@@ -19,6 +19,17 @@ def test_local_match(capsys):
     assert payload["h1_lattice"] == payload["h1_closed"] == 2
     assert payload["d_rank_lattice"] == payload["d_rank_closed"] == 1
     assert payload["basis_exponents"] == [-2, -1]
+    assert payload["match"] is True
+
+
+def test_local_h1_first_on_fresh_cover(capsys):
+    # h1 runs before anything else has filled the cover's x-power cache
+    cohom.cached_cover.cache_clear()
+    code, out, _ = run_cli(capsys, "local", "--p", "13", "--n", "3", "--a", "5",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["h1_lattice"] == payload["h1_closed"] == cohom.h1_closed_form(13, 3, 5)
     assert payload["match"] is True
 
 

@@ -9,6 +9,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
@@ -18,6 +20,8 @@ F3 = FieldCtx(3)
 F5 = FieldCtx(5)
 F7 = FieldCtx(7)
 F4 = FieldCtx(2, (1, 1, 1))
+F9 = FieldCtx(3, (1, 0, 1))
+F101 = FieldCtx(101)
 
 
 def series(ctx, terms, prec):
@@ -152,6 +156,52 @@ def test_double_inversion_roundtrip():
             if f.is_zero:
                 continue
             assert f.invert().invert().agrees(f)
+
+
+def recurrence_inverse(f):
+    """1/f by the term-by-term recurrence u h = 1, solved for h_k in turn."""
+    ctx, u = f.ctx, f.coeffs
+    length = f.prec - f.val
+    inv0 = ctx.inv(u[0])
+    out = [inv0] + [0] * (length - 1)
+    for k in range(1, length):
+        acc = 0
+        for j in range(1, min(k, len(u) - 1) + 1):
+            acc = ctx.add(acc, ctx.mul(u[j], out[k - j]))
+        out[k] = ctx.neg(ctx.mul(inv0, acc))
+    return LaurentSeries(ctx, -f.val, out, f.prec - 2 * f.val)
+
+
+def test_newton_inverse_matches_recurrence():
+    rng = random.Random(2024)
+    for ctx in (F3, F101, F4, F9):
+        for prec in (4, 5, 6, 9, 16, 33, 64):
+            for _ in range(6):
+                f = random_series(ctx, rng, prec)
+                if f.is_zero:
+                    continue
+                got, want = f.invert(), recurrence_inverse(f)
+                assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from([F3, F101, F4, F9]),
+    val=st.integers(-4, 4),
+    digits=st.lists(st.integers(0, 10**6), min_size=1, max_size=80),
+    extra=st.integers(1, 40),
+)
+def test_invert_is_stable_under_added_precision(field, val, digits, extra):
+    # the inverse at precision P is the inverse at P + k read modulo its precision
+    coeffs = [d % field.q for d in digits]
+    coeffs[0] = coeffs[0] or 1
+    prec = val + len(coeffs)
+    low = LaurentSeries(field, val, coeffs, prec)
+    high = LaurentSeries(field, val, coeffs + [d % field.q for d in digits[:extra]], prec + extra)
+    low_inv, high_inv = low.invert(), high.invert()
+    assert low_inv.prec == prec - 2 * val
+    assert high_inv.truncate(low_inv.prec).agrees(low_inv)
+    assert (low_inv * low).agrees(LaurentSeries.one(field, low_inv.prec + val))
 
 
 def test_product_rule():
