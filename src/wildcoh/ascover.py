@@ -20,7 +20,7 @@ import numpy as np
 
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx, is_prime
-from wildcoh.laurent import _NUMPY_P_LIMIT, InsufficientPrecisionError, LaurentSeries
+from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
 
 _GUARD = 8
 
@@ -113,22 +113,20 @@ class LocalCover:
             if self.sigma_t.is_zero or self.sigma_t.valuation() != 1:
                 raise ValueError("substitution requires a series of valuation exactly 1")
             size = max(size, self.prec + self.p)
-            # int64 holds every row-times-table sum below this limit
-            dtype = np.int64 if self.p <= _NUMPY_P_LIMIT else object
-            unit = np.zeros(size, dtype=dtype)  # sigma(t) / t
+            ctx = self.ctx
+            unit = np.zeros(size, dtype=ctx.dtype)  # sigma(t) / t
             unit[: len(self.sigma_t.coeffs)] = self.sigma_t.coeffs
             # sigma(t) / t is a series in t^step (step = n for the normal
             # form), so row e is t^e times one in t^step: convolve every
             # step-th digit only
             step = int(np.gcd.reduce(np.flatnonzero(unit))) or size
             unit = unit[::step]
-            table = np.zeros((size, size), dtype=dtype)
+            table = np.zeros((size, size), dtype=ctx.dtype)
             table[0, 0] = 1
             for e in range(1, size):
                 # sigma^e = sigma^(e-1) * sigma, both read from their valuation on
                 row = table[e, e::step]
-                prev = np.convolve(table[e - 1, e - 1 :: step], unit[: len(row)])
-                row[:] = prev[: len(row)] % self.p
+                row[:] = ctx.convolve(table[e - 1, e - 1 :: step], unit[: len(row)], len(row))
             self._sigma_rows = table
         return table
 
@@ -149,7 +147,7 @@ class LocalCover:
         hi = min(f.prec, self.sigma_t.prec + lo - 1)
         table = self._sigma_table(hi)
         coeffs = np.array(f.coeffs[: hi - lo], dtype=table.dtype)
-        out = (coeffs @ table[lo : lo + len(coeffs), lo:hi]) % self.p
+        out = self.ctx.matmul(coeffs, table[lo : lo + len(coeffs), lo:hi])
         return LaurentSeries(self.ctx, lo, out.tolist(), hi)
 
     def window(self, a: int, lo: int) -> "LatticeWindow":

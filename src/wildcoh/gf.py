@@ -4,10 +4,11 @@ Field elements are integer codes 0..q-1; the base-p digits of a code are
 the coefficients of the polynomial representative, least significant
 first.  Zero and one are always coded 0 and 1, and the natural embedding
 of an integer k is the code k mod p.  A :class:`FieldCtx` interprets
-codes and supplies arithmetic; for tiny fields every operation is a flat
-table lookup, which is what the series and matrix layers build on.
-:class:`FieldElement` is a thin value wrapper for callers that prefer
-operator syntax.
+codes and owns their arithmetic, on Python ints and on numpy arrays of
+codes alike: prime fields reduce mod p, extension fields look up tables
+built once at construction.  The series and matrix layers use only these
+primitives.  :class:`FieldElement` is a thin value wrapper for callers
+that prefer operator syntax.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
-# Fields with q above this bound skip table construction (quadratic in q)
-# and fall back to modular / polynomial arithmetic per call.
+import numpy as np
+
+# Extension fields are table-driven; the tables are quadratic in q.
 _TABLE_LIMIT = 256
+# Prime-field arrays are int64 up to this p: a row-times-column sum of
+# (p-1)^2 * ncols stays far below 2**63.  Above it they hold Python ints.
+_INT64_P_LIMIT = 1 << 15
 
 
 class NoRootError(ArithmeticError):
@@ -42,53 +47,69 @@ class FieldCtx:
     """Arithmetic context for GF(p) (modulus=None) or GF(p^m).
 
     ``modulus`` is the coefficient list (constant first, leading 1 last) of
-    a monic irreducible polynomial of degree m >= 2 over GF(p).
-    Irreducibility is checked at construction by exhaustive search; the
-    contexts this library needs are tiny.
+    a monic irreducible polynomial of degree m >= 2 over GF(p), with
+    p^m <= 256.  Irreducibility is checked at construction: the quotient
+    ring must have no zero divisors.
     """
 
     def __init__(self, p: int, modulus: Sequence[int] | None = None):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
-        if modulus is None:
-            self.m = 1
-            self.modulus: tuple[int, ...] | None = None
-        else:
-            mod = tuple(c % p for c in modulus)
-            if len(mod) < 3:
-                raise ValueError("extension modulus must have degree >= 2")
-            if mod[-1] != 1:
-                raise ValueError("extension modulus must be monic")
-            self.m = len(mod) - 1
-            self.modulus = mod
-        self.q = self.p ** self.m
-        if self.modulus is not None:
-            self._check_irreducible()
+        # flat q*q (add, sub, mul) and length-q (neg, inv) tables of an
+        # extension field; None for a prime field, which reduces mod p
         self._add_table: tuple[int, ...] | None = None
+        self._sub_table: tuple[int, ...] | None = None
         self._mul_table: tuple[int, ...] | None = None
         self._neg_table: tuple[int, ...] | None = None
         self._inv_table: tuple[int, ...] | None = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-
-    # -- construction helpers -------------------------------------------
-
-    def _check_irreducible(self) -> None:
-        # Degree 2 and 3: irreducible iff no roots.  Degree >= 4: trial
-        # division by every monic polynomial of degree <= m//2.
-        assert self.modulus is not None
-        m = self.m
-        if m <= 3:
-            for c in range(self.p):
-                if self._poly_eval(self.modulus, c) == 0:
-                    raise ValueError("modulus is reducible (has a root)")
+        if modulus is None:
+            self.m = 1
+            self.modulus: tuple[int, ...] | None = None
+            self.q = p
+            self.dtype = np.int64 if p <= _INT64_P_LIMIT else object
             return
-        for d in range(1, m // 2 + 1):
-            for tail in range(self.p ** d):
-                div = self._digits(tail, d) + (1,)
-                if self._poly_rem(self.modulus, div) == ():
-                    raise ValueError("modulus is reducible")
+        mod = tuple(c % p for c in modulus)
+        if len(mod) < 3:
+            raise ValueError("extension modulus must have degree >= 2")
+        if mod[-1] != 1:
+            raise ValueError("extension modulus must be monic")
+        self.m = len(mod) - 1
+        self.modulus = mod
+        self.q = p ** self.m
+        if self.q > _TABLE_LIMIT:
+            raise ValueError(
+                f"GF({p}^{self.m}) has {self.q} elements; extension fields are "
+                f"limited to {_TABLE_LIMIT}"
+            )
+        self.dtype = np.int64
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        p, m = self.p, self.m
+        self._weights = p ** np.arange(m)
+        # digits[c] = coefficients of code c; powers[k] = x^k mod the modulus
+        digits = np.arange(self.q)[:, None] // self._weights % p
+        powers = np.zeros((2 * m - 1, m), dtype=np.int64)
+        powers[:m] = np.eye(m, dtype=np.int64)
+        for k in range(m, 2 * m - 1):
+            # x * x^(k-1), folding x^m = -(c_0 + c_1 x + ... + c_(m-1) x^(m-1))
+            powers[k, 1:] = powers[k - 1, :-1]
+            powers[k] = (powers[k] - powers[k - 1, -1] * np.array(self.modulus[:m])) % p
+        cross = powers[np.add.outer(np.arange(m), np.arange(m))]  # x^(i+j)
+        mul = np.einsum("ai,bj,ijk->abk", digits, digits, cross) % p @ self._weights
+        if (mul[1:, 1:] == 0).any():
+            raise ValueError("modulus is reducible")
+        add = (digits[:, None] + digits[None, :]) % p @ self._weights
+        neg = -digits % p @ self._weights
+        self._digit_array = digits
+        self._mul_array = mul
+        self._sub_array = add[:, neg]
+        self._add_table = tuple(add.ravel().tolist())
+        self._sub_table = tuple(self._sub_array.ravel().tolist())
+        self._mul_table = tuple(mul.ravel().tolist())
+        self._neg_table = tuple(neg.tolist())
+        self._inv_table = tuple(np.argmax(mul == 1, axis=1).tolist())
 
     def _digits(self, code: int, length: int) -> tuple[int, ...]:
         out = []
@@ -97,117 +118,35 @@ class FieldCtx:
             code //= self.p
         return tuple(out)
 
-    def _poly_eval(self, poly: Sequence[int], x: int) -> int:
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def _poly_rem(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        # remainder of a by monic b, coefficients ascending, stripped
-        p = self.p
-        r = list(a)
-        db = len(b) - 1
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] % p == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            lead = r[-1] % p
-            shift = len(r) - 1 - db
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - lead * c) % p
-            while r and r[-1] % p == 0:
-                r.pop()
-        return tuple(c % p for c in r)
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        da = self._digits(a, self.m)
-        db = self._digits(b, self.m)
-        prod = [0] * (2 * self.m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % self.p
-        assert self.modulus is not None
-        rem = self._poly_rem(prod, self.modulus)
-        code = 0
-        for c in reversed(rem):
-            code = code * self.p + c
-        return code
-
-    def _raw_add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        da = self._digits(a, self.m)
-        db = self._digits(b, self.m)
-        code = 0
-        for ca, cb in zip(reversed(da), reversed(db)):
-            code = code * self.p + (ca + cb) % self.p
-        return code
-
-    def _build_tables(self) -> None:
-        q = self.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            base = a * q
-            for b in range(a, q):
-                s = self._raw_add(a, b)
-                m_ = self._raw_mul(a, b)
-                add[base + b] = s
-                add[b * q + a] = s
-                mul[base + b] = m_
-                mul[b * q + a] = m_
-        self._add_table = tuple(add)
-        self._mul_table = tuple(mul)
-        neg = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if add[a * q + b] == 0:
-                    neg[a] = b
-                    break
-        self._neg_table = tuple(neg)
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = tuple(inv)
-
     # -- code-level arithmetic -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
-        return self._raw_add(a, b)
+        if self._add_table is None:
+            return (a + b) % self.p
+        return self._add_table[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        if self.m == 1:
-            return (-a) % self.p
-        return self._raw_mul(a, self.embed(-1))
+        if self._neg_table is None:
+            return -a % self.p
+        return self._neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self._sub_table is None:
+            return (a - b) % self.p
+        return self._sub_table[a * self.q + b]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._raw_mul(a, b)
+        if self._mul_table is None:
+            return a * b % self.p
+        return self._mul_table[a * self.q + b]
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        # a prime field also refuses an unreduced multiple of p
+        if (a % self.p if self._inv_table is None else a) == 0:
             raise ZeroDivisionError("division by zero in finite field")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        if self.m == 1:
+        if self._inv_table is None:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self._inv_table[a]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -238,6 +177,53 @@ class FieldCtx:
             if self.pow(c, n) == a:
                 return c
         raise NoRootError(f"no {n}-th root of code {a} in {self!r}")
+
+    # -- array arithmetic (numpy arrays of codes, dtype self.dtype) --------
+
+    def array(self, rows) -> np.ndarray:
+        """Array of codes, from a code, a list of codes or a list of rows.
+
+        Prime-field entries may be any integers; they are reduced mod p.
+        """
+        arr = np.array(rows, dtype=self.dtype)
+        return arr % self.p if self.m == 1 else arr
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product, with numpy broadcasting."""
+        if self.m == 1:
+            return a * b % self.p
+        return self._mul_array[a, b]
+
+    def _sum(self, a: np.ndarray, axis: int) -> np.ndarray:
+        # extension fields add base-p digits, then re-encode
+        if self.m == 1:
+            return a.sum(axis) % self.p
+        return self._digit_array[a].sum(axis) % self.p @ self._weights
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product of 2-D arrays (a prime field takes whatever ``@`` takes)."""
+        if self.m == 1:
+            return a @ b % self.p
+        return self._sum(self._mul_array[a[:, :, None], b[None, :, :]], 1)
+
+    def convolve(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
+        """The first ``length`` coefficients of the product of two nonempty
+        1-D arrays read as polynomials (fewer if the product is shorter)."""
+        if self.m == 1:
+            return np.convolve(a, b)[:length] % self.p
+        # shift row i of the product table right by i, then sum the rows
+        la, width = len(a), len(a) + len(b) - 1
+        skew = np.zeros((la, width + 1), dtype=np.int64)
+        skew[:, : len(b)] = self._mul_array[a[:, None], b[None, :]]
+        return self._sum(skew.ravel()[: la * width].reshape(la, width)[:, :length], 0)
+
+    def sub_outer(self, m: np.ndarray, f: np.ndarray, row: np.ndarray) -> None:
+        """In place m -= outer(f, row), with a single reduction."""
+        if self.m == 1:
+            m -= f[:, None] * row
+            m %= self.p
+        else:
+            m[...] = self._sub_array[m, self._mul_array[f[:, None], row[None, :]]]
 
     # -- element layer ----------------------------------------------------
 
@@ -401,17 +387,3 @@ class FieldElement:
                 terms.append(f"{head}w" + (f"^{i}" if i > 1 else ""))
         return " + ".join(terms) if terms else "0"
 
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field addition (same context required)."""
-    return a + b
-
-
-def mul_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse of a nonzero element."""
-    return a.inverse()
-
-
-def nth_root(a: FieldElement, n: int) -> FieldElement:
-    """Deterministic n-th root: first match in the fixed enumeration order."""
-    return a.nth_root(n)

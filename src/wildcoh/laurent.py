@@ -18,8 +18,6 @@ import numpy as np
 
 from wildcoh.gf import FieldCtx
 
-_NUMPY_P_LIMIT = 1 << 15
-
 
 class InsufficientPrecisionError(ValueError):
     """An operation needs more stored digits than the series carries."""
@@ -28,20 +26,10 @@ class InsufficientPrecisionError(ValueError):
 def _convolve(ctx: FieldCtx, a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
     if out_len <= 0 or not a or not b:
         return []
-    if ctx.m == 1 and ctx.p <= _NUMPY_P_LIMIT:
-        full = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return (full[:out_len] % ctx.p).tolist()
-    mul, add = ctx.mul, ctx.add
-    out = [0] * min(out_len, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x or i >= out_len:
-            continue
-        top = min(len(b), out_len - i)
-        for j in range(top):
-            y = b[j]
-            if y:
-                out[i + j] = add(out[i + j], mul(x, y))
-    return out
+    # coefficients are codes already: convert without reducing
+    a = np.array(a[:out_len], dtype=ctx.dtype)
+    b = np.array(b[:out_len], dtype=ctx.dtype)
+    return ctx.convolve(a, b, out_len).tolist()
 
 
 class LaurentSeries:

@@ -3,8 +3,9 @@
 Matrices are lists of rows of element codes.  Elimination is plain
 Gauss-Jordan with deterministic pivoting (first nonzero entry in column
 order, rows scanned top to bottom), so every result is byte-stable.
-Over prime fields the elimination kernels run vectorized on int64 numpy
-arrays; extension fields use the context's multiplication tables.
+Elimination and products run on the field context's code arrays, one
+kernel for every field; the small incremental work (RowEchelon,
+elementwise sums) stays on Python lists.
 """
 
 from __future__ import annotations
@@ -18,14 +19,6 @@ from wildcoh.gf import FieldCtx
 Matrix = list[list[int]]
 Vector = list[int]
 
-# numpy path requires p small enough that row_update products cannot
-# overflow int64: (p-1)^2 * ncols stays far below 2**63 for p <= 2**15.
-_NUMPY_P_LIMIT = 1 << 15
-
-
-def _use_numpy(ctx: FieldCtx) -> bool:
-    return ctx.m == 1 and ctx.p <= _NUMPY_P_LIMIT
-
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -33,10 +26,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def is_identity(a: Matrix) -> bool:
@@ -50,22 +39,8 @@ def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
         return []
     if not b:
         return [[] for _ in a]
-    if _use_numpy(ctx):
-        arr = (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)) % ctx.p
-        return arr.tolist()
-    mul, add = ctx.mul, ctx.add
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    # codes in, reduced codes out: the inputs need no reduction
+    return ctx.matmul(np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype)).tolist()
 
 
 def mat_vec(ctx: FieldCtx, a: Matrix, v: Vector) -> Vector:
@@ -99,71 +74,31 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _rref_numpy(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
-    p = ctx.p
-    m = np.array(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m -= np.outer(factors, m[r])
-        m %= p
-        pivots.append(c)
-        r += 1
-    return m.tolist(), pivots
-
-
-def _rref_generic(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        scale = inv(m[r][c])
-        m[r] = [mul(scale, x) for x in m[r]]
-        prow = m[r]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], prow)]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list (deterministic)."""
     if not a or not a[0]:
         return [row[:] for row in a], []
-    if _use_numpy(ctx):
-        return _rref_numpy(ctx, a)
-    return _rref_generic(ctx, a)
+    m = ctx.array(a)
+    rows, cols = m.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i, x in enumerate(m[r:, c].tolist(), r) if x), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        # rows r.. vanish left of column c, so only columns c.. change; one
+        # update scales the pivot row by s and clears column c elsewhere
+        rest = m[:, c:]
+        scale = ctx.inv(int(rest[r, 0]))
+        factors = ctx.mul_array(rest[:, 0], scale)
+        factors[r] = ctx.sub(1, scale)
+        ctx.sub_outer(rest, factors, rest[r])
+        pivots.append(c)
+    return m.tolist(), pivots
 
 
 def rank(ctx: FieldCtx, a: Matrix) -> int:

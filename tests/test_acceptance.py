@@ -23,9 +23,8 @@ from wildcoh import acceptance
 
 
 @pytest.fixture(scope="module")
-def results():
-    collected = acceptance.run()
-    return _index(collected)
+def results(acceptance_results):
+    return _index(acceptance_results)
 
 
 def _index(collected):

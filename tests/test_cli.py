@@ -1,6 +1,9 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import hashlib
 import json
+
+import pytest
 
 from wildcoh import cli, cohom
 from wildcoh.profile import RamificationProfile
@@ -138,3 +141,34 @@ def test_unknown_criterion_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--criteria", "42")
     assert code == 1
     assert "unknown criterion" in err
+
+
+# sha256 of the standard output: a changed answer, pivot choice or
+# format changes these
+GOLDEN = {
+    "char2": "afa1e3de870be50ba4c5282111042e24c96d397bd79b6b019bc1dcc9c4a01062",
+    "sweep": "2a70b3844018ae77f5467aeef3c8cb1f60fe027d7cfcc71d63b3e58501ebfe7c",
+    "verify-all": "2099fc72b66a84565fbe16b1a841d70955398c0c27e80083cd2735a741cdab5d",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ("char2", "--format", "json"),
+    ("sweep", "--p", "3", "5", "7", "13", "--n", "6", "--a", "4"),
+])
+def test_output_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sha256(out) == GOLDEN[argv[0]]
+
+
+def test_verify_all_output_is_byte_identical(acceptance_results):
+    # what `wildcoh verify-all` prints, from the session's acceptance run
+    passed = sum(1 for r in acceptance_results if r.passed)
+    lines = [r.line() for r in acceptance_results]
+    lines.append(f"{passed}/{len(acceptance_results)} checks passed")
+    assert sha256("\n".join(lines) + "\n") == GOLDEN["verify-all"]

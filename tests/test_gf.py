@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wildcoh.gf import FieldCtx, NoRootError, add, is_prime, mul_inv, nth_root
+from wildcoh.gf import FieldCtx, NoRootError, is_prime
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -18,29 +18,29 @@ ALL_CTX = (F2, F3, F4, F5, F7, F9, F25)
 
 
 def test_addition_worked_values():
-    assert add(F3.element(2), F3.element(2)) == F3.element(1)
+    assert F3.element(2) + F3.element(2) == F3.element(1)
     w = F4.gen
     assert (w + w).code == 0
-    assert add(F5.element(0), F5.element(4)) == F5.element(4)
+    assert F5.element(0) + F5.element(4) == F5.element(4)
 
 
 def test_inverse_worked_values():
-    assert mul_inv(F5.element(2)) == F5.element(3)
+    assert F5.element(2).inverse() == F5.element(3)
     w = F4.gen
-    assert mul_inv(w) == w * w  # w^3 = 1
-    assert mul_inv(F7.element(1)) == F7.element(1)
+    assert w.inverse() == w * w  # w^3 = 1
+    assert F7.element(1).inverse() == F7.element(1)
 
 
 def test_nth_root_worked_values():
-    assert nth_root(F7.element(1), 3) == F7.element(1)
+    assert F7.element(1).nth_root(3) == F7.element(1)
     # cubes in GF(4): x^3 = 1 for every nonzero x, so only 0 and 1 are cubes
     cubes = {(e ** 3).code for e in F4.elements()}
     assert cubes == {0, 1}
     with pytest.raises(NoRootError):
-        nth_root(F4.gen ** 2, 3)
+        (F4.gen ** 2).nth_root(3)
     # enumeration order is 0, 1, 2, ...: 2 is found before 3 although 3^2 = 4 too
     assert (F5.element(3) ** 2) == F5.element(4)
-    assert nth_root(F5.element(4), 2) == F5.element(2)
+    assert F5.element(4).nth_root(2) == F5.element(2)
 
 
 def test_field_axioms_on_random_triples():
@@ -90,6 +90,10 @@ def test_inverse_roundtrip_and_zero_division():
                     a.inverse()
             else:
                 assert a * a.inverse() == ctx.one
+    # an unreduced multiple of p is zero too
+    for ctx in (F5, F7, FieldCtx((1 << 31) - 1)):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(2 * ctx.p)
 
 
 def test_context_mismatch_rejected():
@@ -130,3 +134,10 @@ def test_large_prime_field_without_tables():
     a = big.element(123456789)
     assert a * a.inverse() == big.one
     assert (a + big.element(-123456789)).code == 0
+
+
+def test_extension_fields_are_limited_to_256_elements():
+    # x^9 + x^4 + 1 is irreducible over GF(2), but GF(512) needs 512^2 tables
+    with pytest.raises(ValueError, match="256"):
+        FieldCtx(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    assert F25.q == 25 and F25.mul(F25.gen.code, F25.gen.code) == F25.embed(-2)

@@ -242,3 +242,49 @@ def test_scale_and_shift():
     f = series(F4, {0: 1, 1: 2}, 6)
     assert f.scale(2) == series(F4, {0: 2, 1: F4.mul(2, 2)}, 6)
     assert f.shift(3) == series(F4, {3: 1, 4: 2}, 9)
+
+
+KERNEL_FIELDS = {
+    "GF2": F2,
+    "GF3": F3,
+    "GF5": F5,
+    "GF101": F101,
+    "GF4": F4,
+    "GF9": F9,
+    "GF25": FieldCtx(5, (2, 0, 1)),
+    "GF40009": FieldCtx(40009),
+    "GF2^31-1": FieldCtx((1 << 31) - 1),
+}
+
+
+def schoolbook_product(ctx, a, b):
+    """Coefficients of the polynomial product, on the scalar field operations."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    return out
+
+
+def random_nonzero_series(ctx, rng):
+    """Leading coefficient nonzero; one code in five from the top codes,
+    where int64 products of the large primes would overflow."""
+    coeffs = [rng.randrange(ctx.q) if rng.random() < 0.8
+              else ctx.q - 1 - rng.randrange(min(3, ctx.q)) for _ in range(rng.randint(1, 12))]
+    coeffs[0] = coeffs[0] or 1
+    val = rng.randint(-3, 3)
+    return LaurentSeries(ctx, val, coeffs, val + len(coeffs) + rng.randint(0, 4))
+
+
+@pytest.mark.parametrize("name", KERNEL_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(rng=st.randoms(use_true_random=True))
+def test_product_matches_schoolbook_convolution(name, rng):
+    ctx = KERNEL_FIELDS[name]
+    f, g = random_nonzero_series(ctx, rng), random_nonzero_series(ctx, rng)
+    val = f.val + g.val
+    prec = min(f.prec + g.val, g.prec + f.val)
+    expected = LaurentSeries(ctx, val, schoolbook_product(ctx, f.coeffs, g.coeffs), prec)
+    product = f * g
+    assert (product.val, product.coeffs, product.prec) == (
+        expected.val, expected.coeffs, expected.prec)
