@@ -6,7 +6,7 @@ ramified cyclic cover, group cohomology is done by exact linear algebra,
 and the global splitting-defect bookkeeping is plain integer arithmetic.
 """
 
-from wildcoh.gf import FieldCtx, FieldElement, NoRootError
+from wildcoh.gf import FieldCtx, NoRootError
 from wildcoh.laurent import LaurentSeries
 from wildcoh.ascover import LocalCover, build
 from wildcoh.profile import RamificationProfile, DefectReport
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldCtx",
-    "FieldElement",
     "NoRootError",
     "LaurentSeries",
     "LocalCover",

@@ -159,10 +159,6 @@ def rep_homomorphism_check(matrix: MatrixFn = rep) -> RepHomomorphismCheck:
     )
 
 
-def rep_is_homomorphism() -> bool:
-    return rep_homomorphism_check().holds
-
-
 def rep_kernel(matrix: MatrixFn = rep) -> list[AutTriple]:
     """Elements whose matrix (the stated one by default) is the identity."""
     return [g for g in enumerate_group() if matrix(g) == linalg.identity(2)]

@@ -94,11 +94,8 @@ def _profile_from_args(args) -> profile.RamificationProfile:
 
 
 def cmd_defect(args) -> int:
-    try:
-        prof = _profile_from_args(args)
-        report = profile.dims(prof)
-    except (ValueError, OSError) as exc:
-        raise CliError(str(exc))
+    prof = _profile_from_args(args)
+    report = profile.dims(prof)
     verdict = profile.main_theorem_check(prof)
     cross = profile.defect_by_linear_algebra(prof)
     payload = dict(report.to_dict())
@@ -146,10 +143,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_all(args) -> int:
     ids = args.criteria.split(",") if args.criteria else None
-    try:
-        results = acceptance.run(ids, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    results = acceptance.run(ids, seed=args.seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -223,12 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_mend_negative_ranges(argv))
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (cohom.StabilizationError, cohom.CertificateError, ascover.NormalFormError) as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 2
+    except (CliError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

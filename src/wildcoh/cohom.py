@@ -59,10 +59,6 @@ class CyclicModule:
             raise ValueError("generator matrix does not have the declared order")
 
 
-def window_module(win: LatticeWindow) -> CyclicModule:
-    return CyclicModule(ctx=win.ctx, sigma=win.sigma_matrix, q=win.p)
-
-
 def periodic_cohomology(mod: CyclicModule, i: int) -> int:
     """dim H^i for i in {0, 1, 2} via the periodic complex of a cyclic group."""
     if i not in (0, 1, 2):
@@ -113,19 +109,7 @@ class CohomologyClassSet:
         return len(self.basis)
 
 
-@dataclass
-class _LatticeModel:
-    window: LatticeWindow
-    fixed_basis: list[list[int]]
-    k_image: list[list[int]]
-    reps: list[list[int]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-
-def _lattice_model(cov: LocalCover, a: int, w: int) -> _LatticeModel:
+def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
     ctx = win.ctx
     aug = linalg.mat_sub(ctx, win.sigma_matrix, linalg.identity(win.size))
@@ -146,7 +130,7 @@ def _lattice_model(cov: LocalCover, a: int, w: int) -> _LatticeModel:
         residual = ech.add(vec)
         if any(residual):
             reps.append(residual)
-    return _LatticeModel(window=win, fixed_basis=fixed, k_image=k_image, reps=reps)
+    return CohomologyClassSet(window=win, basis=reps, k_image=k_image)
 
 
 def _check_window_size(cov: LocalCover, w: int) -> None:
@@ -171,7 +155,7 @@ def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClass
             f"h1 window did not stabilize: dim {model.dim} at W={w}, "
             f"{wide.dim} at W={w + cov.p}"
         )
-    return CohomologyClassSet(window=model.window, basis=model.reps, k_image=model.k_image)
+    return model
 
 
 @dataclass
@@ -222,7 +206,7 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     )
 
 
-def _d_apply(model1: _LatticeModel, model2: _LatticeModel, vec: list[int]) -> list[int]:
+def _d_apply(model1: CohomologyClassSet, model2: CohomologyClassSet, vec: list[int]) -> list[int]:
     # h -> t^(n+1) h'; on monomials t^e -> e t^(e+n), exact.
     win1, win2 = model1.window, model2.window
     ctx = win1.ctx
@@ -245,7 +229,7 @@ def _d_rank_once(cov: LocalCover, w: int) -> int:
     model2 = _lattice_model(cov, n + 1, w + n + 2)
     ech = linalg.RowEchelon(model2.window.ctx, model2.k_image)
     base_rank = ech.rank
-    for rep in model1.reps:
+    for rep in model1.basis:
         image = _d_apply(model1, model2, rep)
         if not model2.window.is_fixed(image):
             raise ascover.NormalFormError(

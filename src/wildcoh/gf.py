@@ -7,14 +7,13 @@ of an integer k is the code k mod p.  A :class:`FieldCtx` interprets
 codes and owns their arithmetic, on Python ints and on numpy arrays of
 codes alike: prime fields reduce mod p, extension fields look up tables
 built once at construction.  The series and matrix layers use only these
-primitives.  :class:`FieldElement` is a thin value wrapper for callers
-that prefer operator syntax.
+primitives.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,13 +109,6 @@ class FieldCtx:
         self._mul_table = tuple(mul.ravel().tolist())
         self._neg_table = tuple(neg.tolist())
         self._inv_table = tuple(np.argmax(mul == 1, axis=1).tolist())
-
-    def _digits(self, code: int, length: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(length):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
 
     # -- code-level arithmetic -------------------------------------------
 
@@ -225,51 +217,6 @@ class FieldCtx:
         else:
             m[...] = self._sub_array[m, self._mul_array[f[:, None], row[None, :]]]
 
-    # -- element layer ----------------------------------------------------
-
-    def coeffs(self, code: int) -> tuple[int, ...]:
-        return self._digits(code, self.m)
-
-    def code(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients for this field")
-        padded = list(coeffs) + [0] * (self.m - len(coeffs))
-        out = 0
-        for c in reversed(padded):
-            out = out * self.p + c % self.p
-        return out
-
-    def element(self, value: int | Sequence[int] | "FieldElement") -> "FieldElement":
-        """Element from a code/integer (prime field), coefficient list, or element."""
-        if isinstance(value, FieldElement):
-            if value.ctx != self:
-                raise ValueError("field context mismatch")
-            return value
-        if isinstance(value, int):
-            if self.m == 1:
-                return FieldElement(self, value % self.p)
-            if 0 <= value < self.q:
-                return FieldElement(self, value)
-            return FieldElement(self, self.embed(value))
-        return FieldElement(self, self.code(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """Image of x in GF(p)[x]/modulus (the prime field returns 1)."""
-        return FieldElement(self, self.p if self.m > 1 else 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for c in range(self.q):
-            yield FieldElement(self, c)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldCtx)
@@ -284,106 +231,4 @@ class FieldCtx:
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
-
-
-class FieldElement:
-    """Immutable element of a FieldCtx; combines only with the same context."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx: FieldCtx, code: int):
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs(self.code)
-
-    def _coerce(self, other: "FieldElement | int") -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("field context mismatch")
-            return other.code
-        if isinstance(other, int):
-            return self.ctx.embed(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.code, code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.code, code))
-
-    def __rsub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(code, self.code))
-
-    def __mul__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.code, code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.code, self.ctx.inv(code)))
-
-    def __rtruediv__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(code, self.ctx.inv(self.code)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.code, e))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.code))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.ctx.embed(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.modulus, self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.code))
-
-    def nth_root(self, n: int) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.nth_root(self.code, n))
-
-    def __repr__(self) -> str:
-        if self.ctx.m == 1:
-            return f"{self.code}"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}w" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(terms) if terms else "0"
 

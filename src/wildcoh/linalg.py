@@ -151,10 +151,13 @@ class RowEchelon:
         return len(self._rows)
 
     def reduce(self, vec: Vector) -> Vector:
-        """Residual of vec after reduction against the stored rows."""
+        """Residual of vec after reduction against the stored rows.
+
+        Prime-field entries may be any integers; they are reduced mod p.
+        """
         ctx = self.ctx
         mul, sub = ctx.mul, ctx.sub
-        v = list(vec)
+        v = [x % ctx.p for x in vec] if ctx.m == 1 else list(vec)
         for pc in sorted(self._rows):
             f = v[pc]
             if f:

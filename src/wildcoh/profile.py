@@ -49,7 +49,11 @@ class RamificationProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RamificationProfile":
-        return cls(p=int(data["p"]), g_y=int(data["gY"]), jumps=tuple(int(n) for n in data["jumps"]))
+        try:
+            p, g_y, jumps = data["p"], data["gY"], data["jumps"]
+        except KeyError as exc:
+            raise ValueError(f"profile is missing the key {exc.args[0]!r}") from None
+        return cls(p=int(p), g_y=int(g_y), jumps=tuple(int(n) for n in jumps))
 
     @classmethod
     def from_json(cls, text: str) -> "RamificationProfile":

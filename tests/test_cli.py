@@ -50,6 +50,27 @@ def test_local_rejects_jump_divisible_by_p(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize(
+    "argv, profile, message",
+    [
+        (("char2", "--prec", "10"), None, "precision below 16"),
+        (("local", "--p", "3", "--n", "2", "--window", "2"), None, "window 2 too small"),
+        (("defect",), {}, "missing the key 'p'"),
+        (("defect",), {"p": 3, "gY": 0}, "missing the key 'jumps'"),
+    ],
+    ids=["char2-low-prec", "local-small-window", "defect-empty-profile", "defect-no-jumps"],
+)
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
+    if profile is not None:
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile), encoding="utf-8")
+        argv += ("--profile", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_defect_superelliptic(capsys):
     code, out, _ = run_cli(
         capsys, "defect", "--superelliptic", "2", "3", "--p", "3", "--format", "json"

@@ -122,7 +122,8 @@ def test_cyclic_module_validation():
         CyclicModule(ctx=F3, sigma=[[2]], q=3).validate()  # order 2, not 3
     with pytest.raises(ValueError):
         CyclicModule(ctx=F3, sigma=[[1]], q=6).validate()  # 6 is not a power of 3
-    cohom.window_module(cohom.cached_cover(3, 2).window(0, -6)).validate()
+    win = cohom.cached_cover(3, 2).window(0, -6)
+    CyclicModule(ctx=win.ctx, sigma=win.sigma_matrix, q=win.p).validate()
 
 
 def test_closed_form_monotone_sanity():

@@ -1,10 +1,14 @@
-"""Field arithmetic: worked values, axioms, Frobenius, deterministic roots."""
+"""Field arithmetic on codes: worked values, axioms, Frobenius, deterministic roots.
+
+In GF(p^m) the code p has base-p digits (0, 1): it is the image w of x.
+"""
 
 import random
 
 import pytest
 
 from wildcoh.gf import FieldCtx, NoRootError, is_prime
+from wildcoh.laurent import LaurentSeries
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -18,55 +22,58 @@ ALL_CTX = (F2, F3, F4, F5, F7, F9, F25)
 
 
 def test_addition_worked_values():
-    assert F3.element(2) + F3.element(2) == F3.element(1)
-    w = F4.gen
-    assert (w + w).code == 0
-    assert F5.element(0) + F5.element(4) == F5.element(4)
+    assert F3.add(2, 2) == 1
+    w = F4.p
+    assert F4.add(w, w) == 0
+    assert F5.add(0, 4) == 4
 
 
 def test_inverse_worked_values():
-    assert F5.element(2).inverse() == F5.element(3)
-    w = F4.gen
-    assert w.inverse() == w * w  # w^3 = 1
-    assert F7.element(1).inverse() == F7.element(1)
+    assert F5.inv(2) == 3
+    w = F4.p
+    assert F4.inv(w) == F4.mul(w, w)  # w^3 = 1
+    assert F7.inv(1) == 1
 
 
 def test_nth_root_worked_values():
-    assert F7.element(1).nth_root(3) == F7.element(1)
+    assert F7.nth_root(1, 3) == 1
     # cubes in GF(4): x^3 = 1 for every nonzero x, so only 0 and 1 are cubes
-    cubes = {(e ** 3).code for e in F4.elements()}
-    assert cubes == {0, 1}
+    assert {F4.pow(c, 3) for c in range(F4.q)} == {0, 1}
     with pytest.raises(NoRootError):
-        (F4.gen ** 2).nth_root(3)
+        F4.nth_root(F4.pow(F4.p, 2), 3)
     # enumeration order is 0, 1, 2, ...: 2 is found before 3 although 3^2 = 4 too
-    assert (F5.element(3) ** 2) == F5.element(4)
-    assert F5.element(4).nth_root(2) == F5.element(2)
+    assert F5.pow(3, 2) == 4
+    assert F5.nth_root(4, 2) == 2
 
 
 def test_field_axioms_on_random_triples():
     rng = random.Random(101)
     for ctx in ALL_CTX:
+        add, sub, neg, mul = ctx.add, ctx.sub, ctx.neg, ctx.mul
         for _ in range(1000):
-            a = ctx.element(rng.randrange(ctx.q))
-            b = ctx.element(rng.randrange(ctx.q))
-            c = ctx.element(rng.randrange(ctx.q))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + b == b + a
-            assert a * b == b * a
+            a = rng.randrange(ctx.q)
+            b = rng.randrange(ctx.q)
+            c = rng.randrange(ctx.q)
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, b) == add(b, a)
+            assert mul(a, b) == mul(b, a)
+            assert add(sub(a, b), b) == a
+            assert sub(a, b) == add(a, neg(b))
 
 
 def test_frobenius_is_additive():
-    for a in F4.elements():
-        for b in F4.elements():
-            assert (a + b) ** 2 == a ** 2 + b ** 2
+    for a in range(F4.q):
+        for b in range(F4.q):
+            assert F4.pow(F4.add(a, b), 2) == F4.add(F4.pow(a, 2), F4.pow(b, 2))
     rng = random.Random(7)
     for ctx in (F9, F25, F7):
+        p = ctx.p
         for _ in range(200):
-            a = ctx.element(rng.randrange(ctx.q))
-            b = ctx.element(rng.randrange(ctx.q))
-            assert (a + b) ** ctx.p == a ** ctx.p + b ** ctx.p
+            a = rng.randrange(ctx.q)
+            b = rng.randrange(ctx.q)
+            assert ctx.pow(ctx.add(a, b), p) == ctx.add(ctx.pow(a, p), ctx.pow(b, p))
 
 
 def test_nth_root_roundtrip():
@@ -74,22 +81,20 @@ def test_nth_root_roundtrip():
         for n in range(1, 7):
             if n % ctx.p == 0:
                 continue
-            for a in ctx.elements():
+            for a in range(ctx.q):
                 try:
-                    root = a.nth_root(n)
+                    root = ctx.nth_root(a, n)
                 except NoRootError:
                     continue
-                assert root ** n == a
+                assert ctx.pow(root, n) == a
 
 
 def test_inverse_roundtrip_and_zero_division():
     for ctx in ALL_CTX:
-        for a in ctx.elements():
-            if a.code == 0:
-                with pytest.raises(ZeroDivisionError):
-                    a.inverse()
-            else:
-                assert a * a.inverse() == ctx.one
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
+        for a in range(1, ctx.q):
+            assert ctx.mul(a, ctx.inv(a)) == 1
     # an unreduced multiple of p is zero too
     for ctx in (F5, F7, FieldCtx((1 << 31) - 1)):
         with pytest.raises(ZeroDivisionError):
@@ -97,10 +102,15 @@ def test_inverse_roundtrip_and_zero_division():
 
 
 def test_context_mismatch_rejected():
+    # contexts are equal when characteristic and modulus are
+    assert FieldCtx(3) == F3 and hash(FieldCtx(3)) == hash(F3)
+    assert F3 != F5 and F9 != FieldCtx(3, (2, 1, 1))
+    # series over different fields do not combine ...
     with pytest.raises(ValueError):
-        F3.element(1) + F5.element(1)
-    # equal contexts built twice are interchangeable
-    assert FieldCtx(3).element(2) + F3.element(2) == F3.element(1)
+        LaurentSeries.one(F3, 4) + LaurentSeries.one(F5, 4)
+    # ... but equal contexts built twice are interchangeable
+    two = LaurentSeries.monomial(FieldCtx(3), 0, 4, 2)
+    assert (two + LaurentSeries.monomial(F3, 0, 4, 2)).agrees(LaurentSeries.one(F3, 4))
 
 
 def test_invalid_contexts_rejected():
@@ -121,23 +131,26 @@ def test_prime_test():
 
 
 def test_element_representation_and_embedding():
-    w = F4.gen
-    assert w.coeffs == (0, 1)
-    assert (w + 1).coeffs == (1, 1)
+    # the base-p digits of a code are its coefficients, constant first
+    w = F4.p
+    assert F4.add(w, 1) == 3  # w + 1 has digits (1, 1)
+    assert F9.mul(F9.p, F9.p) == F9.embed(-1)  # x^2 = -1 modulo x^2 + 1
     assert F4.embed(-1) == 1
-    assert F7.element(-2) == F7.element(5)
-    assert (F5.element(2) ** -1) == F5.element(3)
+    # an integer embeds as k mod p, never as the code k
+    assert F4.embed(3) == 1 and F9.embed(4) == 1
+    assert F7.embed(-2) == 5
+    assert F5.pow(2, -1) == 3
 
 
 def test_large_prime_field_without_tables():
     big = FieldCtx((1 << 31) - 1)
-    a = big.element(123456789)
-    assert a * a.inverse() == big.one
-    assert (a + big.element(-123456789)).code == 0
+    a = 123456789
+    assert big.mul(a, big.inv(a)) == 1
+    assert big.add(a, big.embed(-123456789)) == 0
 
 
 def test_extension_fields_are_limited_to_256_elements():
     # x^9 + x^4 + 1 is irreducible over GF(2), but GF(512) needs 512^2 tables
     with pytest.raises(ValueError, match="256"):
         FieldCtx(2, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
-    assert F25.q == 25 and F25.mul(F25.gen.code, F25.gen.code) == F25.embed(-2)
+    assert F25.q == 25 and F25.mul(F25.p, F25.p) == F25.embed(-2)

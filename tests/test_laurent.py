@@ -9,7 +9,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wildcoh.gf import FieldCtx
@@ -184,24 +184,49 @@ def test_newton_inverse_matches_recurrence():
                 assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
 
 
+UNIT = (1, 2, 0, 1)  # a fixed unit, at a precision above every draw
+UNIT_PREC = 200
+
+# name -> (operation, documented precision of its result), both of (f, e, n)
+SERIES_OPS = {
+    "invert": (lambda f, e, n: f.invert(), lambda f, e, n: f.prec - 2 * f.val),
+    "mul_unit": (
+        lambda f, e, n: f * LaurentSeries(f.ctx, 0, UNIT, UNIT_PREC),
+        lambda f, e, n: min(f.prec, UNIT_PREC + f.val),
+    ),
+    "pow": (lambda f, e, n: f ** e, lambda f, e, n: f.prec + (e - 1) * f.val),
+    "nth_root": (lambda f, e, n: f.nth_root(n), lambda f, e, n: f.prec),
+    "derivative": (lambda f, e, n: f.derivative(), lambda f, e, n: f.prec - 1),
+}
+
+
+@pytest.mark.parametrize("op", SERIES_OPS)
 @settings(max_examples=60, deadline=None)
 @given(
     field=st.sampled_from([F3, F101, F4, F9]),
     val=st.integers(-4, 4),
     digits=st.lists(st.integers(0, 10**6), min_size=1, max_size=80),
     extra=st.integers(1, 40),
+    e=st.sampled_from([-3, 2, 5]),
+    n=st.sampled_from([2, 3, 4, 5, 7]),
 )
-def test_invert_is_stable_under_added_precision(field, val, digits, extra):
-    # the inverse at precision P is the inverse at P + k read modulo its precision
+def test_op_is_stable_under_added_precision(op, field, val, digits, extra, e, n):
+    # the result at precision P is the result at P + k read modulo its
+    # precision, and that precision is the documented one
+    apply, documented = SERIES_OPS[op]
     coeffs = [d % field.q for d in digits]
     coeffs[0] = coeffs[0] or 1
+    if op == "nth_root":  # a unit with constant term 1, index coprime to p
+        assume(gcd(n, field.p) == 1)
+        val, coeffs[0] = 0, 1
     prec = val + len(coeffs)
     low = LaurentSeries(field, val, coeffs, prec)
     high = LaurentSeries(field, val, coeffs + [d % field.q for d in digits[:extra]], prec + extra)
-    low_inv, high_inv = low.invert(), high.invert()
-    assert low_inv.prec == prec - 2 * val
-    assert high_inv.truncate(low_inv.prec).agrees(low_inv)
-    assert (low_inv * low).agrees(LaurentSeries.one(field, low_inv.prec + val))
+    low_out, high_out = apply(low, e, n), apply(high, e, n)
+    assert low_out.prec == documented(low, e, n)
+    assert high_out.truncate(low_out.prec).agrees(low_out)
+    if op == "invert":
+        assert (low_out * low).agrees(LaurentSeries.one(field, low_out.prec + val))
 
 
 def test_product_rule():

@@ -4,7 +4,8 @@ The property tests run one kernel over prime fields (int64 arrays, and
 Python-int arrays for p above 2**15) and extension fields (table
 arrays).  Their oracles share no code with it: the RREF is canonical,
 products are checked against a schoolbook product on the scalar field
-operations, and prime-field ranks against sympy.
+operations, and prime-field rank, rref, nullspace and inverse against
+sympy.
 """
 
 import random
@@ -105,6 +106,10 @@ def test_row_echelon_incremental():
     assert ech.rank == 2
     assert ech.add([3, 4, 3]) == [0, 0, 0]  # 3 e_0 + 4 * (0, 1, 2)
     assert ech.pivots() == [0, 1]
+    # unreduced entries are read mod p, as rref reads them
+    assert linalg.RowEchelon(F5, [[0, 1]]).contains([5, 0])
+    assert linalg.rank(F5, [[5, 0]]) == 0
+    assert ech.add([10, -1, 8]) == [0, 0, 0]  # 4 * (0, 1, 2)
 
 
 def test_empty_shapes():
@@ -214,18 +219,33 @@ def test_mat_mul_is_associative_and_schoolbook(name, rng, shape):
     assert linalg.mat_mul(ctx, ab, c) == linalg.mat_mul(ctx, a, linalg.mat_mul(ctx, b, c))
 
 
+def sympy_matrix(ctx, a, cols):
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+
+    domain = GF(ctx.p)
+    return matrices.DomainMatrix([[domain(x) for x in row] for row in a], (len(a), cols), domain)
+
+
+def from_sympy(ctx, dm):
+    return [[int(x) % ctx.p for x in row] for row in dm.to_Matrix().tolist()]
+
+
 @pytest.mark.parametrize("name", PRIME_FIELDS)
 @PROPERTY
 @given(rng=rngs, rows=dims, cols=dims)
 def test_rank_and_rref_match_sympy(name, rng, rows, cols):
-    matrices = pytest.importorskip("sympy.polys.matrices")
-    from sympy import GF
-
+    # also nullspace (dimension and span) and the inverse of an invertible draw
     ctx = FIELDS[name]
     a = random_matrix(rng, ctx, rows, cols)
-    domain = GF(ctx.p)
-    dm = matrices.DomainMatrix([[domain(x) for x in row] for row in a], (rows, cols), domain)
+    dm = sympy_matrix(ctx, a, cols)
     red, pivots = dm.rref()
     assert linalg.rank(ctx, a) == dm.rank()
-    expected = [[int(x) % ctx.p for x in row] for row in red.to_Matrix().tolist()]
-    assert linalg.rref(ctx, a) == (expected, list(pivots))
+    assert linalg.rref(ctx, a) == (from_sympy(ctx, red), list(pivots))
+    kernel, theirs = linalg.nullspace(ctx, a), dm.nullspace()
+    assert len(kernel) == theirs.shape[0]
+    if kernel:
+        ours = sympy_matrix(ctx, kernel, cols)
+        assert ours.rank() == ours.vstack(theirs).rank() == len(kernel)
+    g = random_invertible(rng, ctx, rows)
+    assert linalg.inverse(ctx, g) == from_sympy(ctx, sympy_matrix(ctx, g, rows).inv())

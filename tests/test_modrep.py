@@ -74,7 +74,7 @@ def test_block_decomposition_of_lattice_window():
     from wildcoh import cohom
 
     win = cohom.cached_cover(3, 2).window(0, -6)
-    mod = cohom.window_module(win)
+    mod = CyclicModule(ctx=win.ctx, sigma=win.sigma_matrix, q=win.p)
     assert modrep.block_decomposition(mod) == blocks_oracle(win.sigma_matrix, 3, 3)
 
 
