@@ -8,13 +8,15 @@ together with the invariant parameter x = t^p / (1 - t^(n(p-1)))^(1/n),
 which satisfies t^(-np) - t^(-n) = x^(-n) exactly.  Both series use the
 principal root branch (constant term 1), so a cover is canonical for
 (p, n, prec).  Windows of monomials t^i carry the matrix of sigma modulo
-t^a, the finite model every cohomology computation runs on.
+t^a, the finite model every cohomology computation runs on.  Window entries
+are binomial coefficients read from the closed forms of sigma(t)^e and x^j;
+the series sigma_t and x_t are the independent route to the same digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -68,37 +70,27 @@ class LocalCover:
     ctx: FieldCtx
     sigma_t: LaurentSeries
     x_t: LaurentSeries
-    # caches derived from sigma_t and x_t; never passed in
-    _u_pows: dict[int, LaurentSeries] = field(default_factory=dict, init=False, repr=False)
-    _xu_pows: dict[int, LaurentSeries] = field(default_factory=dict, init=False, repr=False)
+    # cache derived from sigma_t; never passed in
     _sigma_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _unit_power(self, cache: dict[int, LaurentSeries], unit: LaurentSeries, e: int) -> LaurentSeries:
-        if not cache:
-            cache[0] = LaurentSeries.one(self.ctx, unit.prec)
-            cache[1] = unit
-        if e in cache:
-            return cache[e]
-        if e < 0 and -1 not in cache:
-            cache[-1] = unit.invert()
-        k = max(cache) if e > 0 else min(cache)
-        step = cache[1] if e > 0 else cache[-1]
-        cur = cache[k]
-        while k != e:
-            k += 1 if e > 0 else -1
-            cur = cur * step
-            cache[k] = cur
-        return cache[e]
+    def _binomial(self, e: int, k: int) -> int:
+        """binom(-e/n, k) mod p: Lucas's theorem on the base-p digits of -e/n and k."""
+        p = self.p
+        mod = p  # -e/n is a p-adic integer; only its digits below p^L > k matter
+        while mod <= k:
+            mod *= p
+        alpha = -e * pow(self.n, -1, mod) % mod
+        out = 1
+        while k and out:
+            alpha, a_digit = divmod(alpha, p)
+            k, k_digit = divmod(k, p)
+            out = out * comb(a_digit, k_digit) % p
+        return out
 
     def sigma_power(self, i: int) -> LaurentSeries:
-        """sigma(t)**i, exact to precision prec + i."""
-        unit = self.sigma_t.shift(-1)
-        return self._unit_power(self._u_pows, unit, i).shift(i)
-
-    def x_power(self, j: int) -> LaurentSeries:
-        """x**j expressed in t, exact to precision prec + p*j."""
-        unit = self.x_t.shift(-self.p)
-        return self._unit_power(self._xu_pows, unit, j).shift(self.p * j)
+        """sigma(t)**i from the closed form, to the precision prec + i of sigma_t**i."""
+        terms = {i + e: self._binomial(i, k) for k, e in enumerate(range(0, self.prec, self.n))}
+        return LaurentSeries.from_terms(self.ctx, terms, self.prec + i)
 
     def _sigma_table(self, size: int) -> np.ndarray:
         """Table T[e, j] = coefficient of t^j in sigma(t)**e, for e, j < size.
@@ -155,23 +147,15 @@ class LocalCover:
         if lo >= a:
             raise ValueError("window requires lo < a")
         if self.prec < a - lo:
-            raise InsufficientPrecisionError(
-                f"cover precision {self.prec} < window span {a - lo}"
-            )
+            raise InsufficientPrecisionError(f"cover precision {self.prec} < window span {a - lo}")
         size = a - lo
         rows = [[0] * size for _ in range(size)]
+        # sigma(t^i) has the coefficient binom(-i/n, k) at t^(i + nk)
         for col, i in enumerate(range(lo, a)):
-            s = self.sigma_power(i)
-            if s.valuation() != i:
-                raise NormalFormError(f"sigma(t^{i}) does not have valuation {i}")
-            for e in range(i, a):
-                rows[e - lo][col] = s.coefficient(e)
-        for col in range(size):
-            if rows[col][col] != 1:
-                raise NormalFormError("window matrix is not unipotent on the diagonal")
-            for row in range(col):
-                if rows[row][col]:
-                    raise NormalFormError("window matrix is not lower triangular")
+            for k, row in enumerate(range(col, size, self.n)):
+                rows[row][col] = self._binomial(i, k)
+        if any(rows[row][col] != (row == col) for col in range(size) for row in range(col + 1)):
+            raise NormalFormError("window matrix is not unipotent lower triangular")
         return LatticeWindow(cover=self, a=a, lo=lo, sigma_matrix=rows)
 
 
@@ -200,9 +184,6 @@ class LatticeWindow:
     def size(self) -> int:
         return self.a - self.lo
 
-    def exponents(self) -> range:
-        return range(self.lo, self.a)
-
     def unit_vector(self, exp: int) -> list[int]:
         if not self.lo <= exp < self.a:
             raise ValueError(f"exponent {exp} outside window [{self.lo}, {self.a})")
@@ -215,10 +196,14 @@ class LatticeWindow:
         pj = self.p * j
         if pj < self.lo:
             raise ValueError(f"x^{j} has valuation {pj} below the window")
-        s = self.cover.x_power(j)
-        if s.prec < self.a:
+        if self.cover.prec + pj < self.a:
             raise InsufficientPrecisionError("cover precision too small for x-power")
-        return [s.coefficient(e) if e >= pj else 0 for e in self.exponents()]
+        vec = [0] * self.size
+        # x^j has the coefficient (-1)^k binom(-j/n, k) at t^(pj + n(p-1)k)
+        for k, e in enumerate(range(pj, self.a, self.n * (self.p - 1))):
+            c = self.cover._binomial(j, k)
+            vec[e - self.lo] = c if k % 2 == 0 else self.ctx.neg(c)
+        return vec
 
     def apply(self, vec: list[int]) -> list[int]:
         return linalg.mat_vec(self.ctx, self.sigma_matrix, vec)
@@ -252,16 +237,12 @@ def verify_normal_form(cov: LocalCover) -> NormalFormReport:
     s = cov.sigma_t
     for _ in range(p - 1):
         s = cov.apply_sigma(s)
-    t = LaurentSeries.monomial(ctx, 1, s.prec)
-    if not s.agrees(t):
+    if not s.agrees(LaurentSeries.monomial(ctx, 1, s.prec)):
         raise NormalFormError("sigma iterated p times is not the identity")
     checked.append("sigma^p = id")
 
     z_image = cov.sigma_t ** (-n)
-    z_target = LaurentSeries.monomial(ctx, -n, z_image.prec) + LaurentSeries.one(
-        ctx, z_image.prec
-    )
-    if not z_image.agrees(z_target):
+    if not z_image.agrees(LaurentSeries.from_terms(ctx, {-n: 1, 0: 1}, z_image.prec)):
         raise NormalFormError("sigma(t^-n) != t^-n + 1")
     checked.append("sigma(t^-n) = t^-n + 1")
 

@@ -19,14 +19,13 @@ value blindly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx
-from wildcoh.laurent import LaurentSeries
+from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
 from wildcoh.modrep import GroupTable
 
 F4 = FieldCtx(2, (1, 1, 1))
@@ -235,8 +234,8 @@ def expand_at_infinity(prec: int = DEFAULT_PREC) -> tuple[LaurentSeries, Laurent
     return x, y
 
 
-def ramification_order(g: AutTriple, prec: int = DEFAULT_PREC) -> int | float:
-    """ord of g(t) - t at infinity; math.inf when 0 to the given precision."""
+def ramification_order(g: AutTriple, prec: int = DEFAULT_PREC) -> int:
+    """ord of g(t) - t at infinity; raises when it is 0 to the given precision."""
     if g == IDENTITY:
         raise ValueError("ramification order is only defined for g != id")
     x, y = expand_at_infinity(prec)
@@ -248,7 +247,9 @@ def ramification_order(g: AutTriple, prec: int = DEFAULT_PREC) -> int | float:
     gt = gx * gy.invert()
     diff = gt - LaurentSeries.monomial(F4, 1, gt.prec)
     if diff.is_zero:
-        return math.inf
+        raise InsufficientPrecisionError(
+            f"precision {prec} cannot distinguish g(t) from t for {tuple(g)}"
+        )
     return diff.valuation()
 
 
@@ -274,7 +275,7 @@ class FiltrationReport:
     stable_lines: int | None  # None when the certificate cannot pin the count
     indecomposable: bool
     filtration: list[dict]
-    ramification_orders: dict[AutTriple, int | float] = field(repr=False)
+    ramification_orders: dict[AutTriple, int] = field(repr=False)
     paper_discrepancies: list[str] = field(default_factory=list)
 
     def filtration_sizes(self) -> list[int]:
@@ -301,19 +302,10 @@ def filtration_report(prec: int = DEFAULT_PREC) -> FiltrationReport:
     """
     table = group_table()
     elements = table.elements
-    orders = {}
-    for g in elements:
-        if g == IDENTITY:
-            continue
-        o = ramification_order(g, prec)
-        if o is math.inf:
-            raise RuntimeError(
-                f"precision {prec} cannot distinguish g(t) from t for {g}"
-            )
-        orders[g] = o
+    orders = {g: ramification_order(g, prec) for g in elements if g != IDENTITY}
     max_order = max(orders.values())
     filtration = []
-    for i in range(0, int(max_order) + 1):
+    for i in range(0, max_order + 1):
         size = 1 + sum(1 for o in orders.values() if o >= i + 1)
         filtration.append({"i": i, "size": size})
         if size == 1:

@@ -19,6 +19,11 @@ from wildcoh import cohom
 from wildcoh.gf import FieldCtx, is_prime
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RamificationProfile:
     """Branch data of a Z/p-cover: characteristic, quotient genus, jump list."""
@@ -49,11 +54,19 @@ class RamificationProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RamificationProfile":
-        try:
-            p, g_y, jumps = data["p"], data["gY"], data["jumps"]
-        except KeyError as exc:
-            raise ValueError(f"profile is missing the key {exc.args[0]!r}") from None
-        return cls(p=int(p), g_y=int(g_y), jumps=tuple(int(n) for n in jumps))
+        """Read {"p": int, "gY": int, "jumps": [int, ...]}; ValueError names a bad key."""
+        if not isinstance(data, dict):
+            raise ValueError("profile must be a JSON object")
+        for key in ("p", "gY", "jumps"):
+            if key not in data:
+                raise ValueError(f"profile is missing the key {key!r}")
+        p, g_y, jumps = data["p"], data["gY"], data["jumps"]
+        for key, value in (("p", p), ("gY", g_y)):
+            if not _is_int(value):
+                raise ValueError(f"profile key {key!r} must be an int, not {value!r}")
+        if not isinstance(jumps, list) or not all(_is_int(n) for n in jumps):
+            raise ValueError(f"profile key 'jumps' must be a list of ints, not {jumps!r}")
+        return cls(p=p, g_y=g_y, jumps=tuple(jumps))
 
     @classmethod
     def from_json(cls, text: str) -> "RamificationProfile":

@@ -199,3 +199,50 @@ def test_corrupted_sigma_fails_order_check(exp):
     for _ in range(bad.p - 1):
         s = s.substitute(bad.sigma_t)
     assert not s.agrees(LaurentSeries.monomial(bad.ctx, 1, s.prec))
+
+
+# (p, n) from the smallest field to p = 101, with n below, near and above p
+CLOSED_FORM_COVERS = [(2, 1), (2, 5), (3, 2), (5, 3), (7, 4), (13, 20), (31, 10), (101, 7)]
+
+
+@pytest.mark.parametrize("p, n", CLOSED_FORM_COVERS)
+def test_closed_form_matches_laurent_route(p, n):
+    # oracle: powers of the series sigma_t and x_t, built by nth_root and invert
+    cov = cover(p, n)
+    for e in (-9, -7, -2, -1, 0, 1, 2, 5, p, p + 3, 2 * p * p + 1):
+        got, want = cov.sigma_power(e), cov.sigma_t ** e
+        assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+    # windows as wide as the stabilization re-run, up to a = 2p + 1 for x^1, x^2
+    span = n + 2 * p + 1
+    tops = (-2, 1, n + 2, 2 * p + 1)
+    # sigma_t^(i+1) = sigma_t^i * sigma_t, to the same precision prec + i + 1
+    s, sigma_powers = cov.sigma_t ** (min(tops) - span), {}
+    for i in range(min(tops) - span, max(tops)):
+        sigma_powers[i], s = s, s * cov.sigma_t
+    x_powers = set()
+    for a in tops:
+        win = cov.window(a, a - span)
+        exps = range(win.lo, win.a)
+        for col, i in enumerate(exps):
+            want = [sigma_powers[i].coefficient(e) if e >= i else 0 for e in exps]
+            assert [row[col] for row in win.sigma_matrix] == want
+        for j in range(-(-win.lo // p), (a - 1) // p + 1):
+            x_j = cov.x_t ** j
+            assert win.x_truncation(j) == [x_j.coefficient(e) if e >= p * j else 0 for e in exps]
+            x_powers.add(j)
+    assert min(x_powers) < 0 < max(x_powers)
+
+
+def test_closed_form_keeps_the_precision_limits():
+    cov = ascover.build(3, 2, 12)
+    assert cov.window(0, -12).size == 12
+    with pytest.raises(InsufficientPrecisionError):
+        cov.window(0, -13)
+    # x^-6 = t^-18 (1 - t^4)^3 = t^-18 (1 - t^12) in characteristic 3
+    assert cov.window(-6, -18).x_truncation(-6) == [1] + [0] * 11
+    # x^-6 is known below t^(12 - 18) only; cov.window cannot span this far
+    too_wide = ascover.LatticeWindow(cover=cov, a=0, lo=-18, sigma_matrix=[])
+    with pytest.raises(InsufficientPrecisionError):
+        too_wide.x_truncation(-6)
+    with pytest.raises(ValueError):
+        too_wide.x_truncation(-7)

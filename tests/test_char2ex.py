@@ -13,7 +13,7 @@ import pytest
 
 from wildcoh import char2ex, linalg
 from wildcoh.char2ex import F4, IDENTITY, OMEGA, AutTriple
-from wildcoh.laurent import LaurentSeries
+from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
 
 OMEGA2 = 3
 
@@ -177,6 +177,17 @@ def test_involution_order_matches_symbolic_form_at_two_precisions():
     assert (x ** -2).valuation() == 4
     assert char2ex.ramification_order(AutTriple(1, 0, 1), prec=16) == 4
     assert char2ex.ramification_order(AutTriple(1, 0, 1), prec=32) == 4
+
+
+def test_order_hidden_by_precision_raises(monkeypatch):
+    # expand_at_infinity refuses prec < 16, where every order is visible, so
+    # hand ramification_order an expansion cut to O(t^1), O(t^0) instead:
+    # g(t) - t is then known only mod t^4, and (1, 0, 1) has order 4
+    x, y = char2ex.expand_at_infinity(16)
+    monkeypatch.setattr(char2ex, "expand_at_infinity", lambda prec: (x.truncate(1), y.truncate(0)))
+    assert char2ex.ramification_order(AutTriple(OMEGA, 0, 0)) == 1
+    with pytest.raises(InsufficientPrecisionError, match="cannot distinguish"):
+        char2ex.ramification_order(AutTriple(1, 0, 1))
 
 
 def test_order_counts_per_case():

@@ -57,8 +57,15 @@ def test_local_rejects_jump_divisible_by_p(capsys):
         (("local", "--p", "3", "--n", "2", "--window", "2"), None, "window 2 too small"),
         (("defect",), {}, "missing the key 'p'"),
         (("defect",), {"p": 3, "gY": 0}, "missing the key 'jumps'"),
+        (("defect",), {"p": 3, "gY": 0, "jumps": "12"}, "'jumps' must be a list of ints"),
+        (("defect",), {"p": 3, "gY": 0, "jumps": [2.5]}, "'jumps' must be a list of ints"),
+        (("defect",), {"p": 3, "gY": 0, "jumps": 2}, "'jumps' must be a list of ints"),
+        (("defect",), [], "must be a JSON object"),
+        (("defect",), {"p": None, "gY": 0, "jumps": []}, "'p' must be an int"),
     ],
-    ids=["char2-low-prec", "local-small-window", "defect-empty-profile", "defect-no-jumps"],
+    ids=["char2-low-prec", "local-small-window", "defect-empty-profile", "defect-no-jumps",
+         "defect-jumps-string", "defect-jumps-float", "defect-jumps-int", "defect-list-profile",
+         "defect-null-p"],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
     if profile is not None:

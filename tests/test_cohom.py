@@ -1,10 +1,13 @@
 """Group cohomology: closed forms, the lattice model, the differential map."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wildcoh import cohom, linalg
+from wildcoh import acceptance, ascover, cohom, linalg
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
+from wildcoh.laurent import InsufficientPrecisionError
 
 F3 = FieldCtx(3)
 
@@ -134,3 +137,36 @@ def test_closed_form_monotone_sanity():
             for a in range(-3, n + 4):
                 value = cohom.h1_closed_form(p, n, a)
                 assert 0 <= value <= n
+
+
+def test_h1_below_recommended_precision_raises_or_is_right():
+    # every precision build accepts, up to the recommended one, on the
+    # acceptance grid's jumps n <= 5: a shortfall may raise, never miscount
+    counts = {"right": 0, "raised": 0}
+    for p, n in acceptance._grid():
+        if n > 5:
+            continue
+        for prec in range(n * p + p + 1, ascover.recommended_precision(p, n) + 1):
+            cov = ascover.build(p, n, prec)
+            for a in range(-2, n + 3):
+                try:
+                    dim = cohom.h1_lattice(cov, a).dim
+                except (InsufficientPrecisionError, cohom.StabilizationError):
+                    counts["raised"] += 1
+                    continue
+                assert dim == cohom.h1_closed_form(p, n, a), (p, n, prec, a)
+                counts["right"] += 1
+    # the lowest precisions for n = 1 cannot hold the widened window
+    assert counts["raised"] > 0 and counts["right"] > 10 * counts["raised"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+       n=st.integers(1, 20), data=st.data())
+def test_lattice_matches_closed_forms_beyond_the_grid(p, n, data):
+    assume(n % p != 0)
+    cov = cohom.cached_cover(p, n)
+    a = data.draw(st.integers(-3, n + 4), label="a")
+    assert cohom.h1_lattice(cov, a).dim == cohom.h1_closed_form(p, n, a)
+    assert cohom.d_image_rank(cov) == cohom.d_image_closed_form(p, n)
+
