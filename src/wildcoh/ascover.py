@@ -22,7 +22,7 @@ import numpy as np
 
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx, is_prime
-from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
+from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, support_step
 
 _GUARD = 8
 
@@ -111,7 +111,7 @@ class LocalCover:
             # sigma(t) / t is a series in t^step (step = n for the normal
             # form), so row e is t^e times one in t^step: convolve every
             # step-th digit only
-            step = int(np.gcd.reduce(np.flatnonzero(unit))) or size
+            step = support_step(self.sigma_t.coeffs, size)
             unit = unit[::step]
             table = np.zeros((size, size), dtype=ctx.dtype)
             table[0, 0] = 1

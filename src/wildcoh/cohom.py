@@ -259,7 +259,10 @@ def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
     return first
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cached_cover(p: int, n: int, w: int | None = None) -> LocalCover:
-    """Shared cover at the recommended precision for grid sweeps."""
+    """Shared cover at the recommended precision for grid sweeps.
+
+    Bounded, because w comes from the user; a verify-all run needs 27 covers.
+    """
     return ascover.build(p, n, ascover.recommended_precision(p, n, w))

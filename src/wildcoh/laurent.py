@@ -6,7 +6,8 @@ minimum justified precision of their inputs and never fabricate digits;
 the leading stored coefficient is nonzero unless the series is 0 mod
 t**prec.  Coefficients are field codes (see wildcoh.gf); dense storage is
 deliberate, every window this library needs stays within a few hundred
-terms.
+terms.  Inverses, powers and roots of a unit u(t) = v(t^s), with s the gcd
+of the exponents carrying a digit, are computed on v and spread back.
 """
 
 from __future__ import annotations
@@ -32,29 +33,36 @@ def _convolve(ctx: FieldCtx, a: Sequence[int], b: Sequence[int], out_len: int) -
     return ctx.convolve(a, b, out_len).tolist()
 
 
+def support_step(coeffs: Sequence[int], length: int) -> int:
+    """gcd of the indices of the nonzero digits; ``length`` if only digit 0 is nonzero.
+
+    Digits with step s are those of v(t^s) for v = coeffs[::s].
+    """
+    step = 0
+    for i, c in enumerate(coeffs):
+        if c:
+            step = gcd(step, i)
+            if step == 1:
+                break
+    return step or length
+
+
 class LaurentSeries:
     """Truncated Laurent series; immutable, combines only within one context."""
 
     __slots__ = ("ctx", "val", "coeffs", "prec")
 
     def __init__(self, ctx: FieldCtx, val: int, coeffs: Sequence[int], prec: int):
+        # keep the digits below t^prec, from the first nonzero to the last
+        end = max(0, min(len(coeffs), prec - val))
         lead = 0
-        cs = list(coeffs)
-        while lead < len(cs) and cs[lead] == 0:
+        while lead < end and coeffs[lead] == 0:
             lead += 1
-        cs = cs[lead:]
-        val += lead
-        if val + len(cs) > prec:
-            cs = cs[: prec - val]
-            while cs and cs[-1] == 0:
-                cs.pop()
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            val = prec
+        while end > lead and coeffs[end - 1] == 0:
+            end -= 1
         self.ctx = ctx
-        self.val = val
-        self.coeffs = tuple(cs)
+        self.val = val + lead if lead < end else prec
+        self.coeffs = tuple(coeffs[lead:end])
         self.prec = prec
 
     # -- constructors -----------------------------------------------------
@@ -192,6 +200,21 @@ class LaurentSeries:
         out = _convolve(self.ctx, self.coeffs, other.coeffs, prec - val)
         return LaurentSeries(self.ctx, val, out, prec)
 
+    def _decimated(self) -> tuple[int, "LaurentSeries"]:
+        """(s, v) with self = t^val v(t^s): s is the step of the digits, and
+        the unit v is known to the ceil((prec - val) / s) digits that
+        determine self."""
+        rel = self.prec - self.val
+        step = support_step(self.coeffs, rel)
+        return step, LaurentSeries(self.ctx, 0, self.coeffs[::step], -(-rel // step))
+
+    def _spread(self, step: int, val: int, prec: int) -> "LaurentSeries":
+        """t^val self(t^step) mod t^prec, for self of valuation 0 known to
+        the ceil((prec - val) / step) digits that this reads."""
+        out = [0] * (prec - val)
+        out[: step * len(self.coeffs) : step] = self.coeffs
+        return LaurentSeries(self.ctx, val, out, prec)
+
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse; requires the series to be nonzero mod t^prec."""
         if self.is_zero:
@@ -199,8 +222,9 @@ class LaurentSeries:
                 "cannot invert a series indistinguishable from 0 at current precision"
             )
         ctx = self.ctx
-        length = self.prec - self.val
-        u = self.coeffs
+        step, unit = self._decimated()
+        length = unit.prec
+        u = unit.coeffs
         # Newton: h <- h - h (u h - 1) doubles the digits of h = u^(-1) known;
         # u h - 1 vanishes below t^k, so only its digits k .. k2 are formed
         h = [ctx.inv(u[0])]
@@ -210,8 +234,8 @@ class LaurentSeries:
             err = _convolve(ctx, u[:k2], h, k2)[k:]
             corr = _convolve(ctx, h, err, k2 - k)
             h += [ctx.neg(c) for c in corr] + [0] * (k2 - k - len(corr))
-        # f = t^val * u  =>  1/f = t^(-val) * u^(-1), known mod t^(prec - 2 val)
-        return LaurentSeries(ctx, -self.val, h, self.prec - 2 * self.val)
+        # f = t^val u(t^s)  =>  1/f = t^(-val) u^(-1)(t^s), known mod t^(prec - 2 val)
+        return LaurentSeries(ctx, 0, h, length)._spread(step, -self.val, self.prec - 2 * self.val)
 
     def __pow__(self, e: int) -> "LaurentSeries":
         ctx = self.ctx
@@ -220,14 +244,15 @@ class LaurentSeries:
                 return LaurentSeries.zero(ctx, e * self.prec)
             raise ZeroDivisionError("nonpositive power of a series that is 0 mod t^prec")
         rel = self.prec - self.val
-        unit = LaurentSeries(ctx, 0, self.coeffs, rel)
         if e == 0:
             return LaurentSeries.one(ctx, rel)
+        # f^e = t^(e val) v^e(t^s): square and multiply on the decimated unit
+        step, unit = self._decimated()
         exp = e
         if exp < 0:
             unit = unit.invert()
             exp = -exp
-        acc = LaurentSeries.one(ctx, rel)
+        acc = LaurentSeries.one(ctx, unit.prec)
         base = unit
         while exp:
             if exp & 1:
@@ -235,7 +260,7 @@ class LaurentSeries:
             exp >>= 1
             if exp:
                 base = base * base
-        return acc.shift(e * self.val)
+        return acc._spread(step, e * self.val, rel + e * self.val)
 
     def derivative(self) -> "LaurentSeries":
         """Term-wise d/dt; absolute precision drops by one."""
@@ -248,7 +273,11 @@ class LaurentSeries:
         return LaurentSeries.from_terms(ctx, terms, self.prec - 1)
 
     def substitute(self, g: "LaurentSeries") -> "LaurentSeries":
-        """Composition self(g) for g of valuation exactly 1."""
+        """Composition self(g) for g of valuation exactly 1.
+
+        Known mod t^min(prec, g.prec + val - 1): g^e is known below
+        g.prec + e - 1, and the unknown digits of self enter from prec on.
+        """
         self._check_ctx(g)
         if g.is_zero or g.valuation() != 1:
             raise ValueError("substitution requires a series of valuation exactly 1")
@@ -270,7 +299,7 @@ class LaurentSeries:
         return result
 
     def nth_root(self, n: int) -> "LaurentSeries":
-        """Deterministic n-th root via Newton lifting (gcd(n, p) = 1).
+        """Deterministic n-th root by inverse-root Newton on the decimated unit (gcd(n, p) = 1).
 
         The branch is fixed by gf's enumeration-order root of the leading
         coefficient together with the unit-part root normalized to constant
@@ -288,24 +317,23 @@ class LaurentSeries:
         if self.val % n != 0:
             raise ValueError(f"valuation {self.val} not divisible by root index {n}")
         lead_root = ctx.nth_root(self.coeffs[0], n)  # may raise NoRootError
-        rel = self.prec - self.val
-        inv_lead = ctx.inv(self.coeffs[0])
-        w = LaurentSeries(ctx, 0, [ctx.mul(inv_lead, c) for c in self.coeffs], rel)
-        n_inv = ctx.inv(ctx.embed(n))
-        h = LaurentSeries.one(ctx, 1)
-        k = 1
-        while k < rel:
-            k = min(2 * k, rel)
-            # lift the current approximation to working precision k; Newton
-            # guarantees the refreshed digits, not the carried-over claim
-            h_k = LaurentSeries(ctx, 0, h.coeffs, k)
-            delta = (h_k ** n) - w.truncate(k)
-            if not delta.is_zero:
-                corr = delta * (h_k ** (n - 1)).invert()
-                h = h_k - corr.scale(n_inv)
-            else:
-                h = h_k
-        root = h.scale(lead_root).shift(self.val // n)
+        step, unit = self._decimated()
+        w = unit.scale(ctx.inv(self.coeffs[0]))  # constant term 1
+        length = w.prec
+        neg_n_inv = ctx.neg(ctx.inv(ctx.embed(n)))
+        # inverse-root Newton: h <- h + h (1 - w h^n) / n doubles the digits
+        # of h = w^(-1/n) known; w h^n - 1 vanishes below t^k, so only its
+        # digits k .. k2 are formed
+        h = [1]
+        while len(h) < length:
+            k = len(h)
+            k2 = min(2 * k, length)
+            h_n = LaurentSeries(ctx, 0, h, k2) ** n
+            err = _convolve(ctx, w.coeffs[:k2], h_n.coeffs, k2)[k:]
+            corr = _convolve(ctx, h, err, k2 - k)
+            h += [ctx.mul(neg_n_inv, c) for c in corr] + [0] * (k2 - k - len(corr))
+        unit_root = LaurentSeries(ctx, 0, h, length).invert().scale(lead_root)
+        root = unit_root._spread(step, self.val // n, self.prec - self.val + self.val // n)
         if not (root ** n).agrees(self):
             raise ArithmeticError("Newton n-th root failed to verify")  # pragma: no cover
         return root

@@ -1,5 +1,7 @@
 """Local normal form: defining identities, windows, invariant parameter."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -246,3 +248,39 @@ def test_closed_form_keeps_the_precision_limits():
         too_wide.x_truncation(-6)
     with pytest.raises(ValueError):
         too_wide.x_truncation(-7)
+
+
+# sha256 of json [val, coeffs, prec] of (sigma_t, x_t) at recommended_precision,
+# pinned before the series kernels ran on decimated units
+ORACLE_SERIES_PINS = {
+    (3, 1): (
+        "1acaf142b1384958d808f61274133c3058737bc13c0674621e5eeb43d89a8cd7",
+        "8afffceede30667df0c163b5c2e14c0f53ab1b747579572dc1619f1da2fd18cc",
+    ),
+    (5, 3): (
+        "eef1cdd05f73b43ec57883ffc60fbfda25d7849ab2d3b650b3b9f37ed6a29f77",
+        "1b9d3e0f4656fa9a5b2202518faef749f31a94e9fc205702ef9c985d873e38a5",
+    ),
+    (13, 20): (
+        "54a27b43a6b94fcfbffc22182f62228f057eedbe490971d4e71091dddbe8c918",
+        "4fa2ffb170087613a2e601c47ed7b3c60611e947495f71aadbe601c8f2c0e0dd",
+    ),
+    (31, 10): (
+        "d3507ef369ab118a8af48d02211454bfd6c0edabb23016299c1bc3a2836295ae",
+        "8809077e888414796dbc52d2eb1d4ca6c4781f8616494b2414156dd2518e4364",
+    ),
+    (101, 7): (
+        "f9fe1b43e2fb32eda7a6e61ac92a1d30841078032aed11701f0481962c0085ef",
+        "687b9b57e21363831f598359eda755ba4958a89a71082f453df0db15d2fc9afb",
+    ),
+}
+
+
+def series_sha256(s):
+    return hashlib.sha256(json.dumps([s.val, list(s.coeffs), s.prec]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p, n", ORACLE_SERIES_PINS)
+def test_oracle_series_match_golden_pins(p, n):
+    cov = cover(p, n)
+    assert (series_sha256(cov.sigma_t), series_sha256(cov.x_t)) == ORACLE_SERIES_PINS[p, n]

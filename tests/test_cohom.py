@@ -170,3 +170,13 @@ def test_lattice_matches_closed_forms_beyond_the_grid(p, n, data):
     assert cohom.h1_lattice(cov, a).dim == cohom.h1_closed_form(p, n, a)
     assert cohom.d_image_rank(cov) == cohom.d_image_closed_form(p, n)
 
+
+def test_cover_cache_is_bounded():
+    # the window is user input: 72 distinct ones must not grow the cache past 64
+    cache = cohom.cached_cover
+    for w in range(1, 73):
+        cache(3, 1, w)
+    info = cache.cache_info()
+    assert info.maxsize == 64
+    assert info.currsize <= info.maxsize
+    cache.cache_clear()

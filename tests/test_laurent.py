@@ -184,15 +184,133 @@ def test_newton_inverse_matches_recurrence():
                 assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
 
 
+def schoolbook_mul(f, g):
+    """f * g by the schoolbook product on the scalar field operations."""
+    prec = min(f.prec + g.val, g.prec + f.val)
+    return LaurentSeries(f.ctx, f.val + g.val, schoolbook_product(f.ctx, f.coeffs, g.coeffs), prec)
+
+
+def schoolbook_pow(f, e):
+    """f ** e by repeated schoolbook products (of the recurrence inverse if e < 0)."""
+    if e == 0:
+        return LaurentSeries.one(f.ctx, f.prec - f.val)
+    base = f if e > 0 else recurrence_inverse(f)
+    acc = base
+    for _ in range(abs(e) - 1):
+        acc = schoolbook_mul(acc, base)
+    return acc
+
+
+def dense_newton_root(f, n):
+    """The n-th root by dense Newton, h <- h - (h^n - w) / (n h^(n-1)), on every
+    digit, with schoolbook powers and products and the recurrence inverse."""
+    ctx = f.ctx
+    rel = f.prec - f.val
+    w = LaurentSeries(ctx, 0, f.coeffs, rel).scale(ctx.inv(f.coeffs[0]))
+    n_inv = ctx.inv(ctx.embed(n))
+    h, k = LaurentSeries.one(ctx, 1), 1
+    while k < rel:
+        k = min(2 * k, rel)
+        h_k = LaurentSeries(ctx, 0, h.coeffs, k)
+        delta = schoolbook_pow(h_k, n) - w.truncate(k)
+        corr = schoolbook_mul(delta, recurrence_inverse(schoolbook_pow(h_k, n - 1)))
+        h = h_k - corr.scale(n_inv)
+    return h.scale(ctx.nth_root(f.coeffs[0], n)).shift(f.val // n)
+
+
+def stepped_series(ctx, rng, step, val, rel, constant_only=False):
+    """A series t^val u(t^step) with rel digits: nonzero leading digit and
+    random digits at the multiples of step, some of them zero."""
+    coeffs = [0] * rel
+    coeffs[0] = rng.randrange(1, ctx.q)
+    if not constant_only:
+        for i in range(step, rel, step):
+            coeffs[i] = rng.randrange(ctx.q) if rng.random() < 0.7 else 0
+    return LaurentSeries(ctx, val, coeffs, val + rel)
+
+
+def same_series(got, want):
+    return (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+STEPS = (2, 3, 5, 7, 20)
+
+
+def stepped_draws(seed, count):
+    """(field, step, series) with mixed valuations, a prec - val that is not
+    a multiple of the step, and one constant-only series per field and step."""
+    rng = random.Random(seed)
+    for ctx in (F3, F101, F4, F9):
+        for step in STEPS:
+            for i in range(count):
+                rel = step * rng.randint(1, 4) + rng.randint(1, step - 1)
+                yield ctx, step, stepped_series(ctx, rng, step, rng.randint(-4, 4), rel, i == 0)
+
+
+def test_stepped_invert_matches_recurrence():
+    for _, _, f in stepped_draws(70, 4):
+        assert same_series(f.invert(), recurrence_inverse(f))
+    # the step is the gcd of the exponents, not the first one: 1 + t^4 + t^6
+    f = series(F3, {0: 1, 4: 1, 6: 1}, 23)
+    assert same_series(f.invert(), recurrence_inverse(f))
+
+
+def test_stepped_pow_matches_schoolbook_products():
+    for _, _, f in stepped_draws(71, 3):
+        for e in (-3, -1, 2, 5):
+            assert same_series(f ** e, schoolbook_pow(f, e))
+    f = series(F3, {0: 1, 4: 1, 6: 1}, 23)
+    for e in (-3, -1, 2, 5):
+        assert same_series(f ** e, schoolbook_pow(f, e))
+
+
+def test_stepped_nth_root_matches_dense_newton():
+    rng = random.Random(72)
+    for ctx, step, f in stepped_draws(72, 2):
+        for n in (2, 3, 4, 5, 7):
+            if gcd(n, ctx.p) != 1:
+                continue
+            # a leading digit with an n-th root, at a valuation divisible by n
+            lead = ctx.pow(rng.randrange(1, ctx.q), n)
+            val = n * rng.randint(-1, 1)
+            g = LaurentSeries(ctx, val, (lead,) + f.coeffs[1:], val + f.prec - f.val)
+            assert same_series(g.nth_root(n), dense_newton_root(g, n))
+    f = series(F3, {0: 1, 4: 1, 6: 1}, 23)
+    assert same_series(f.nth_root(2), dense_newton_root(f, 2))
+
+
+def test_constructor_keeps_its_invariants():
+    # nothing at or above prec, a nonzero leading digit, no trailing zeros
+    for val, coeffs, prec, want in [
+        (5, [1, 1, 1], 3, (3, (), 3)),
+        (2, [0, 0, 1, 1], 3, (3, (), 3)),
+        (2, [0, 0, 1, 1], 6, (4, (1, 1), 6)),
+        (0, [0, 2, 0, 1, 0, 0], 4, (1, (2, 0, 1), 4)),
+        (-1, [0, 0, 0], 5, (5, (), 5)),
+        (-2, [1, 0, 2, 0], 1, (-2, (1, 0, 2), 1)),
+    ]:
+        s = LaurentSeries(F3, val, coeffs, prec)
+        assert (s.val, s.coeffs, s.prec) == want
+    assert series(F3, {5: 1, 6: 1, 7: 1}, 3).is_zero
+
+
 UNIT = (1, 2, 0, 1)  # a fixed unit, at a precision above every draw
 UNIT_PREC = 200
 
 # name -> (operation, documented precision of its result), both of (f, e, n)
 SERIES_OPS = {
     "invert": (lambda f, e, n: f.invert(), lambda f, e, n: f.prec - 2 * f.val),
+    "add_unit": (
+        lambda f, e, n: f + LaurentSeries(f.ctx, 0, UNIT, UNIT_PREC),
+        lambda f, e, n: min(f.prec, UNIT_PREC),
+    ),
     "mul_unit": (
         lambda f, e, n: f * LaurentSeries(f.ctx, 0, UNIT, UNIT_PREC),
         lambda f, e, n: min(f.prec, UNIT_PREC + f.val),
+    ),
+    "substitute": (
+        lambda f, e, n: f.substitute(LaurentSeries(f.ctx, 1, UNIT, UNIT_PREC)),
+        lambda f, e, n: min(f.prec, UNIT_PREC + f.val - 1),
     ),
     "pow": (lambda f, e, n: f ** e, lambda f, e, n: f.prec + (e - 1) * f.val),
     "nth_root": (lambda f, e, n: f.nth_root(n), lambda f, e, n: f.prec),
