@@ -7,10 +7,11 @@ The cover is presented by an order-p automorphism of k[[t]],
 together with the invariant parameter x = t^p / (1 - t^(n(p-1)))^(1/n),
 which satisfies t^(-np) - t^(-n) = x^(-n) exactly.  Both series use the
 principal root branch (constant term 1), so a cover is canonical for
-(p, n, prec).  Windows of monomials t^i carry the matrix of sigma modulo
-t^a, the finite model every cohomology computation runs on.  Window entries
-are binomial coefficients read from the closed forms of sigma(t)^e and x^j;
-the series sigma_t and x_t are the independent route to the same digits.
+(p, n, prec).  Windows of monomials t^i carry the matrix of N = sigma - 1
+modulo t^a, the finite model every cohomology computation runs on.  Window
+entries are binomial coefficients read from the closed forms of sigma(t)^e
+and x^j; the series sigma_t and x_t are the independent route to the same
+digits.
 """
 
 from __future__ import annotations
@@ -143,30 +144,33 @@ class LocalCover:
         return LaurentSeries(self.ctx, lo, out.tolist(), hi)
 
     def window(self, a: int, lo: int) -> "LatticeWindow":
-        """Matrix of h -> sigma(h) mod t^a on the basis t^lo .. t^(a-1)."""
+        """Matrix of N = sigma - 1 mod t^a on the basis t^lo .. t^(a-1)."""
         if lo >= a:
             raise ValueError("window requires lo < a")
         if self.prec < a - lo:
             raise InsufficientPrecisionError(f"cover precision {self.prec} < window span {a - lo}")
         size = a - lo
-        rows = [[0] * size for _ in range(size)]
-        # sigma(t^i) has the coefficient binom(-i/n, k) at t^(i + nk)
+        nil = np.zeros((size, size), dtype=self.ctx.dtype)
+        # sigma(t^i) - t^i has the coefficient binom(-i/n, k) at t^(i + nk), k >= 1
         for col, i in enumerate(range(lo, a)):
-            for k, row in enumerate(range(col, size, self.n)):
-                rows[row][col] = self._binomial(i, k)
-        if any(rows[row][col] != (row == col) for col in range(size) for row in range(col + 1)):
+            below = nil[col + self.n :: self.n, col]
+            below[:] = [self._binomial(i, k) for k in range(1, len(below) + 1)]
+        if np.triu(nil).any():
             raise NormalFormError("window matrix is not unipotent lower triangular")
-        return LatticeWindow(cover=self, a=a, lo=lo, sigma_matrix=rows)
+        return LatticeWindow(cover=self, a=a, lo=lo, nil=nil)
 
 
 @dataclass
 class LatticeWindow:
-    """Finite slice span{t^i : lo <= i < a} with the matrix of sigma mod t^a."""
+    """Finite slice span{t^i : lo <= i < a} with the matrix of sigma - 1 mod t^a.
+
+    ``nil`` is the strictly lower triangular code array N; sigma = 1 + N.
+    """
 
     cover: LocalCover
     a: int
     lo: int
-    sigma_matrix: list[list[int]]
+    nil: np.ndarray
 
     @property
     def p(self) -> int:
@@ -205,15 +209,12 @@ class LatticeWindow:
             vec[e - self.lo] = c if k % 2 == 0 else self.ctx.neg(c)
         return vec
 
-    def apply(self, vec: list[int]) -> list[int]:
-        return linalg.mat_vec(self.ctx, self.sigma_matrix, vec)
-
     def is_fixed(self, vec: list[int]) -> bool:
-        return self.apply(vec) == list(vec)
+        return not self.ctx.matmul(self.nil, self.ctx.array(vec)).any()
 
     def verify_order(self) -> None:
-        """Check sigma_matrix**p = identity (raises NormalFormError)."""
-        if not linalg.is_identity(linalg.mat_pow(self.ctx, self.sigma_matrix, self.p)):
+        """Check N**p = 0, i.e. sigma**p = 1 + N**p = 1 (raises NormalFormError)."""
+        if any(map(any, linalg.mat_pow(self.ctx, self.nil.tolist(), self.p))):
             raise NormalFormError("window matrix does not have order p")
 
 

@@ -38,21 +38,18 @@ class CyclicModule:
     sigma: list[list[int]]
     q: int
 
+    def __post_init__(self):
+        p, q = self.ctx.p, self.q
+        while q > 1 and q % p == 0:
+            q //= p
+        if self.q < 2 or q != 1:
+            raise ValueError(f"order {self.q} is not a positive power of {p}")
+
     @property
     def dim(self) -> int:
         return len(self.sigma)
 
     def validate(self) -> None:
-        p = self.ctx.p
-        q = self.q
-        if q < 2 or p < 2:
-            raise ValueError("group order must be a positive power of p")
-        e = 0
-        while q % p == 0:
-            q //= p
-            e += 1
-        if q != 1 or e < 1:
-            raise ValueError(f"order {self.q} is not a power of {p}")
         if self.dim and not linalg.is_identity(
             linalg.mat_pow(self.ctx, self.sigma, self.q)
         ):
@@ -60,7 +57,11 @@ class CyclicModule:
 
 
 def periodic_cohomology(mod: CyclicModule, i: int) -> int:
-    """dim H^i for i in {0, 1, 2} via the periodic complex of a cyclic group."""
+    """dim H^i for i in {0, 1, 2} via the periodic complex of a cyclic group.
+
+    In characteristic p the norm 1 + sigma + ... + sigma^(q-1) is
+    (sigma - 1)^(q-1), since q is a power of p.
+    """
     if i not in (0, 1, 2):
         raise ValueError("periodicity makes only i in {0, 1, 2} meaningful")
     mod.validate()
@@ -68,15 +69,10 @@ def periodic_cohomology(mod: CyclicModule, i: int) -> int:
     dim = mod.dim
     if dim == 0:
         return 0
-    ident = linalg.identity(dim)
-    aug = linalg.mat_sub(ctx, mod.sigma, ident)
+    aug = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
     if i == 0:
         return dim - linalg.rank(ctx, aug)
-    norm = linalg.zeros(dim, dim)
-    power = ident
-    for _ in range(mod.q):
-        norm = linalg.mat_add(ctx, norm, power)
-        power = linalg.mat_mul(ctx, power, mod.sigma)
+    norm = linalg.mat_pow(ctx, aug, mod.q - 1)
     if i == 1:
         return (dim - linalg.rank(ctx, norm)) - linalg.rank(ctx, aug)
     return (dim - linalg.rank(ctx, aug)) - linalg.rank(ctx, norm)
@@ -112,8 +108,7 @@ class CohomologyClassSet:
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
     ctx = win.ctx
-    aug = linalg.mat_sub(ctx, win.sigma_matrix, linalg.identity(win.size))
-    fixed = linalg.nullspace(ctx, aug)
+    fixed = linalg.nullspace(ctx, win.nil.tolist())
     j_lo = -(-win.lo // cov.p)  # ceil(lo / p)
     j_hi = (a - 1) // cov.p
     k_image = []

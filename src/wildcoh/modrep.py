@@ -25,23 +25,24 @@ from wildcoh.gf import FieldCtx
 
 
 def block_decomposition(mod: CyclicModule) -> Counter:
-    """Multiset of Jordan block sizes of the generator (unipotent, order q)."""
-    mod.validate()
+    """Multiset of Jordan block sizes of the generator (unipotent, order q).
+
+    Ranks of N^j for N = sigma - 1 run until they reach 0; since q is a
+    power of p, sigma^q - 1 = N^q, and rank(N^q) != 0 means sigma does
+    not have the declared order.
+    """
     ctx = mod.ctx
     dim = mod.dim
     if dim == 0:
         return Counter()
     nil = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
-    ranks = [dim]
-    power = linalg.identity(dim)
-    for _ in range(dim + 1):
+    ranks = [dim, linalg.rank(ctx, nil)]
+    power = nil
+    while ranks[-1] and len(ranks) <= mod.q:
         power = linalg.mat_mul(ctx, power, nil)
-        r = linalg.rank(ctx, power)
-        ranks.append(r)
-        if r == 0:
-            break
-    if ranks[-1] != 0:
-        raise AssertionError("generator minus identity is not nilpotent")
+        ranks.append(linalg.rank(ctx, power))
+    if ranks[-1]:
+        raise ValueError("generator matrix does not have the declared order")
     blocks: Counter = Counter()
     # blocks of size >= j count rank(N^(j-1)) - rank(N^j)
     for j in range(1, len(ranks)):

@@ -4,9 +4,10 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
-from wildcoh import ascover
+from wildcoh import ascover, linalg
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
 
@@ -15,6 +16,12 @@ GRID = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 8) if n % p != 0]
 
 def cover(p, n, w=None):
     return ascover.build(p, n, ascover.recommended_precision(p, n, w))
+
+
+def sigma_of(win):
+    # sigma = 1 + N, as a list of rows of codes
+    return [[(x + (r == c)) % win.p for c, x in enumerate(row)]
+            for r, row in enumerate(win.nil.tolist())]
 
 
 def test_sigma_head_p3_n1():
@@ -71,23 +78,25 @@ def test_window_triangular_with_unit_diagonal():
     cov = cover(3, 2)
     win = cov.window(0, -6)
     size = win.size
+    sigma = sigma_of(win)
     for col in range(size):
-        assert win.sigma_matrix[col][col] == 1
+        assert sigma[col][col] == 1
         for row in range(col):
-            assert win.sigma_matrix[row][col] == 0
+            assert sigma[row][col] == 0
     # top basis vector is fixed: sigma(t^(a-1)) = t^(a-1) mod t^a
     top = win.unit_vector(win.a - 1)
-    assert win.apply(top) == top
+    assert linalg.mat_vec(win.ctx, sigma, top) == top
+    assert win.is_fixed(top)
 
 
 def test_window_constant_appears_only_above_cutoff():
     cov = cover(3, 2)
     # sigma(t^-2) = t^-2 + 1: with a = 0 the +1 is truncated away...
     win0 = cov.window(0, -4)
-    assert win0.apply(win0.unit_vector(-2)) == win0.unit_vector(-2)
+    assert linalg.mat_vec(win0.ctx, sigma_of(win0), win0.unit_vector(-2)) == win0.unit_vector(-2)
     # ...with a = 1 the constant 1 shows up
     win1 = cov.window(1, -4)
-    image = win1.apply(win1.unit_vector(-2))
+    image = linalg.mat_vec(win1.ctx, sigma_of(win1), win1.unit_vector(-2))
     expected = [a + b for a, b in zip(win1.unit_vector(-2), win1.unit_vector(0))]
     assert image == expected
 
@@ -97,13 +106,24 @@ def test_window_order_p():
     cov.window(4, -8).verify_order()
 
 
+def test_verify_order_reads_n_to_the_p():
+    cov = cover(3, 2)
+    p = cov.p
+    # a shift block of size p has N^(p-1) != 0 = N^p: order exactly p
+    shift = np.eye(p, k=-1, dtype=np.int64)
+    ascover.LatticeWindow(cover=cov, a=p, lo=0, nil=shift).verify_order()
+    # one size more and N^p != 0: sigma has order p^2
+    longer = np.eye(p + 1, k=-1, dtype=np.int64)
+    with pytest.raises(ascover.NormalFormError, match="does not have order p"):
+        ascover.LatticeWindow(cover=cov, a=p + 1, lo=0, nil=longer).verify_order()
+
+
 def test_window_power_of_nilpotent_part():
     for p, n in ((2, 3), (3, 2), (5, 2)):
         cov = cover(p, n)
         win = cov.window(1, 1 - (n + p + 1))
-        from wildcoh import linalg
-
-        nil = linalg.mat_sub(win.ctx, win.sigma_matrix, linalg.identity(win.size))
+        nil = linalg.mat_sub(win.ctx, sigma_of(win), linalg.identity(win.size))
+        assert nil == win.nil.tolist()
         assert linalg.mat_pow(win.ctx, nil, p) == linalg.zeros(win.size, win.size)
 
 
@@ -227,7 +247,7 @@ def test_closed_form_matches_laurent_route(p, n):
         exps = range(win.lo, win.a)
         for col, i in enumerate(exps):
             want = [sigma_powers[i].coefficient(e) if e >= i else 0 for e in exps]
-            assert [row[col] for row in win.sigma_matrix] == want
+            assert [row[col] for row in sigma_of(win)] == want
         for j in range(-(-win.lo // p), (a - 1) // p + 1):
             x_j = cov.x_t ** j
             assert win.x_truncation(j) == [x_j.coefficient(e) if e >= p * j else 0 for e in exps]
@@ -243,7 +263,7 @@ def test_closed_form_keeps_the_precision_limits():
     # x^-6 = t^-18 (1 - t^4)^3 = t^-18 (1 - t^12) in characteristic 3
     assert cov.window(-6, -18).x_truncation(-6) == [1] + [0] * 11
     # x^-6 is known below t^(12 - 18) only; cov.window cannot span this far
-    too_wide = ascover.LatticeWindow(cover=cov, a=0, lo=-18, sigma_matrix=[])
+    too_wide = ascover.LatticeWindow(cover=cov, a=0, lo=-18, nil=np.zeros((18, 18), np.int64))
     with pytest.raises(InsufficientPrecisionError):
         too_wide.x_truncation(-6)
     with pytest.raises(ValueError):

@@ -177,6 +177,12 @@ GOLDEN = {
     "char2": "afa1e3de870be50ba4c5282111042e24c96d397bd79b6b019bc1dcc9c4a01062",
     "sweep": "2a70b3844018ae77f5467aeef3c8cb1f60fe027d7cfcc71d63b3e58501ebfe7c",
     "verify-all": "2099fc72b66a84565fbe16b1a841d70955398c0c27e80083cd2735a741cdab5d",
+    "local --p 13 --n 3 --a 5 --format json":
+        "6394687217cab1ef463b3f7b0c24567d4709228a97fc8c4465634b6cbb702d28",
+    "local --p 101 --n 7 --a 3 --format json":
+        "2e4de21f575e5a68a099a0934fd8e18f21940c7a1f76ade1254b984876eb27a2",
+    "defect --p 5 --gy 1 --jumps 1 3 6 --format json":
+        "0df03e63bf4de05d203d9040ee50dbbbe52bb4d6e117abb6808346286d1a447d",
 }
 
 
@@ -192,6 +198,18 @@ def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert sha256(out) == GOLDEN[argv[0]]
+
+
+@pytest.mark.parametrize("command", [
+    "local --p 13 --n 3 --a 5 --format json",
+    "local --p 101 --n 7 --a 3 --format json",
+    "defect --p 5 --gy 1 --jumps 1 3 6 --format json",
+])
+def test_local_and_defect_output_is_byte_identical(capsys, command):
+    # lattice windows reach these commands, which the pins above do not cover
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert sha256(out) == GOLDEN[command]
 
 
 def test_verify_all_output_is_byte_identical(acceptance_results):

@@ -1,10 +1,12 @@
 """Group cohomology: closed forms, the lattice model, the differential map."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wildcoh import acceptance, ascover, cohom, linalg
+from wildcoh import acceptance, ascover, cohom, linalg, modrep
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError
@@ -110,6 +112,33 @@ def test_periodic_cohomology_free_module():
         assert cohom.periodic_cohomology(mod, 2) == 0
 
 
+def explicit_norm(mod):
+    # oracle: the norm 1 + sigma + ... + sigma^(q-1) as a sum of powers
+    ctx = mod.ctx
+    norm = linalg.zeros(mod.dim, mod.dim)
+    power = linalg.identity(mod.dim)
+    for _ in range(mod.q):
+        norm = linalg.mat_add(ctx, norm, power)
+        power = linalg.mat_mul(ctx, power, mod.sigma)
+    return norm
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (2, 4), (5, 5), (2, 8), (3, 9)])
+def test_periodic_cohomology_against_the_explicit_norm(p, q):
+    ctx = FieldCtx(p)
+    rng = random.Random(100 * q + p)
+    for _ in range(12):
+        mod = modrep.random_cyclic_module(ctx, q, rng)
+        dim = mod.dim
+        aug = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
+        norm = explicit_norm(mod)
+        assert norm == linalg.mat_pow(ctx, aug, q - 1)
+        ker_aug = dim - linalg.rank(ctx, aug)
+        want = [ker_aug, dim - linalg.rank(ctx, norm) - linalg.rank(ctx, aug),
+                ker_aug - linalg.rank(ctx, norm)]
+        assert [cohom.periodic_cohomology(mod, i) for i in (0, 1, 2)] == want
+
+
 def test_periodic_cohomology_jordan_block():
     mod = CyclicModule(ctx=F3, sigma=[[1, 1], [0, 1]], q=3)
     assert cohom.periodic_cohomology(mod, 0) == 1
@@ -123,10 +152,13 @@ def test_periodic_cohomology_jordan_block():
 def test_cyclic_module_validation():
     with pytest.raises(ValueError):
         CyclicModule(ctx=F3, sigma=[[2]], q=3).validate()  # order 2, not 3
-    with pytest.raises(ValueError):
-        CyclicModule(ctx=F3, sigma=[[1]], q=6).validate()  # 6 is not a power of 3
+    with pytest.raises(ValueError, match="not a positive power of 3"):
+        CyclicModule(ctx=F3, sigma=[[1]], q=6)  # refused at construction
+    with pytest.raises(ValueError, match="not a positive power of 3"):
+        CyclicModule(ctx=F3, sigma=[[1]], q=1)
     win = cohom.cached_cover(3, 2).window(0, -6)
-    CyclicModule(ctx=win.ctx, sigma=win.sigma_matrix, q=win.p).validate()
+    sigma = linalg.mat_add(win.ctx, linalg.identity(win.size), win.nil.tolist())
+    CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p).validate()
 
 
 def test_closed_form_monotone_sanity():

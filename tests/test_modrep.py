@@ -74,8 +74,20 @@ def test_block_decomposition_of_lattice_window():
     from wildcoh import cohom
 
     win = cohom.cached_cover(3, 2).window(0, -6)
-    mod = CyclicModule(ctx=win.ctx, sigma=win.sigma_matrix, q=win.p)
-    assert modrep.block_decomposition(mod) == blocks_oracle(win.sigma_matrix, 3, 3)
+    sigma = linalg.mat_add(win.ctx, linalg.identity(win.size), win.nil.tolist())
+    mod = CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p)
+    assert modrep.block_decomposition(mod) == blocks_oracle(sigma, 3, 3)
+
+
+def test_block_decomposition_refuses_a_wrong_order():
+    # J_4 has order 9 over GF(3): N^3 != 0 although N is nilpotent
+    j4 = [[1 if j in (i, i + 1) else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="does not have the declared order"):
+        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=3))
+    assert modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=9)) == Counter({4: 1})
+    # sigma = 2 has order 2, and N = 1 is not nilpotent at all
+    with pytest.raises(ValueError, match="does not have the declared order"):
+        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=[[2]], q=3))
 
 
 def test_block_decomposition_conjugation_invariant():
