@@ -56,17 +56,16 @@ def cmd_local(args) -> int:
     a = args.a
     w = args.window
     cov = cohom.cached_cover(p, n, w)
-    classes = cohom.h1_lattice(cov, a, w)
+    cert = cohom.h1_basis_certificate(cov, a, w)  # runs h1_lattice once
     closed = cohom.h1_closed_form(p, n, a)
-    cert = cohom.h1_basis_certificate(cov, a, w)
     d_rank = cohom.d_image_rank(cov, w)
     d_closed = cohom.d_image_closed_form(p, n)
-    match = classes.dim == closed and d_rank == d_closed
+    match = cert.dim == closed and d_rank == d_closed
     payload = {
         "p": p,
         "n": n,
         "a": a,
-        "h1_lattice": classes.dim,
+        "h1_lattice": cert.dim,
         "h1_closed": closed,
         "basis_exponents": cert.monomial_exponents,
         "vanishing_classes": [list(v) for v in cert.vanishing],

@@ -49,10 +49,14 @@ class CyclicModule:
     def dim(self) -> int:
         return len(self.sigma)
 
+    @property
+    def nil(self) -> list[list[int]]:
+        """N = sigma - 1, formed on each read: modules are kept in bulk."""
+        return linalg.mat_sub(self.ctx, self.sigma, linalg.identity(self.dim))
+
     def validate(self) -> None:
-        if self.dim and not linalg.is_identity(
-            linalg.mat_pow(self.ctx, self.sigma, self.q)
-        ):
+        """Check sigma^q = 1, i.e. N^q = 0, since q is a power of p."""
+        if any(map(any, linalg.mat_pow(self.ctx, self.nil, self.q))):
             raise ValueError("generator matrix does not have the declared order")
 
 
@@ -69,13 +73,13 @@ def periodic_cohomology(mod: CyclicModule, i: int) -> int:
     dim = mod.dim
     if dim == 0:
         return 0
-    aug = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
+    nil = mod.nil
     if i == 0:
-        return dim - linalg.rank(ctx, aug)
-    norm = linalg.mat_pow(ctx, aug, mod.q - 1)
+        return dim - linalg.rank(ctx, nil)
+    norm = linalg.mat_pow(ctx, nil, mod.q - 1)
     if i == 1:
-        return (dim - linalg.rank(ctx, norm)) - linalg.rank(ctx, aug)
-    return (dim - linalg.rank(ctx, aug)) - linalg.rank(ctx, norm)
+        return (dim - linalg.rank(ctx, norm)) - linalg.rank(ctx, nil)
+    return (dim - linalg.rank(ctx, nil)) - linalg.rank(ctx, norm)
 
 
 def h1_closed_form(p: int, n: int, a: int) -> int:
@@ -105,21 +109,24 @@ class CohomologyClassSet:
         return len(self.basis)
 
 
-def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
-    win = cov.window(a, a - w)
-    ctx = win.ctx
-    fixed = linalg.nullspace(ctx, win.nil.tolist())
-    j_lo = -(-win.lo // cov.p)  # ceil(lo / p)
-    j_hi = (a - 1) // cov.p
+def _x_image(win: LatticeWindow) -> tuple[list[list[int]], linalg.RowEchelon]:
+    """Truncations of the powers x^j with p*j in the window, and their echelon."""
     k_image = []
-    for j in range(j_lo, j_hi + 1):
+    for j in range(-(-win.lo // win.p), (win.a - 1) // win.p + 1):  # lo <= p*j < a
         vec = win.x_truncation(j)
         if not win.is_fixed(vec):
             raise ascover.NormalFormError(f"x^{j} truncation is not sigma-fixed")
         k_image.append(vec)
-    ech = linalg.RowEchelon(ctx, k_image)
+    ech = linalg.RowEchelon(win.ctx, k_image)
     if ech.rank != len(k_image):
         raise CertificateError("x-power truncations are not independent")
+    return k_image, ech
+
+
+def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
+    win = cov.window(a, a - w)
+    fixed = linalg.nullspace(win.ctx, win.nil.tolist())
+    k_image, ech = _x_image(win)
     reps = []
     for vec in fixed:
         residual = ech.add(vec)
@@ -128,10 +135,14 @@ def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     return CohomologyClassSet(window=win, basis=reps, k_image=k_image)
 
 
-def _check_window_size(cov: LocalCover, w: int) -> None:
+def _window_size(cov: LocalCover, w: int | None) -> int:
+    """The window size to use: w, or by default the least allowed, n + p + 1."""
     least = cov.n + cov.p + 1
+    if w is None:
+        return least
     if w < least:
         raise ValueError(f"window {w} too small; need at least n + p + 1 = {least}")
+    return w
 
 
 def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClassSet:
@@ -140,9 +151,7 @@ def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClass
     The dimension is recomputed with the window widened by p; disagreement
     raises StabilizationError rather than returning an unreliable value.
     """
-    if w is None:
-        w = cov.n + cov.p + 1
-    _check_window_size(cov, w)
+    w = _window_size(cov, w)
     model = _lattice_model(cov, a, w)
     wide = _lattice_model(cov, a, w + cov.p)
     if model.dim != wide.dim:
@@ -201,9 +210,8 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     )
 
 
-def _d_apply(model1: CohomologyClassSet, model2: CohomologyClassSet, vec: list[int]) -> list[int]:
+def _d_apply(win1: LatticeWindow, win2: LatticeWindow, vec: list[int]) -> list[int]:
     # h -> t^(n+1) h'; on monomials t^e -> e t^(e+n), exact.
-    win1, win2 = model1.window, model2.window
     ctx = win1.ctx
     n = win1.n
     out = [0] * win2.size
@@ -219,14 +227,14 @@ def _d_apply(model1: CohomologyClassSet, model2: CohomologyClassSet, vec: list[i
 
 
 def _d_rank_once(cov: LocalCover, w: int) -> int:
-    n = cov.n
     model1 = _lattice_model(cov, 0, w)
-    model2 = _lattice_model(cov, n + 1, w + n + 2)
-    ech = linalg.RowEchelon(model2.window.ctx, model2.k_image)
+    # the target H^1 is read modulo the x-image only: it needs no kernel
+    win2 = cov.window(cov.n + 1, -1 - w)
+    ech = _x_image(win2)[1]
     base_rank = ech.rank
     for rep in model1.basis:
-        image = _d_apply(model1, model2, rep)
-        if not model2.window.is_fixed(image):
+        image = _d_apply(model1.window, win2, rep)
+        if not win2.is_fixed(image):
             raise ascover.NormalFormError(
                 "differential image is not sigma-fixed (precision bug)"
             )
@@ -241,9 +249,7 @@ def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
     sends a representative h to t^(n+1) h'.  Stabilization against the
     widened window is enforced as in h1_lattice.
     """
-    if w is None:
-        w = cov.n + cov.p + 1
-    _check_window_size(cov, w)
+    w = _window_size(cov, w)
     first = _d_rank_once(cov, w)
     second = _d_rank_once(cov, w + cov.p)
     if first != second:

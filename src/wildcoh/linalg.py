@@ -28,10 +28,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
 
-def is_identity(a: Matrix) -> bool:
-    return a == identity(len(a))
-
-
 def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
     if len(b) != (len(a[0]) if a else 0):
         raise ValueError("matrix shape mismatch")
@@ -60,14 +56,18 @@ def mat_sub(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
 def mat_pow(ctx: FieldCtx, a: Matrix, e: int) -> Matrix:
     if e < 0:
         raise ValueError("negative matrix power not supported")
-    result = identity(len(a))
-    base = [row[:] for row in a]
-    while e:
-        if e & 1:
-            result = mat_mul(ctx, result, base)
+    if e == 0:
+        return identity(len(a))
+    base = a
+    while not e & 1:  # start at the lowest set bit of e: no identity product
         base = mat_mul(ctx, base, base)
         e >>= 1
-    return result
+    result = base
+    while e := e >> 1:
+        base = mat_mul(ctx, base, base)
+        if e & 1:
+            result = mat_mul(ctx, result, base)
+    return [row[:] for row in a] if result is a else result
 
 
 def transpose(a: Matrix) -> Matrix:

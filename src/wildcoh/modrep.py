@@ -35,7 +35,7 @@ def block_decomposition(mod: CyclicModule) -> Counter:
     dim = mod.dim
     if dim == 0:
         return Counter()
-    nil = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
+    nil = mod.nil
     ranks = [dim, linalg.rank(ctx, nil)]
     power = nil
     while ranks[-1] and len(ranks) <= mod.q:
@@ -43,15 +43,14 @@ def block_decomposition(mod: CyclicModule) -> Counter:
         ranks.append(linalg.rank(ctx, power))
     if ranks[-1]:
         raise ValueError("generator matrix does not have the declared order")
+    ranks.append(0)
     blocks: Counter = Counter()
-    # blocks of size >= j count rank(N^(j-1)) - rank(N^j)
-    for j in range(1, len(ranks)):
-        at_least_j = ranks[j - 1] - ranks[j]
-        at_least_next = ranks[j] - ranks[j + 1] if j + 1 < len(ranks) else 0
-        if at_least_j - at_least_next:
-            blocks[j] = at_least_j - at_least_next
-    if sum(size * mult for size, mult in blocks.items()) != dim:
-        raise AssertionError("block sizes do not sum to the dimension")
+    # blocks of size >= j count r_(j-1) - r_j, so blocks of size j count
+    # r_(j-1) - 2 r_j + r_(j+1); the sizes sum to r_0 = dim
+    for j in range(1, len(ranks) - 1):
+        count = ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]
+        if count:
+            blocks[j] = count
     return blocks
 
 
@@ -66,10 +65,14 @@ class ExactTriple:
         ctx = self.b.ctx
         ech = linalg.RowEchelon(ctx, self.a_basis)
         self._a_rows = ech.rows()
-        for row in self._a_rows:
-            if not ech.contains(linalg.mat_vec(ctx, self.b.sigma, row)):
-                raise ValueError("subspace is not sigma-stable")
+        if not all(map(ech.contains, self._sigma_of_a_rows())):
+            raise ValueError("subspace is not sigma-stable")
         self._a_ech = ech
+
+    def _sigma_of_a_rows(self) -> list[list[int]]:
+        """sigma applied to each echelon row of A, in one product."""
+        rows = self._a_rows
+        return linalg.mat_mul(self.b.ctx, rows, linalg.transpose(self.b.sigma)) if rows else []
 
     @property
     def a_dim(self) -> int:
@@ -81,35 +84,25 @@ class ExactTriple:
 
     def a_module(self) -> CyclicModule:
         """Restriction of sigma to A, in the echelon basis of A."""
-        ctx = self.b.ctx
         pivots = self._a_ech.pivots()
-        rows = self._a_rows
-        sigma_a = []
-        for row in rows:
-            image = linalg.mat_vec(ctx, self.b.sigma, row)
-            # reduced basis: coordinates are read off at the pivot columns
-            coords = [image[pc] for pc in pivots]
-            sigma_a.append(coords)
-        return CyclicModule(ctx=ctx, sigma=linalg.transpose(sigma_a), q=self.b.q)
+        # reduced basis: coordinates are read off at the pivot columns
+        sigma_a = [[image[pc] for pc in pivots] for image in self._sigma_of_a_rows()]
+        return CyclicModule(ctx=self.b.ctx, sigma=linalg.transpose(sigma_a), q=self.b.q)
 
     def c_module(self) -> CyclicModule:
         """Induced action on B/A, in the basis of non-pivot coordinates."""
-        ctx = self.b.ctx
-        dim = self.b.dim
         pivots = set(self._a_ech.pivots())
-        free = [c for c in range(dim) if c not in pivots]
+        free = [c for c in range(self.b.dim) if c not in pivots]
         sigma_c = []
         for fc in free:
-            vec = [0] * dim
-            vec[fc] = 1
-            image = self._a_ech.reduce(linalg.mat_vec(ctx, self.b.sigma, vec))
+            # sigma(e_fc) is column fc of sigma
+            image = self._a_ech.reduce([row[fc] for row in self.b.sigma])
             sigma_c.append([image[c] for c in free])
-        return CyclicModule(ctx=ctx, sigma=linalg.transpose(sigma_c), q=self.b.q)
+        return CyclicModule(ctx=self.b.ctx, sigma=linalg.transpose(sigma_c), q=self.b.q)
 
 
 def _fixed_dim(mod: CyclicModule) -> int:
-    aug = linalg.mat_sub(mod.ctx, mod.sigma, linalg.identity(mod.dim))
-    return mod.dim - linalg.rank(mod.ctx, aug) if mod.dim else 0
+    return mod.dim - linalg.rank(mod.ctx, mod.nil) if mod.dim else 0
 
 
 def splits(triple: ExactTriple) -> bool:

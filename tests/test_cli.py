@@ -36,6 +36,20 @@ def test_local_h1_first_on_fresh_cover(capsys):
     assert payload["match"] is True
 
 
+def test_local_computes_h1_once(capsys, monkeypatch):
+    calls = []
+    h1_lattice = cohom.h1_lattice
+
+    def counting(*args):
+        calls.append(args[1:])
+        return h1_lattice(*args)
+
+    monkeypatch.setattr(cohom, "h1_lattice", counting)
+    code, out, _ = run_cli(capsys, "local", "--p", "3", "--n", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["h1_lattice"] == 2
+    assert calls == [(0, None)]  # the basis certificate's own run
+
+
 def test_local_weakly_ramified_note(capsys):
     code, out, _ = run_cli(capsys, "local", "--p", "3", "--n", "1", "--format", "json")
     assert code == 0

@@ -88,6 +88,20 @@ def test_d_image_monomial_level_mapping():
     assert not ech.contains(model2.window.unit_vector(1))
 
 
+def test_d_image_rank_builds_one_kernel_per_window(monkeypatch):
+    # the source lattice needs ker N; the target is read modulo the x-image only
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counting(ctx, a):
+        calls.append(len(a))
+        return nullspace(ctx, a)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    assert cohom.d_image_rank(cohom.cached_cover(3, 2)) == 1
+    assert calls == [6, 9]  # the windows n + p + 1 and n + 2p + 1
+
+
 def test_window_size_precondition():
     cov = cohom.cached_cover(3, 2)
     with pytest.raises(ValueError):
@@ -156,6 +170,11 @@ def test_cyclic_module_validation():
         CyclicModule(ctx=F3, sigma=[[1]], q=6)  # refused at construction
     with pytest.raises(ValueError, match="not a positive power of 3"):
         CyclicModule(ctx=F3, sigma=[[1]], q=1)
+    # N is nilpotent for J_4, but N^3 != 0: sigma has order 9, not 3
+    j4 = [[1 if j - i in (0, 1) else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="does not have the declared order"):
+        CyclicModule(ctx=F3, sigma=j4, q=3).validate()
+    CyclicModule(ctx=F3, sigma=j4, q=9).validate()
     win = cohom.cached_cover(3, 2).window(0, -6)
     sigma = linalg.mat_add(win.ctx, linalg.identity(win.size), win.nil.tolist())
     CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p).validate()

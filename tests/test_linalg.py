@@ -96,6 +96,25 @@ def test_mat_pow_matches_iterated_product():
         prod = linalg.mat_mul(F5, prod, a)
 
 
+def test_mat_pow_starts_at_the_first_needed_power(monkeypatch):
+    products = Counter()
+    mat_mul = linalg.mat_mul
+
+    def counting(ctx, x, y):
+        products["mat_mul"] += 1
+        return mat_mul(ctx, x, y)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    a = [[1, 1], [0, 1]]
+    for e, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+        products.clear()
+        assert linalg.mat_pow(F5, a, e) == [[1, e % 5], [0, 1]]
+        assert products["mat_mul"] == expected, e
+    power = linalg.mat_pow(F5, a, 1)
+    power[0][1] = 4
+    assert a == [[1, 1], [0, 1]]
+
+
 def test_row_echelon_incremental():
     ech = linalg.RowEchelon(F5)
     assert ech.add([0, 2, 4]) == [0, 1, 2]
@@ -258,14 +277,16 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     calls = Counter()
 
     def guard(name, fn):
-        def wrapper(ctx, *matrices):
-            assert all(isinstance(m, list) for m in matrices), name
+        def wrapper(ctx, *args):
+            # mat_pow's exponent is the one argument that is not a matrix
+            assert all(isinstance(m, list) for m in args if not isinstance(m, int)), name
             calls[name] += 1
-            return fn(ctx, *matrices)
+            return fn(ctx, *args)
 
         return wrapper
 
-    for name in ("rref", "nullspace", "mat_mul", "mat_add", "mat_sub"):
+    names = ("rref", "rank", "nullspace", "mat_mul", "mat_add", "mat_sub", "mat_pow")
+    for name in names:
         monkeypatch.setattr(linalg, name, guard(name, getattr(linalg, name)))
     cov = cohom.cached_cover(3, 2)
     assert cohom.h1_lattice(cov, 0).dim == 2
@@ -275,4 +296,12 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     j3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     mod = cohom.CyclicModule(ctx=FieldCtx(3), sigma=j3, q=3)
     assert modrep.block_decomposition(mod) == Counter({3: 1})
-    assert {"rref", "nullspace", "mat_mul", "mat_sub"} <= set(calls)
+    mod.validate()
+    # J_3 is the free module k[Z/3]: one invariant line, no higher cohomology
+    assert [cohom.periodic_cohomology(mod, i) for i in (0, 1, 2)] == [1, 0, 0]
+    # J_3 contains J_2 = span(e_0, e_1) with quotient J_1: not split, and the
+    # invariants 1 + 1 != 1 are not additive either
+    triple = modrep.ExactTriple(b=mod, a_basis=[[1, 0, 0], [0, 1, 0]])
+    assert not modrep.splits(triple)
+    assert not modrep.invariants_additive(triple)
+    assert set(names) - {"mat_add"} <= set(calls)
