@@ -17,7 +17,9 @@ digits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, gcd
+from functools import lru_cache
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +32,30 @@ _GUARD = 8
 
 class NormalFormError(RuntimeError):
     """A defining identity of the local normal form failed to verify."""
+
+
+@lru_cache(maxsize=64)
+def _factorials(p: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """i! and 1/i! mod p for 0 <= i < p, as code arrays."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [pow(f, -1, p) for f in fact]
+    return np.array(fact, dtype=dtype), np.array(inv_fact, dtype=dtype)
+
+
+@lru_cache(maxsize=64)
+def _class_layout(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where N = sigma - 1 may be nonzero in a window of ``size`` exponents.
+
+    N maps t^i into the span of t^(i + nk), k >= 1, so it links only
+    exponents of one residue class mod n.  Returns the flat positions
+    row * size + col of those entries in N, and col * depth + k, their
+    places in the (size, depth) binomial table, depth = (size - 1) // n + 1.
+    """
+    ks = np.arange(1, (size - 1) // n + 1)
+    cols, at = np.nonzero(np.arange(size)[:, None] + n * ks < size)
+    return (cols + n * ks[at]) * size + cols, cols * (len(ks) + 1) + ks[at]
 
 
 def recommended_precision(p: int, n: int, w: int | None = None) -> int:
@@ -74,24 +100,39 @@ class LocalCover:
     # cache derived from sigma_t; never passed in
     _sigma_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _binomial(self, e: int, k: int) -> int:
-        """binom(-e/n, k) mod p: Lucas's theorem on the base-p digits of -e/n and k."""
-        p = self.p
-        mod = p  # -e/n is a p-adic integer; only its digits below p^L > k matter
-        while mod <= k:
+    def binomials(self, exps: Sequence[int], count: int) -> np.ndarray:
+        """B[r, k] = binom(-exps[r]/n, k) mod p for 0 <= k < count, by Lucas's theorem.
+
+        -e/n is a p-adic integer; only its base-p digits below p^L >= count
+        matter.  Each digit position contributes the digit binomial
+        a! / (b! (a-b)!), read from factorial tables of length p (zero when
+        b > a), so the whole table costs L array products.  Products stay
+        below p^3, inside int64 for every p with int64 codes.
+        """
+        p, dtype = self.p, self.ctx.dtype
+        fact, inv_fact = _factorials(p, dtype)
+        mod = p
+        while mod < count:
             mod *= p
-        alpha = -e * pow(self.n, -1, mod) % mod
+        inv = pow(self.n, -1, mod)
+        alpha = np.array([-e * inv % mod for e in exps], dtype=np.int64)[:, None]
+        k = np.arange(count, dtype=np.int64)
         out = 1
-        while k and out:
-            alpha, a_digit = divmod(alpha, p)
-            k, k_digit = divmod(k, p)
-            out = out * comb(a_digit, k_digit) % p
+        while mod > 1:
+            alpha, a_digit = np.divmod(alpha, p)
+            k, k_digit = np.divmod(k, p)
+            rest = a_digit - k_digit  # b > a wraps to the end of the table; the mask zeroes it
+            out = out * fact[a_digit] * inv_fact[k_digit] % p * inv_fact[rest] % p * (rest >= 0)
+            mod //= p
         return out
 
     def sigma_power(self, i: int) -> LaurentSeries:
         """sigma(t)**i from the closed form, to the precision prec + i of sigma_t**i."""
-        terms = {i + e: self._binomial(i, k) for k, e in enumerate(range(0, self.prec, self.n))}
-        return LaurentSeries.from_terms(self.ctx, terms, self.prec + i)
+        n = self.n
+        row = self.binomials([i], -(-self.prec // n))[0]  # the terms t^(i + nk) below prec + i
+        coeffs = [0] * ((len(row) - 1) * n + 1)
+        coeffs[::n] = row.tolist()
+        return LaurentSeries(self.ctx, i, coeffs, self.prec + i)
 
     def _sigma_table(self, size: int) -> np.ndarray:
         """Table T[e, j] = coefficient of t^j in sigma(t)**e, for e, j < size.
@@ -150,11 +191,11 @@ class LocalCover:
         if self.prec < a - lo:
             raise InsufficientPrecisionError(f"cover precision {self.prec} < window span {a - lo}")
         size = a - lo
+        entries, places = _class_layout(size, self.n)
         nil = np.zeros((size, size), dtype=self.ctx.dtype)
         # sigma(t^i) - t^i has the coefficient binom(-i/n, k) at t^(i + nk), k >= 1
-        for col, i in enumerate(range(lo, a)):
-            below = nil[col + self.n :: self.n, col]
-            below[:] = [self._binomial(i, k) for k in range(1, len(below) + 1)]
+        table = self.binomials(range(lo, a), (size - 1) // self.n + 1)
+        nil.ravel()[entries] = table.ravel()[places]
         if np.triu(nil).any():
             raise NormalFormError("window matrix is not unipotent lower triangular")
         return LatticeWindow(cover=self, a=a, lo=lo, nil=nil)
@@ -197,17 +238,52 @@ class LatticeWindow:
 
     def x_truncation(self, j: int) -> list[int]:
         """Coordinates of x**j truncated to the window (requires p*j >= lo)."""
-        pj = self.p * j
-        if pj < self.lo:
-            raise ValueError(f"x^{j} has valuation {pj} below the window")
-        if self.cover.prec + pj < self.a:
+        return self.x_truncations([j])[0]
+
+    def x_truncations(self, js: Sequence[int]) -> list[list[int]]:
+        """x_truncation(j) for every j in a nonempty js, from one table of binomials."""
+        p, lo, size = self.p, self.lo, self.size
+        low = p * min(js)  # the lowest power binds both limits
+        if low < lo:
+            raise ValueError(f"x^{min(js)} has valuation {low} below the window")
+        if self.cover.prec + low < self.a:
             raise InsufficientPrecisionError("cover precision too small for x-power")
-        vec = [0] * self.size
         # x^j has the coefficient (-1)^k binom(-j/n, k) at t^(pj + n(p-1)k)
-        for k, e in enumerate(range(pj, self.a, self.n * (self.p - 1))):
-            c = self.cover._binomial(j, k)
-            vec[e - self.lo] = c if k % 2 == 0 else self.ctx.neg(c)
-        return vec
+        step = self.n * (p - 1)
+        table = self.cover.binomials(js, len(range(low - lo, size, step)))
+        table[:, 1::2] = -table[:, 1::2] % p
+        out = []
+        for j, row in zip(js, table.tolist()):
+            vec = [0] * size
+            for at, c in zip(range(p * j - lo, size, step), row):
+                vec[at] = c
+            out.append(vec)
+        return out
+
+    def kernel(self) -> list[list[int]]:
+        """Basis of ker N, equal to linalg.nullspace(ctx, nil.tolist()).
+
+        N links t^i only to t^(i + nk), so it splits into one block per
+        residue class of the exponent mod n, each eliminated on its own.
+        A column is a pivot iff it is one inside its class, and the vector
+        of a free column lives on its class, with that column as its last
+        nonzero coordinate; ordered by free column, the scattered block
+        vectors are the full nullspace.
+        """
+        n, size = self.n, self.size
+        entries = _class_layout(size, n)[0]
+        if np.count_nonzero(self.nil) != np.count_nonzero(self.nil.ravel()[entries]):
+            raise NormalFormError(
+                "window matrix has an entry whose row - col is not a positive multiple of n"
+            )
+        basis = []
+        for r in range(min(n, size)):
+            for vec in linalg.nullspace(self.ctx, self.nil[r::n, r::n].tolist()):
+                full = [0] * size
+                full[r::n] = vec
+                free = max(i for i, x in enumerate(vec) if x)
+                basis.append((r + n * free, full))
+        return [vec for _, vec in sorted(basis)]
 
     def is_fixed(self, vec: list[int]) -> bool:
         return not self.ctx.matmul(self.nil, self.ctx.array(vec)).any()

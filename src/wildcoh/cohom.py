@@ -111,12 +111,13 @@ class CohomologyClassSet:
 
 def _x_image(win: LatticeWindow) -> tuple[list[list[int]], linalg.RowEchelon]:
     """Truncations of the powers x^j with p*j in the window, and their echelon."""
-    k_image = []
-    for j in range(-(-win.lo // win.p), (win.a - 1) // win.p + 1):  # lo <= p*j < a
-        vec = win.x_truncation(j)
-        if not win.is_fixed(vec):
+    js = range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)  # lo <= p*j < a
+    k_image = win.x_truncations(js)
+    # row i of K N^T is N applied to x^(js[i]): all of them in one product
+    moved = win.ctx.matmul(win.ctx.array(k_image), win.nil.T).any(axis=1)
+    for j, bad in zip(js, moved):
+        if bad:
             raise ascover.NormalFormError(f"x^{j} truncation is not sigma-fixed")
-        k_image.append(vec)
     ech = linalg.RowEchelon(win.ctx, k_image)
     if ech.rank != len(k_image):
         raise CertificateError("x-power truncations are not independent")
@@ -125,7 +126,7 @@ def _x_image(win: LatticeWindow) -> tuple[list[list[int]], linalg.RowEchelon]:
 
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
-    fixed = linalg.nullspace(win.ctx, win.nil.tolist())
+    fixed = win.kernel()
     k_image, ech = _x_image(win)
     reps = []
     for vec in fixed:

@@ -88,8 +88,8 @@ def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
         pivot = next((i for i, x in enumerate(m[r:, c].tolist(), r) if x), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
+        if pivot != r:  # row assignments swap faster than a fancy-indexed pair
+            m[r], m[pivot] = m[pivot], m[r].copy()
         # rows r.. vanish left of column c, so only columns c.. change; one
         # update scales the pivot row by s and clears column c elsewhere
         rest = m[:, c:]

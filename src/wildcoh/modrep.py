@@ -283,11 +283,9 @@ def random_exact_triple(ctx, q: int, rng, max_dim: int = 10) -> ExactTriple:
     ech = linalg.RowEchelon(ctx, gens)
     # close under sigma so the subspace is stable by construction
     frontier = ech.rows()
+    sigma_tr = linalg.transpose(mod.sigma)
     while frontier:
-        new_rows = []
-        for row in frontier:
-            residual = ech.add(linalg.mat_vec(ctx, mod.sigma, row))
-            if any(residual):
-                new_rows.append(residual)
-        frontier = new_rows
+        # row i of frontier * sigma^T is sigma applied to frontier row i
+        images = linalg.mat_mul(ctx, frontier, sigma_tr)
+        frontier = [res for res in map(ech.add, images) if any(res)]
     return ExactTriple(b=mod, a_basis=ech.rows())

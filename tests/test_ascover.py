@@ -3,9 +3,12 @@
 import hashlib
 import json
 import random
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wildcoh import ascover, linalg
 from wildcoh.gf import FieldCtx
@@ -268,6 +271,68 @@ def test_closed_form_keeps_the_precision_limits():
         too_wide.x_truncation(-6)
     with pytest.raises(ValueError):
         too_wide.x_truncation(-7)
+
+
+def lucas_binomial(p, n, e, k):
+    """Scalar oracle: binom(-e/n, k) mod p from the base-p digits of -e/n and k."""
+    mod = p  # -e/n is a p-adic integer; only its digits below p^L > k matter
+    while mod <= k:
+        mod *= p
+    alpha = -e * pow(n, -1, mod) % mod
+    out = 1
+    while k and out:
+        alpha, a_digit = divmod(alpha, p)
+        k, k_digit = divmod(k, p)
+        out = out * comb(a_digit, k_digit) % p
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 7), (13, 20), (101, 7)])
+def test_binomials_match_scalar_lucas(p, n):
+    cov = ascover.build(p, n, n * p + p + 1)
+    exps = [-2 * p * p - 1, -p * p, -7, -3, -1, 0, 1, 2, n, p, p + 3, p * p + 5, 3 * p * p * p]
+    count = p * p + 2 * p  # k >= p^2 reaches a third base-p digit
+    table = cov.binomials(exps, count)
+    assert table.shape == (len(exps), count)
+    ks = range(count) if p < 20 else sorted({*range(0, count, 37), p * p - 1, p * p, count - 1})
+    for r, e in enumerate(exps):
+        assert [int(table[r, k]) for k in ks] == [lucas_binomial(p, n, e, k) for k in ks], e
+    assert cov.binomials([], 5).shape == (0, 5)
+    assert cov.binomials(exps, 0).shape == (len(exps), 0)
+
+
+def assert_kernel_matches_nullspace(p, n, a, w):
+    win = cover(p, n).window(a, a - w)
+    assert win.kernel() == linalg.nullspace(win.ctx, win.nil.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+       n=st.integers(1, 20), data=st.data())
+def test_window_kernel_matches_full_nullspace(p, n, data):
+    assume(n % p != 0)
+    a = data.draw(st.integers(-3, n + 4), label="a")
+    w = data.draw(st.sampled_from([n + p + 1, n + 2 * p + 1]), label="w")
+    assert_kernel_matches_nullspace(p, n, a, w)
+
+
+@pytest.mark.parametrize("p, n", [(13, 20), (101, 7)])
+def test_window_kernel_matches_full_nullspace_at_size(p, n):
+    for a in (-3, 1, n + 4):
+        for w in (n + p + 1, n + 2 * p + 1):
+            assert_kernel_matches_nullspace(p, n, a, w)
+
+
+def test_window_kernel_rejects_a_matrix_linking_classes():
+    cov = cover(3, 2)
+    # N maps t^i to t^(i+2): blocks by residue mod n = 2, kernel t^2, t^3
+    within = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=np.eye(4, k=-2, dtype=np.int64))
+    assert within.kernel() == [[0, 0, 1, 0], [0, 0, 0, 1]]
+    # t^i -> t^(i+1) links the two classes; t^i -> t^(i-2) points upward
+    for nil in (np.eye(4, k=-1, dtype=np.int64), np.eye(4, k=2, dtype=np.int64)):
+        win = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=nil)
+        with pytest.raises(ascover.NormalFormError, match="positive multiple of n"):
+            win.kernel()
 
 
 # sha256 of json [val, coeffs, prec] of (sigma_t, x_t) at recommended_precision,

@@ -98,8 +98,12 @@ def test_d_image_rank_builds_one_kernel_per_window(monkeypatch):
         return nullspace(ctx, a)
 
     monkeypatch.setattr(linalg, "nullspace", counting)
-    assert cohom.d_image_rank(cohom.cached_cover(3, 2)) == 1
-    assert calls == [6, 9]  # the windows n + p + 1 and n + 2p + 1
+    cov = cohom.cached_cover(3, 2)
+    assert cohom.d_image_rank(cov) == 1
+    # one call per residue block mod n = 2 of the source windows n + p + 1
+    # and n + 2p + 1; none for the target windows, which are wider by n + 1
+    assert calls == [3, 3, 5, 4]
+    assert [sum(calls[: cov.n]), sum(calls[cov.n :])] == [6, 9]
 
 
 def test_window_size_precondition():
