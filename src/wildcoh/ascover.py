@@ -17,7 +17,7 @@ digits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx, is_prime
-from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, support_step
+from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, power_digits, support_step
 
 _GUARD = 8
 
@@ -98,7 +98,7 @@ class LocalCover:
     sigma_t: LaurentSeries
     x_t: LaurentSeries
     # cache derived from sigma_t; never passed in
-    _sigma_rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _sigma_blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def binomials(self, exps: Sequence[int], count: int) -> np.ndarray:
         """B[r, k] = binom(-exps[r]/n, k) mod p for 0 <= k < count, by Lucas's theorem.
@@ -134,42 +134,54 @@ class LocalCover:
         coeffs[::n] = row.tolist()
         return LaurentSeries(self.ctx, i, coeffs, self.prec + i)
 
-    def _sigma_table(self, size: int) -> np.ndarray:
-        """Table T[e, j] = coefficient of t^j in sigma(t)**e, for e, j < size.
+    @cached_property
+    def _sigma_step(self) -> int:
+        """The step m of sigma(t) / t = v(t^m), n for the normal form.
 
-        Built once per cover, large enough for x_t, the longest series
-        composed with sigma.  Row e is exact below column prec + e (sigma_t
-        is known mod t^(prec+1)); the entries beyond come from the
-        truncated sigma_t and must not be read.
+        sigma(t)^e = t^e v^e(t^m) has support in e + mZ, so composing with
+        sigma keeps the exponent classes mod m apart.  sigma(t) = t alone
+        links no classes; it gets the one class m = 1.
         """
-        table = self._sigma_rows
-        if table is None or len(table) < size:
-            if self.sigma_t.is_zero or self.sigma_t.valuation() != 1:
-                raise ValueError("substitution requires a series of valuation exactly 1")
-            size = max(size, self.prec + self.p)
+        if self.sigma_t.is_zero or self.sigma_t.valuation() != 1:
+            raise ValueError("substitution requires a series of valuation exactly 1")
+        return support_step(self.sigma_t.coeffs, 1)
+
+    def _sigma_block(self, r: int, size: int) -> np.ndarray:
+        """Block B[s, j] = coefficient of t^(r + j m) in sigma(t)**(r + s m), m the step.
+
+        Covers the exponents r + s m < size of the class r mod m.  Built once
+        per class that callers read, large enough for x_t, the longest series
+        composed with sigma; rebuilt larger when asked past its size.  Row s
+        holds v^(r + s m) from column s on, and is exact below exponent
+        prec + r + s m (sigma_t is known mod t^(prec+1)); the entries beyond
+        come from the truncated sigma_t and must not be read.
+        """
+        m = self._sigma_step
+        block = self._sigma_blocks.get(r)
+        if block is None or len(block) < len(range(r, size, m)):
             ctx = self.ctx
-            unit = np.zeros(size, dtype=ctx.dtype)  # sigma(t) / t
-            unit[: len(self.sigma_t.coeffs)] = self.sigma_t.coeffs
-            # sigma(t) / t is a series in t^step (step = n for the normal
-            # form), so row e is t^e times one in t^step: convolve every
-            # step-th digit only
-            step = support_step(self.sigma_t.coeffs, size)
-            unit = unit[::step]
-            table = np.zeros((size, size), dtype=ctx.dtype)
-            table[0, 0] = 1
-            for e in range(1, size):
-                # sigma^e = sigma^(e-1) * sigma, both read from their valuation on
-                row = table[e, e::step]
-                row[:] = ctx.convolve(table[e - 1, e - 1 :: step], unit[: len(row)], len(row))
-            self._sigma_rows = table
-        return table
+            rows = len(range(r, max(size, self.prec + self.p), m))
+            unit = np.zeros(rows, dtype=ctx.dtype)  # v, read from sigma(t) / t
+            digits = self.sigma_t.coeffs[::m][:rows]
+            unit[: len(digits)] = digits
+            block = np.zeros((rows, rows), dtype=ctx.dtype)
+            head = power_digits(ctx, unit, r, rows)
+            block[0, : len(head)] = head
+            unit_m = power_digits(ctx, unit, m, rows)
+            for s in range(1, rows):
+                # v^(r + s m) = v^(r + (s-1) m) * v^m, both read from their diagonal on
+                row = block[s, s:]
+                row[:] = ctx.convolve(block[s - 1, s - 1 : -1], unit_m[: len(row)], len(row))
+            self._sigma_blocks[r] = block
+        return block
 
     def apply_sigma(self, f: LaurentSeries) -> LaurentSeries:
         """f(sigma(t)) for a series f of valuation >= 0, as f.substitute(sigma_t).
 
-        One product with the sigma-power table, known mod
-        t^min(f.prec, sigma_t.prec + val - 1): sigma^e is known below
-        sigma_t.prec + e - 1, and f's unknown digits enter from f.prec on.
+        One block product per residue class mod the step of sigma that
+        carries a digit of f, known mod t^min(f.prec, sigma_t.prec + val - 1):
+        sigma^e is known below sigma_t.prec + e - 1, and f's unknown digits
+        enter from f.prec on.
         """
         if f.ctx != self.ctx:
             raise ValueError("series context mismatch")
@@ -179,9 +191,16 @@ class LocalCover:
         if lo < 0:
             raise ValueError("apply_sigma requires a series of valuation >= 0")
         hi = min(f.prec, self.sigma_t.prec + lo - 1)
-        table = self._sigma_table(hi)
-        coeffs = np.array(f.coeffs[: hi - lo], dtype=table.dtype)
-        out = self.ctx.matmul(coeffs, table[lo : lo + len(coeffs), lo:hi])
+        m = self._sigma_step
+        coeffs = np.array(f.coeffs[: hi - lo], dtype=self.ctx.dtype)
+        out = np.zeros(hi - lo, dtype=coeffs.dtype)
+        for r in sorted(set(((lo + np.flatnonzero(coeffs)) % m).tolist())):
+            block = self._sigma_block(r, hi)
+            first = (r - lo) % m  # offset of the class's first exponent >= lo
+            s = (lo + first) // m  # its row in the block
+            digits = coeffs[first::m]
+            cols = len(range(first, hi - lo, m))
+            out[first::m] = self.ctx.matmul(digits, block[s : s + len(digits), s : s + cols])
         return LaurentSeries(self.ctx, lo, out.tolist(), hi)
 
     def window(self, a: int, lo: int) -> "LatticeWindow":

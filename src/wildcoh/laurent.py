@@ -7,7 +7,8 @@ the leading stored coefficient is nonzero unless the series is 0 mod
 t**prec.  Coefficients are field codes (see wildcoh.gf); dense storage is
 deliberate, every window this library needs stays within a few hundred
 terms.  Inverses, powers and roots of a unit u(t) = v(t^s), with s the gcd
-of the exponents carrying a digit, are computed on v and spread back.
+of the exponents carrying a digit, are computed on the code array of v's
+digits and spread back; only the result becomes a series.
 """
 
 from __future__ import annotations
@@ -24,13 +25,54 @@ class InsufficientPrecisionError(ValueError):
     """An operation needs more stored digits than the series carries."""
 
 
-def _convolve(ctx: FieldCtx, a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
-    if out_len <= 0 or not a or not b:
-        return []
-    # coefficients are codes already: convert without reducing
-    a = np.array(a[:out_len], dtype=ctx.dtype)
-    b = np.array(b[:out_len], dtype=ctx.dtype)
-    return ctx.convolve(a, b, out_len).tolist()
+def _convolve(ctx: FieldCtx, a: Sequence[int], b: Sequence[int], out_len: int) -> np.ndarray:
+    """The first ``out_len`` digits of a * b as a code array; a and b are codes or code arrays."""
+    if out_len <= 0 or len(a) == 0 or len(b) == 0:
+        return np.zeros(0, dtype=ctx.dtype)
+    # coefficients are codes already: convert without reducing (arrays pass through)
+    a = np.asarray(a[:out_len], dtype=ctx.dtype)
+    b = np.asarray(b[:out_len], dtype=ctx.dtype)
+    return ctx.convolve(a, b, out_len)
+
+
+def power_digits(ctx: FieldCtx, a: np.ndarray, e: int, length: int) -> np.ndarray:
+    """The first ``length`` digits of a**e for e >= 0, by square and multiply on code arrays."""
+    if e == 0:
+        return np.ones(min(1, length), dtype=ctx.dtype)
+    acc = None
+    base = a[:length]
+    while True:
+        if e & 1:
+            acc = base if acc is None else _convolve(ctx, acc, base, length)
+        e >>= 1
+        if not e:
+            return acc
+        base = _convolve(ctx, base, base, length)
+
+
+def _inverse_digits(ctx: FieldCtx, u: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` digits of 1/u for a code array u with u[0] != 0."""
+    # Newton: h <- h - h (u h - 1) doubles the digits of h = u^(-1) known;
+    # u h - 1 vanishes below t^k, so only its digits k .. k2 are formed
+    h = np.zeros(length, dtype=ctx.dtype)
+    h[0] = ctx.inv(int(u[0]))
+    minus_one = ctx.neg(1)
+    k = 1
+    while k < length:
+        k2 = min(2 * k, length)
+        err = _convolve(ctx, u[:k2], h[:k], k2)[k:]
+        corr = _convolve(ctx, h[:k], err, k2 - k)
+        h[k : k + len(corr)] = ctx.mul_array(minus_one, corr)
+        k = k2
+    return h
+
+
+def _spread(ctx: FieldCtx, digits: np.ndarray, step: int, val: int, prec: int) -> "LaurentSeries":
+    """t^val d(t^step) mod t^prec for the digits d of a unit, known to the
+    ceil((prec - val) / step) digits that this reads."""
+    out = np.zeros(prec - val, dtype=ctx.dtype)
+    out[: step * len(digits) : step] = digits
+    return LaurentSeries(ctx, val, out.tolist(), prec)
 
 
 def support_step(coeffs: Sequence[int], length: int) -> int:
@@ -198,22 +240,15 @@ class LaurentSeries:
         val = self.val + other.val
         prec = min(self.prec + other.val, other.prec + self.val)
         out = _convolve(self.ctx, self.coeffs, other.coeffs, prec - val)
-        return LaurentSeries(self.ctx, val, out, prec)
+        return LaurentSeries(self.ctx, val, out.tolist(), prec)
 
-    def _decimated(self) -> tuple[int, "LaurentSeries"]:
-        """(s, v) with self = t^val v(t^s): s is the step of the digits, and
-        the unit v is known to the ceil((prec - val) / s) digits that
-        determine self."""
+    def _decimated(self) -> tuple[int, np.ndarray, int]:
+        """(s, v, length) with self = t^val v(t^s): s is the step of the digits,
+        and v, a code array, is the unit known to the length = ceil((prec - val) / s)
+        digits that determine self."""
         rel = self.prec - self.val
         step = support_step(self.coeffs, rel)
-        return step, LaurentSeries(self.ctx, 0, self.coeffs[::step], -(-rel // step))
-
-    def _spread(self, step: int, val: int, prec: int) -> "LaurentSeries":
-        """t^val self(t^step) mod t^prec, for self of valuation 0 known to
-        the ceil((prec - val) / step) digits that this reads."""
-        out = [0] * (prec - val)
-        out[: step * len(self.coeffs) : step] = self.coeffs
-        return LaurentSeries(self.ctx, val, out, prec)
+        return step, np.array(self.coeffs[::step], dtype=self.ctx.dtype), -(-rel // step)
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse; requires the series to be nonzero mod t^prec."""
@@ -221,21 +256,10 @@ class LaurentSeries:
             raise ZeroDivisionError(
                 "cannot invert a series indistinguishable from 0 at current precision"
             )
-        ctx = self.ctx
-        step, unit = self._decimated()
-        length = unit.prec
-        u = unit.coeffs
-        # Newton: h <- h - h (u h - 1) doubles the digits of h = u^(-1) known;
-        # u h - 1 vanishes below t^k, so only its digits k .. k2 are formed
-        h = [ctx.inv(u[0])]
-        while len(h) < length:
-            k = len(h)
-            k2 = min(2 * k, length)
-            err = _convolve(ctx, u[:k2], h, k2)[k:]
-            corr = _convolve(ctx, h, err, k2 - k)
-            h += [ctx.neg(c) for c in corr] + [0] * (k2 - k - len(corr))
+        step, unit, length = self._decimated()
         # f = t^val u(t^s)  =>  1/f = t^(-val) u^(-1)(t^s), known mod t^(prec - 2 val)
-        return LaurentSeries(ctx, 0, h, length)._spread(step, -self.val, self.prec - 2 * self.val)
+        inverse = _inverse_digits(self.ctx, unit, length)
+        return _spread(self.ctx, inverse, step, -self.val, self.prec - 2 * self.val)
 
     def __pow__(self, e: int) -> "LaurentSeries":
         ctx = self.ctx
@@ -247,20 +271,11 @@ class LaurentSeries:
         if e == 0:
             return LaurentSeries.one(ctx, rel)
         # f^e = t^(e val) v^e(t^s): square and multiply on the decimated unit
-        step, unit = self._decimated()
-        exp = e
-        if exp < 0:
-            unit = unit.invert()
-            exp = -exp
-        acc = LaurentSeries.one(ctx, unit.prec)
-        base = unit
-        while exp:
-            if exp & 1:
-                acc = acc * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return acc._spread(step, e * self.val, rel + e * self.val)
+        step, unit, length = self._decimated()
+        if e < 0:
+            unit = _inverse_digits(ctx, unit, length)
+        digits = power_digits(ctx, unit, abs(e), length)
+        return _spread(ctx, digits, step, e * self.val, rel + e * self.val)
 
     def derivative(self) -> "LaurentSeries":
         """Term-wise d/dt; absolute precision drops by one."""
@@ -317,23 +332,23 @@ class LaurentSeries:
         if self.val % n != 0:
             raise ValueError(f"valuation {self.val} not divisible by root index {n}")
         lead_root = ctx.nth_root(self.coeffs[0], n)  # may raise NoRootError
-        step, unit = self._decimated()
-        w = unit.scale(ctx.inv(self.coeffs[0]))  # constant term 1
-        length = w.prec
+        step, unit, length = self._decimated()
+        w = ctx.mul_array(ctx.inv(self.coeffs[0]), unit)  # constant term 1
         neg_n_inv = ctx.neg(ctx.inv(ctx.embed(n)))
         # inverse-root Newton: h <- h + h (1 - w h^n) / n doubles the digits
         # of h = w^(-1/n) known; w h^n - 1 vanishes below t^k, so only its
         # digits k .. k2 are formed
-        h = [1]
-        while len(h) < length:
-            k = len(h)
+        h = np.zeros(length, dtype=ctx.dtype)
+        h[0] = 1
+        k = 1
+        while k < length:
             k2 = min(2 * k, length)
-            h_n = LaurentSeries(ctx, 0, h, k2) ** n
-            err = _convolve(ctx, w.coeffs[:k2], h_n.coeffs, k2)[k:]
-            corr = _convolve(ctx, h, err, k2 - k)
-            h += [ctx.mul(neg_n_inv, c) for c in corr] + [0] * (k2 - k - len(corr))
-        unit_root = LaurentSeries(ctx, 0, h, length).invert().scale(lead_root)
-        root = unit_root._spread(step, self.val // n, self.prec - self.val + self.val // n)
+            err = _convolve(ctx, w[:k2], power_digits(ctx, h[:k], n, k2), k2)[k:]
+            corr = _convolve(ctx, h[:k], err, k2 - k)
+            h[k : k + len(corr)] = ctx.mul_array(neg_n_inv, corr)
+            k = k2
+        unit_root = ctx.mul_array(lead_root, _inverse_digits(ctx, h, length))
+        root = _spread(ctx, unit_root, step, self.val // n, self.prec - self.val + self.val // n)
         if not (root ** n).agrees(self):
             raise ArithmeticError("Newton n-th root failed to verify")  # pragma: no cover
         return root

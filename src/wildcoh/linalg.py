@@ -39,10 +39,6 @@ def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
     return ctx.matmul(np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype)).tolist()
 
 
-def mat_vec(ctx: FieldCtx, a: Matrix, v: Vector) -> Vector:
-    return [row[0] for row in mat_mul(ctx, a, [[x] for x in v])]
-
-
 def mat_add(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
     add = ctx.add
     return [[add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

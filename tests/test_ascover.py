@@ -88,7 +88,7 @@ def test_window_triangular_with_unit_diagonal():
             assert sigma[row][col] == 0
     # top basis vector is fixed: sigma(t^(a-1)) = t^(a-1) mod t^a
     top = win.unit_vector(win.a - 1)
-    assert linalg.mat_vec(win.ctx, sigma, top) == top
+    assert linalg.mat_mul(win.ctx, [top], linalg.transpose(sigma)) == [top]
     assert win.is_fixed(top)
 
 
@@ -96,10 +96,11 @@ def test_window_constant_appears_only_above_cutoff():
     cov = cover(3, 2)
     # sigma(t^-2) = t^-2 + 1: with a = 0 the +1 is truncated away...
     win0 = cov.window(0, -4)
-    assert linalg.mat_vec(win0.ctx, sigma_of(win0), win0.unit_vector(-2)) == win0.unit_vector(-2)
+    t_minus_2 = win0.unit_vector(-2)
+    assert linalg.mat_mul(win0.ctx, [t_minus_2], linalg.transpose(sigma_of(win0))) == [t_minus_2]
     # ...with a = 1 the constant 1 shows up
     win1 = cov.window(1, -4)
-    image = linalg.mat_vec(win1.ctx, sigma_of(win1), win1.unit_vector(-2))
+    [image] = linalg.mat_mul(win1.ctx, [win1.unit_vector(-2)], linalg.transpose(sigma_of(win1)))
     expected = [a + b for a, b in zip(win1.unit_vector(-2), win1.unit_vector(0))]
     assert image == expected
 
@@ -191,6 +192,47 @@ def test_apply_sigma_edge_inputs():
         cov.apply_sigma(LaurentSeries.monomial(cov.ctx, -1, 20))
     with pytest.raises(ValueError):
         cov.apply_sigma(LaurentSeries.one(FieldCtx(3), 20))
+
+
+def class_series(ctx, rng, val, prec, classes, n):
+    """A random power series whose digits lie only in the given classes mod n."""
+    coeffs = [rng.randrange(1, ctx.q) if (val + i) % n in classes else 0
+              for i in range(prec - val)]
+    return LaurentSeries(ctx, val, coeffs, prec)
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (3, 7), (7, 20)])
+def test_apply_sigma_splits_by_class(p, n):
+    # oracle: LaurentSeries.substitute, which never splits f by class
+    cov = cover(p, n)
+    rng = random.Random(p * 100 + n)
+    for classes in ({0}, {1}, {n - 1}, {0, 2}, set(rng.sample(range(n), 3)), set(range(n))):
+        for _ in range(3):
+            val = rng.randint(0, 2 * n)
+            f = class_series(cov.ctx, rng, val, val + rng.randint(2 * n, cov.prec), classes, n)
+            got, want = cov.apply_sigma(f), f.substitute(cov.sigma_t)
+            assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+            # composing with sigma keeps every digit in its class
+            assert {e % n for e in got.terms()} <= classes
+
+
+def test_apply_sigma_on_x_at_p101():
+    cov = cover(101, 7)
+    got, want = cov.apply_sigma(cov.x_t), cov.x_t.substitute(cov.sigma_t)
+    assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+    assert got.agrees(cov.x_t)
+
+
+def test_verify_normal_form_keeps_two_class_blocks():
+    cov = cover(13, 20)
+    ascover.verify_normal_form(cov)
+    # sigma^k(t) lies in the class 1 and x_t in the class p, mod the step n
+    assert sorted(cov._sigma_blocks) == [1, 13]
+    # a table of every sigma^e would hold (prec + p)^2 cells; a class block holds ~1/n^2 of that
+    dense = (cov.prec + cov.p) ** 2
+    arrays = [v for v in vars(cov).values() if isinstance(v, np.ndarray)]
+    arrays += list(cov._sigma_blocks.values())
+    assert all(a.size < dense / 100 for a in arrays)
 
 
 def corrupted(cov, exp):

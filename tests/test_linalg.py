@@ -43,7 +43,7 @@ def test_rank_and_nullspace_over_prime_field():
     kernel = linalg.nullspace(F5, a)
     assert len(kernel) == 1
     for vec in kernel:
-        assert linalg.mat_vec(F5, a, vec) == [0, 0, 0]
+        assert linalg.mat_mul(F5, [vec], linalg.transpose(a)) == [[0, 0, 0]]
 
 
 def test_rref_pivots_deterministic():
@@ -73,7 +73,7 @@ def test_extension_field_path():
     assert linalg.rank(F4, a) == 1
     kernel = linalg.nullspace(F4, a)
     assert len(kernel) == 1
-    assert linalg.mat_vec(F4, a, kernel[0]) == [0, 0]
+    assert linalg.mat_mul(F4, [kernel[0]], linalg.transpose(a)) == [[0, 0]]
     inv = linalg.inverse(F4, [[w, 0], [1, 1]])
     assert linalg.mat_mul(F4, [[w, 0], [1, 1]], inv) == linalg.identity(2)
 

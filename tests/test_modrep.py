@@ -167,9 +167,8 @@ def _assert_no_stable_complement(ctx, sigma, a_basis, dim, a_dim):
             continue
         if linalg.RowEchelon(ctx, a_basis + [vectors[i], vectors[j]]).rank != dim:
             continue
-        if space.contains(linalg.mat_vec(ctx, sigma, vectors[i])) and space.contains(
-            linalg.mat_vec(ctx, sigma, vectors[j])
-        ):
+        images = linalg.mat_mul(ctx, [vectors[i], vectors[j]], linalg.transpose(sigma))
+        if all(space.contains(image) for image in images):
             raise AssertionError("a stable complement exists after all")
 
 
