@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from wildcoh import ascover, linalg
 from wildcoh.ascover import LatticeWindow, LocalCover
 from wildcoh.gf import FieldCtx
@@ -98,42 +100,36 @@ def d_image_closed_form(p: int, n: int) -> int:
 
 @dataclass
 class CohomologyClassSet:
-    """Basis of coset representatives for H^1 inside one window."""
+    """H^1 inside one window: ker N modulo the x-image, read as a count."""
 
     window: LatticeWindow
-    basis: list[list[int]]
     k_image: list[list[int]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    dim: int
 
 
-def _x_image(win: LatticeWindow) -> tuple[list[list[int]], linalg.RowEchelon]:
-    """Truncations of the powers x^j with p*j in the window, and their echelon."""
+def _x_image(win: LatticeWindow) -> list[list[int]]:
+    """Truncations of the powers x^j with p*j in the window, checked fixed and independent."""
     js = range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)  # lo <= p*j < a
     k_image = win.x_truncations(js)
+    rows = win.ctx.array(k_image)
     # row i of K N^T is N applied to x^(js[i]): all of them in one product
-    moved = win.ctx.matmul(win.ctx.array(k_image), win.nil.T).any(axis=1)
+    moved = win.ctx.matmul(rows, win.nil.T).any(axis=1)
     for j, bad in zip(js, moved):
         if bad:
             raise ascover.NormalFormError(f"x^{j} truncation is not sigma-fixed")
-    ech = linalg.RowEchelon(win.ctx, k_image)
-    if ech.rank != len(k_image):
+    # x^j leads at t^(pj), so the rows have distinct nonzero leads: independent
+    leads = (rows != 0).argmax(axis=1)
+    if not rows.any(axis=1).all() or len(set(leads.tolist())) < len(rows):
         raise CertificateError("x-power truncations are not independent")
-    return k_image, ech
+    return k_image
 
 
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
-    fixed = win.kernel()
-    k_image, ech = _x_image(win)
-    reps = []
-    for vec in fixed:
-        residual = ech.add(vec)
-        if any(residual):
-            reps.append(residual)
-    return CohomologyClassSet(window=win, basis=reps, k_image=k_image)
+    fixed = len(win.kernel())
+    k_image = _x_image(win)
+    # the x-image is an independent subspace of ker N
+    return CohomologyClassSet(window=win, k_image=k_image, dim=fixed - len(k_image))
 
 
 def _window_size(cov: LocalCover, w: int | None) -> int:
@@ -183,14 +179,12 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     win = classes.window
     p, n = cov.p, cov.n
     exponents = [i for i in range(a - n, a) if i % p != 0]
-    ech = linalg.RowEchelon(win.ctx, classes.k_image)
-    base_rank = ech.rank
-    for i in exponents:
-        vec = win.unit_vector(i)
+    monomials = [win.unit_vector(i) for i in exponents]
+    for i, vec in zip(exponents, monomials):
         if not win.is_fixed(vec):
             raise CertificateError(f"[t^{i}] is not sigma-fixed in the window")
-        ech.add(vec)
-    if ech.rank - base_rank != len(exponents):
+    k_image = classes.k_image
+    if linalg.rank(win.ctx, k_image + monomials) - len(k_image) != len(exponents):
         raise CertificateError("candidate monomial classes are not independent")
     if len(exponents) != classes.dim:
         raise CertificateError(
@@ -211,44 +205,31 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     )
 
 
-def _d_apply(win1: LatticeWindow, win2: LatticeWindow, vec: list[int]) -> list[int]:
-    # h -> t^(n+1) h'; on monomials t^e -> e t^(e+n), exact.
-    ctx = win1.ctx
-    n = win1.n
-    out = [0] * win2.size
-    for idx, c in enumerate(vec):
-        if not c:
-            continue
-        e = win1.lo + idx
-        target = e + n
-        coeff = ctx.mul(ctx.embed(e), c)
-        if coeff and win2.lo <= target < win2.a:
-            out[target - win2.lo] = ctx.add(out[target - win2.lo], coeff)
-    return out
-
-
 def _d_rank_once(cov: LocalCover, w: int) -> int:
-    model1 = _lattice_model(cov, 0, w)
+    win1 = cov.window(0, -w)
+    fixed = win1.kernel()
+    _x_image(win1)  # for its checks only: the source x-image lies in ker N
     # the target H^1 is read modulo the x-image only: it needs no kernel
     win2 = cov.window(cov.n + 1, -1 - w)
-    ech = _x_image(win2)[1]
-    base_rank = ech.rank
-    for rep in model1.basis:
-        image = _d_apply(model1.window, win2, rep)
-        if not win2.is_fixed(image):
-            raise ascover.NormalFormError(
-                "differential image is not sigma-fixed (precision bug)"
-            )
-        ech.add(image)
-    return ech.rank - base_rank
+    k_image = _x_image(win2)
+    # h -> t^(n+1) h' sends t^e to e t^(e+n): every kernel vector in one product
+    ctx, shift = cov.ctx, win1.lo + cov.n - win2.lo
+    image = np.zeros((len(fixed), win2.size), dtype=ctx.dtype)
+    image[:, shift : shift + win1.size] = ctx.mul_array(
+        ctx.array(fixed), ctx.array(range(win1.lo, win1.a))
+    )
+    if ctx.matmul(image, win2.nil.T).any():
+        raise ascover.NormalFormError("differential image is not sigma-fixed (precision bug)")
+    # d(x^j) = -j x^(j+n) lies in the target x-image, so d(ker N) mod it is the rank
+    return linalg.rank(ctx, k_image + image.tolist()) - len(k_image)
 
 
 def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
     """Rank of the differential H^1(G, B) -> H^1(G, B dt) by linear algebra.
 
     B dt is modeled as the a = n+1 lattice via h dt -> t^(n+1) h; the map
-    sends a representative h to t^(n+1) h'.  Stabilization against the
-    widened window is enforced as in h1_lattice.
+    sends h in ker N to t^(n+1) h', read modulo the target's x-image.
+    Stabilization against the widened window is enforced as in h1_lattice.
     """
     w = _window_size(cov, w)
     first = _d_rank_once(cov, w)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,19 +39,62 @@ def test_h1_lattice_matches_closed_form_small_grid():
             assert cohom.h1_lattice(cov, a).dim == cohom.h1_closed_form(p, n, a)
 
 
-def test_h1_representatives_span_the_monomial_classes():
-    cov = cohom.cached_cover(3, 2)
-    classes = cohom.h1_lattice(cov, 0)
-    assert classes.dim == 2
+@pytest.mark.parametrize("p, n, a", [(3, 2, 0), (2, 3, 0), (5, 3, 1), (7, 6, 4), (13, 9, -2)])
+def test_kernel_is_x_image_plus_monomial_classes(p, n, a):
+    # ker N = x-image (+) span{t^i : a-n <= i < a, p does not divide i}
+    classes = cohom.h1_lattice(cohom.cached_cover(p, n), a)
     win = classes.window
-    with_reps = linalg.RowEchelon(win.ctx, classes.k_image + classes.basis)
-    with_monomials = linalg.RowEchelon(
-        win.ctx, classes.k_image + [win.unit_vector(-2), win.unit_vector(-1)]
-    )
-    assert with_reps.rows() == with_monomials.rows()
-    for rep in classes.basis:
-        assert win.is_fixed(rep)
-        assert not linalg.RowEchelon(win.ctx, classes.k_image).contains(rep)
+    monomials = [win.unit_vector(i) for i in range(a - n, a) if i % p]
+    assert classes.dim == len(monomials) == cohom.h1_closed_form(p, n, a)
+    both = linalg.RowEchelon(win.ctx, classes.k_image + monomials)
+    assert both.rank == len(classes.k_image) + len(monomials)
+    assert linalg.RowEchelon(win.ctx, win.kernel()).rows() == both.rows()
+
+
+def x_powers_in(win):
+    """The j with lo <= p*j < a."""
+    return range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+       n=st.integers(1, 20), data=st.data())
+def test_each_residue_class_adds_its_monomial_to_h1(p, n, data):
+    # class r of the window holds the exponents lo + r + nk; its kernel
+    # beyond its x-powers is [t^i] for its one exponent i in [a-n, a-1]
+    assume(n % p != 0)
+    a = data.draw(st.integers(-3, n + 4), label="a")
+    w = data.draw(st.sampled_from([n + p + 1, n + 2 * p + 1]), label="w")
+    win = cohom.cached_cover(p, n).window(a, a - w)
+    js = x_powers_in(win)
+    for r in range(n):
+        block = win.nil[r::n, r::n].tolist()
+        x_powers = sum((p * j - win.lo) % n == r for j in js)
+        (i,) = [i for i in range(a - n, a) if (i - win.lo) % n == r]
+        assert len(block) - linalg.rank(win.ctx, block) - x_powers == (i % p != 0)
+
+
+def d_map(src, tgt, vec):
+    # oracle: h -> t^(n+1) h' sends t^e to e t^(e+n), one coordinate at a time
+    out = [0] * tgt.size
+    for e, c in zip(range(src.lo, src.a), vec):
+        if c:
+            out[e + src.n - tgt.lo] = e * c % src.p
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 3), (7, 6), (13, 9)])
+def test_d_sends_the_source_x_image_into_the_target_x_image(p, n):
+    # the d-rank reads d(ker N) modulo the target x-image: d(x^j) = -j x^(j+n)
+    cov = cohom.cached_cover(p, n)
+    w = n + p + 1
+    src, tgt = cov.window(0, -w), cov.window(n + 1, -1 - w)
+    js = x_powers_in(src)
+    target = linalg.RowEchelon(cov.ctx, tgt.x_truncations(x_powers_in(tgt)))
+    for j, vec in zip(js, src.x_truncations(js)):
+        image = d_map(src, tgt, vec)
+        assert target.contains(image)
+        assert image == [-j * c % p for c in tgt.x_truncation(j + n)]
 
 
 def test_basis_certificate_worked_cases():
@@ -112,6 +156,122 @@ def test_window_size_precondition():
         cohom.h1_lattice(cov, 0, w=3)
     with pytest.raises(ValueError):
         cohom.d_image_rank(cov, w=2)
+
+
+def patch_x_truncations(monkeypatch, corrupt):
+    """Let corrupt(window, rows) edit every window's x-power truncations."""
+    x_truncations = ascover.LatticeWindow.x_truncations
+
+    def corrupted(self, js):
+        rows = x_truncations(self, js)
+        corrupt(self, rows)
+        return rows
+
+    monkeypatch.setattr(ascover.LatticeWindow, "x_truncations", corrupted)
+
+
+def test_x_image_raises_on_a_truncation_sigma_moves(monkeypatch):
+    def perturb(win, rows):
+        moved = int(np.flatnonzero(win.nil.any(axis=0))[0])  # N t^moved != 0
+        rows[0][moved] = (rows[0][moved] + 1) % win.p
+
+    patch_x_truncations(monkeypatch, perturb)
+    with pytest.raises(ascover.NormalFormError, match=r"^x\^-2 truncation is not sigma-fixed$"):
+        cohom.h1_lattice(cohom.cached_cover(3, 2), 0)
+
+
+@pytest.mark.parametrize("row", [lambda rows: rows[0], lambda rows: [0] * len(rows[0])],
+                         ids=["repeated", "zero"])
+def test_x_image_raises_on_dependent_truncations(monkeypatch, row):
+    # a repeated row and a zero row are both sigma-fixed, and both dependent;
+    # at a = 1 no truncation leads at the window's first column, as a zero row does
+    def repeat(win, rows):
+        rows[-1] = row(rows)
+
+    patch_x_truncations(monkeypatch, repeat)
+    for run in (lambda cov: cohom.h1_lattice(cov, 1), cohom.d_image_rank):
+        with pytest.raises(cohom.CertificateError,
+                           match="^x-power truncations are not independent$"):
+            run(cohom.cached_cover(3, 2))
+
+
+def test_h1_raises_when_the_widened_window_disagrees(monkeypatch):
+    # dropping an x-power only from the widened window adds a class there
+    def drop(win, rows):
+        if win.size == 9:
+            rows.pop()
+
+    patch_x_truncations(monkeypatch, drop)
+    with pytest.raises(cohom.StabilizationError,
+                       match=r"^h1 window did not stabilize: dim 2 at W=6, 3 at W=9$"):
+        cohom.h1_lattice(cohom.cached_cover(3, 2), 0, w=6)
+
+
+def test_d_rank_raises_when_the_widened_window_disagrees(monkeypatch):
+    # dropping the kernel vector of t^-1 only from the widened source window
+    kernel = ascover.LatticeWindow.kernel
+    monkeypatch.setattr(ascover.LatticeWindow, "kernel",
+                        lambda win: kernel(win)[: -1 if win.size == 9 else None])
+    with pytest.raises(cohom.StabilizationError,
+                       match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
+        cohom.d_image_rank(cohom.cached_cover(3, 2))
+
+
+def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch):
+    cov = cohom.cached_cover(5, 3)
+    w = cov.n + cov.p + 1
+    target = cov.window(cov.n + 1, -1 - w)
+    # a source exponent e whose image e t^(e+n) sigma moves in the target window
+    e = next(e for e in range(-w, 0)
+             if e % cov.p and target.nil[:, e + cov.n - target.lo].any())
+    kernel = ascover.LatticeWindow.kernel
+
+    def corrupted(win):
+        basis = kernel(win)
+        basis[0][e - win.lo] = (basis[0][e - win.lo] + 1) % cov.p
+        return basis
+
+    monkeypatch.setattr(ascover.LatticeWindow, "kernel", corrupted)
+    with pytest.raises(ascover.NormalFormError,
+                       match=r"^differential image is not sigma-fixed \(precision bug\)$"):
+        cohom.d_image_rank(cov)
+
+
+def test_certificate_raises_on_a_monomial_in_the_x_image(monkeypatch):
+    # x^1 replaced by the fixed top monomial t^2: [t^2] now dies in H^1
+    def replace(win, rows):
+        if len(rows) > 1:
+            rows[-1] = win.unit_vector(win.a - 1)
+
+    patch_x_truncations(monkeypatch, replace)
+    with pytest.raises(cohom.CertificateError,
+                       match="^candidate monomial classes are not independent$"):
+        cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 3)
+
+
+def test_certificate_raises_when_h1_miscounts(monkeypatch):
+    def drop(win, rows):
+        if len(rows) > 1:
+            rows.pop()
+
+    patch_x_truncations(monkeypatch, drop)
+    with pytest.raises(cohom.CertificateError,
+                       match="^monomial classes span a space of dimension 2, "
+                             "but H\\^1 has dimension 3$"):
+        cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 3)
+
+
+def test_certificate_raises_when_an_x_power_misses_its_monomial(monkeypatch):
+    # every truncation gains the fixed top monomial t^(a-1): the x-image and
+    # the monomials span the same space, but x^0 no longer equals t^0
+    def lift(win, rows):
+        for row in rows:
+            row[-1] = (row[-1] + 1) % win.p
+
+    patch_x_truncations(monkeypatch, lift)
+    with pytest.raises(cohom.CertificateError,
+                       match=r"^x\^0 does not reduce \[t\^0\]: truncations differ below t\^2$"):
+        cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 2)
 
 
 def test_periodic_cohomology_trivial_module():
