@@ -51,10 +51,16 @@ class CyclicModule:
     def dim(self) -> int:
         return len(self.sigma)
 
+    def nil_codes(self) -> np.ndarray:
+        """N = sigma - 1 as a code array, formed on each call: modules are kept in bulk."""
+        ctx, dim = self.ctx, self.dim
+        sigma = np.array(self.sigma, dtype=ctx.dtype).reshape(dim, dim)
+        return ctx.sub_array(sigma, np.eye(dim, dtype=ctx.dtype))
+
     @property
     def nil(self) -> list[list[int]]:
-        """N = sigma - 1, formed on each read: modules are kept in bulk."""
-        return linalg.mat_sub(self.ctx, self.sigma, linalg.identity(self.dim))
+        """N = sigma - 1 as lists of codes."""
+        return self.nil_codes().tolist()
 
     def validate(self) -> None:
         """Check sigma^q = 1, i.e. N^q = 0, since q is a power of p."""

@@ -186,17 +186,33 @@ class FieldCtx:
             return a * b % self.p
         return self._mul_array[a, b]
 
+    def sub_array(self, a, b) -> np.ndarray:
+        """Elementwise difference, with numpy broadcasting."""
+        if self.m == 1:
+            return (a - b) % self.p
+        return self._sub_array[a, b]
+
+    def mul_sub(self, a, b, c, d) -> np.ndarray:
+        """Elementwise a * b - c * d, with numpy broadcasting and a single reduction."""
+        if self.m == 1:
+            return (a * b - c * d) % self.p
+        return self._sub_array[self._mul_array[a, b], self._mul_array[c, d]]
+
     def _sum(self, a: np.ndarray, axis: int) -> np.ndarray:
         # extension fields add base-p digits, then re-encode
         if self.m == 1:
             return a.sum(axis) % self.p
+        if self.p == 2:  # digits add mod 2, so codes add by exclusive or
+            return np.bitwise_xor.reduce(a, axis)
         return self._digit_array[a].sum(axis) % self.p @ self._weights
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product of 2-D arrays (a prime field takes whatever ``@`` takes)."""
+        """Matrix product of 2-D arrays or of stacks of them, as ``@`` pairs
+        them (a prime field takes whatever ``@`` takes)."""
         if self.m == 1:
             return a @ b % self.p
-        return self._sum(self._mul_array[a[:, :, None], b[None, :, :]], 1)
+        prod = self._mul_array[a[..., :, :, None], b[..., None, :, :]]
+        return self._sum(prod, prod.ndim - 2)
 
     def convolve(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients of the product of two nonempty

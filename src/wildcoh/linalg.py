@@ -5,7 +5,8 @@ Gauss-Jordan with deterministic pivoting (first nonzero entry in column
 order, rows scanned top to bottom), so every result is byte-stable.
 Elimination and products run on the field context's code arrays, one
 kernel for every field; the small incremental work (RowEchelon,
-elementwise sums) stays on Python lists.
+elementwise sums) stays on Python lists.  ``ranks`` takes a stack of
+small matrices as one code array and ranks them all in one pass.
 """
 
 from __future__ import annotations
@@ -99,6 +100,31 @@ def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(ctx: FieldCtx, a: Matrix) -> int:
     return len(rref(ctx, a)[1])
+
+
+def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
+    """Rank of every matrix of a (B, r, c) code array, in one elimination.
+
+    A fraction-free forward pass: at each column every matrix replaces
+    each row by pivot * row - row[0] * pivot_row, where the pivot row is
+    its first row nonzero in that column.  This clears the column in
+    every row, the pivot row included, so nothing is inverted, moved or
+    marked, and the column is dropped.  Zero rows and columns, such as
+    the padding of smaller matrices in a stack, leave a rank unchanged.
+    """
+    m = np.asarray(stack)
+    count = np.zeros(len(m), dtype=np.int64)
+    batch = np.arange(len(m))
+    while np.count_nonzero(m):
+        lead = m[:, :, 0]
+        nonzero = lead != 0
+        found = nonzero.any(axis=1)
+        pivot_rows = m[batch, nonzero.argmax(axis=1)]
+        # a matrix whose column is zero keeps its rows: scale 1, factors 0
+        scale = np.where(found, pivot_rows[:, 0], 1)
+        m = ctx.mul_sub(m[:, :, 1:], scale[:, None, None], lead[:, :, None], pivot_rows[:, None, 1:])
+        count += found
+    return count.tolist()
 
 
 def nullspace(ctx: FieldCtx, a: Matrix) -> list[Vector]:

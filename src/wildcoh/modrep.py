@@ -19,31 +19,33 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
+import numpy as np
+
 from wildcoh import linalg
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 
 
-def block_decomposition(mod: CyclicModule) -> Counter:
-    """Multiset of Jordan block sizes of the generator (unipotent, order q).
+def _power_ranks(ctx: FieldCtx, nils: np.ndarray, q: int) -> np.ndarray:
+    """Row j - 1 holds rank N^j for every N of a (k, d, d) stack, up to the
+    first power at which every N vanishes: the last row is zero.
 
-    Ranks of N^j for N = sigma - 1 run until they reach 0; since q is a
-    power of p, sigma^q - 1 = N^q, and rank(N^q) != 0 means sigma does
-    not have the declared order.
+    Each power is one stacked product, and the nonzero ones are ranked in
+    one elimination.  Since q is a power of p, sigma^q - 1 = N^q, so
+    N^q != 0 means sigma does not have the declared order.
     """
-    ctx = mod.ctx
-    dim = mod.dim
-    if dim == 0:
-        return Counter()
-    nil = mod.nil
-    ranks = [dim, linalg.rank(ctx, nil)]
-    power = nil
-    while ranks[-1] and len(ranks) <= mod.q:
-        power = linalg.mat_mul(ctx, power, nil)
-        ranks.append(linalg.rank(ctx, power))
-    if ranks[-1]:
-        raise ValueError("generator matrix does not have the declared order")
-    ranks.append(0)
+    powers = [nils]
+    while np.count_nonzero(powers[-1]):
+        if len(powers) == q:
+            raise ValueError("generator matrix does not have the declared order")
+        powers.append(ctx.matmul(powers[-1], nils))
+    ranks = linalg.ranks(ctx, np.concatenate(powers[:-1])) if len(powers) > 1 else []
+    return np.array(ranks + [0] * len(nils)).reshape(len(powers), len(nils))
+
+
+def block_decomposition(mod: CyclicModule) -> Counter:
+    """Multiset of Jordan block sizes of the generator (unipotent, order q)."""
+    ranks = [mod.dim, *_power_ranks(mod.ctx, mod.nil_codes()[None], mod.q)[:, 0].tolist(), 0]
     blocks: Counter = Counter()
     # blocks of size >= j count r_(j-1) - r_j, so blocks of size j count
     # r_(j-1) - 2 r_j + r_(j+1); the sizes sum to r_0 = dim
@@ -67,7 +69,7 @@ class ExactTriple:
         self._a_rows = ech.rows()
         if not all(map(ech.contains, self._sigma_of_a_rows())):
             raise ValueError("subspace is not sigma-stable")
-        self._a_ech = ech
+        self._a_pivots = ech.pivots()
 
     def _sigma_of_a_rows(self) -> list[list[int]]:
         """sigma applied to each echelon row of A, in one product."""
@@ -82,42 +84,63 @@ class ExactTriple:
     def c_dim(self) -> int:
         return self.b.dim - self.a_dim
 
+    def _induced(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices that a map x of B keeping A stable induces on A, in
+        the echelon basis of A, and on B/A, in the non-pivot coordinates.
+
+        Both are linear in x and send 1 to 1, so they serve sigma and N alike.
+        """
+        ctx, dim = self.b.ctx, self.b.dim
+        x = np.asarray(x, dtype=ctx.dtype).reshape(dim, dim)
+        rows = np.array(self._a_rows, dtype=ctx.dtype).reshape(self.a_dim, dim)
+        pivots = self._a_pivots
+        free = sorted(set(range(dim)).difference(pivots))
+        # the rows are reduced: a vector of A has its coordinates at the pivots
+        on_a = ctx.matmul(rows, x.T)[:, pivots].T
+        # reducing column f of x against A leaves x[free, f] - rows[:, free]^T x[pivots, f]
+        reduced = ctx.matmul(rows[:, free].T, x[pivots][:, free])
+        return on_a, ctx.sub_array(x[free][:, free], reduced)
+
+    def _module(self, sigma: np.ndarray) -> CyclicModule:
+        return CyclicModule(ctx=self.b.ctx, sigma=sigma.tolist(), q=self.b.q)
+
     def a_module(self) -> CyclicModule:
         """Restriction of sigma to A, in the echelon basis of A."""
-        pivots = self._a_ech.pivots()
-        # reduced basis: coordinates are read off at the pivot columns
-        sigma_a = [[image[pc] for pc in pivots] for image in self._sigma_of_a_rows()]
-        return CyclicModule(ctx=self.b.ctx, sigma=linalg.transpose(sigma_a), q=self.b.q)
+        return self._module(self._induced(self.b.sigma)[0])
 
     def c_module(self) -> CyclicModule:
         """Induced action on B/A, in the basis of non-pivot coordinates."""
-        pivots = set(self._a_ech.pivots())
-        free = [c for c in range(self.b.dim) if c not in pivots]
-        sigma_c = []
-        for fc in free:
-            # sigma(e_fc) is column fc of sigma
-            image = self._a_ech.reduce([row[fc] for row in self.b.sigma])
-            sigma_c.append([image[c] for c in free])
-        return CyclicModule(ctx=self.b.ctx, sigma=linalg.transpose(sigma_c), q=self.b.q)
+        return self._module(self._induced(self.b.sigma)[1])
 
-
-def _fixed_dim(mod: CyclicModule) -> int:
-    return mod.dim - linalg.rank(mod.ctx, mod.nil) if mod.dim else 0
+    def nil_stack(self) -> np.ndarray:
+        """N on B, A and C, zero-padded to one (3, dim B, dim B) code array."""
+        nil = self.b.nil_codes()
+        stack = np.zeros((3, *nil.shape), dtype=nil.dtype)
+        stack[0] = nil
+        for out, part in zip(stack[1:], self._induced(nil)):
+            out[: len(part), : len(part)] = part
+        return stack
 
 
 def splits(triple: ExactTriple) -> bool:
-    """True iff blocks(B) equals blocks(A) + blocks(C) as multisets."""
-    outer = block_decomposition(triple.a_module()) + block_decomposition(
-        triple.c_module()
-    )
-    return block_decomposition(triple.b) == outer
+    """True iff blocks(B) equals blocks(A) + blocks(C) as multisets.
+
+    Block counts are second differences of the rank sequence rank N^j and
+    determine it, so this holds iff rank N_B^j = rank N_A^j + rank N_C^j
+    for every j.
+    """
+    ranks = _power_ranks(triple.b.ctx, triple.nil_stack(), triple.b.q)
+    return bool((ranks[:, 0] == ranks[:, 1] + ranks[:, 2]).all())
 
 
 def invariants_additive(triple: ExactTriple) -> bool:
-    """True iff dim A^G + dim C^G = dim B^G (right-exactness of invariants)."""
-    return _fixed_dim(triple.a_module()) + _fixed_dim(triple.c_module()) == _fixed_dim(
-        triple.b
-    )
+    """True iff dim A^G + dim C^G = dim B^G (right-exactness of invariants).
+
+    dim X^G = dim X - rank N_X and dim B = dim A + dim C, so this holds iff
+    rank N_B = rank N_A + rank N_C.
+    """
+    rank_b, rank_a, rank_c = linalg.ranks(triple.b.ctx, triple.nil_stack())
+    return rank_a + rank_c == rank_b
 
 
 class GroupTable:

@@ -11,6 +11,7 @@ sympy.
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,61 @@ def test_mat_mul_is_associative_and_schoolbook(name, rng, shape):
     assert linalg.mat_mul(ctx, ab, c) == linalg.mat_mul(ctx, a, linalg.mat_mul(ctx, b, c))
 
 
+def random_stack_members(rng, ctx, rows, cols):
+    """Matrices of one (B, rows, cols) stack that reach every branch of the
+    stacked elimination: random, low rank, repeated rows, zero, a unit
+    column, and smaller random matrices zero-padded to the stack shape."""
+    low = linalg.mat_mul(ctx, random_matrix(rng, ctx, rows, 1), random_matrix(rng, ctx, 1, cols))
+    repeated = random_matrix(rng, ctx, 1, cols) * rows
+    unit = [[int(i == 0 and j == cols - 1) for j in range(cols)] for i in range(rows)]
+    members = [random_matrix(rng, ctx, rows, cols), low, repeated, linalg.zeros(rows, cols), unit]
+    for r, c in ((rows, 1), (1, cols), (rng.randint(1, rows), rng.randint(1, cols))):
+        small = random_matrix(rng, ctx, r, c)
+        members.append([row + [0] * (cols - c) for row in small] + linalg.zeros(rows - r, cols))
+    return members
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@PROPERTY
+@given(rng=rngs, rows=dims, cols=dims)
+def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
+    ctx = FIELDS[name]
+    members = random_stack_members(rng, ctx, rows, cols)
+    rng.shuffle(members)
+    stack = np.array(members, dtype=ctx.dtype)
+    assert linalg.ranks(ctx, stack) == [linalg.rank(ctx, m) for m in members]
+    assert stack.tolist() == members  # the stack is left as it was
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_stacked_ranks_edge_shapes(name):
+    ctx = FIELDS[name]
+    assert linalg.ranks(ctx, np.zeros((0, 3, 3), dtype=ctx.dtype)) == []
+    assert linalg.ranks(ctx, np.zeros((2, 0, 4), dtype=ctx.dtype)) == [0, 0]
+    assert linalg.ranks(ctx, np.zeros((2, 4, 0), dtype=ctx.dtype)) == [0, 0]
+    assert linalg.ranks(ctx, np.array([[[0]], [[1]], [[ctx.q - 1]]], dtype=ctx.dtype)) == [0, 1, 1]
+    # a zero-padded member keeps the rank of the matrix it pads
+    j3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    padded = np.zeros((1, 5, 6), dtype=ctx.dtype)
+    padded[0, :3, :3] = j3
+    assert linalg.ranks(ctx, padded) == [3]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@PROPERTY
+@given(rng=rngs, shape=st.tuples(st.integers(1, 4), dims, dims, dims))
+def test_stacked_matmul_is_one_product_per_member(name, rng, shape):
+    ctx = FIELDS[name]
+    batch, n, k, m = shape
+    a = [random_matrix(rng, ctx, n, k) for _ in range(batch)]
+    b = [random_matrix(rng, ctx, k, m) for _ in range(batch)]
+    stacked = ctx.matmul(np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype))
+    assert stacked.tolist() == [schoolbook(ctx, x, y) for x, y in zip(a, b)]
+    # a single right factor is shared by every member of the stack
+    shared = ctx.matmul(np.array(a, dtype=ctx.dtype), np.array(b[0], dtype=ctx.dtype))
+    assert shared.tolist() == [schoolbook(ctx, x, b[0]) for x in a]
+
+
 def sympy_matrix(ctx, a, cols):
     matrices = pytest.importorskip("sympy.polys.matrices")
     from sympy import GF
@@ -304,4 +360,5 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     triple = modrep.ExactTriple(b=mod, a_basis=[[1, 0, 0], [0, 1, 0]])
     assert not modrep.splits(triple)
     assert not modrep.invariants_additive(triple)
-    assert set(names) - {"mat_add"} <= set(calls)
+    # no src path on this tour adds matrices, and modules form N on code arrays
+    assert set(names) - {"mat_add", "mat_sub"} <= set(calls)

@@ -60,6 +60,89 @@ def blocks_oracle(sigma, p, q):
     return out
 
 
+# the (field, group order) pairs of criterion 8 and of the module_triples benchmark
+TRIPLE_FIELDS = (
+    (F3, 3), (F2, 4), (FieldCtx(5), 5), (F2, 8), (F3, 9),
+    (FieldCtx(2, (1, 1, 1)), 4), (FieldCtx(3, (1, 0, 1)), 9),
+)
+
+
+def per_power_ranks(mod):
+    # the reference rank sequence: one linalg.rank per power of N, the
+    # route block_decomposition took before the stacked elimination
+    ctx, dim = mod.ctx, mod.dim
+    nil = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
+    ranks = [dim, linalg.rank(ctx, nil) if dim else 0]
+    power = nil
+    while ranks[-1] and len(ranks) <= mod.q:
+        power = linalg.mat_mul(ctx, power, nil)
+        ranks.append(linalg.rank(ctx, power))
+    if ranks[-1]:
+        raise ValueError("generator matrix does not have the declared order")
+    return ranks
+
+
+def blocks_from_ranks(ranks):
+    ranks = ranks + [0]
+    out = Counter()
+    for j in range(1, len(ranks) - 1):
+        if count := ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]:
+            out[j] = count
+    return out
+
+
+def reduce_formula_sigmas(triple):
+    # sigma on A and on B/A by reduction against the echelon rows of A, one
+    # RowEchelon.reduce per free column: the formulas the array route replaced
+    ctx, sigma = triple.b.ctx, triple.b.sigma
+    ech = linalg.RowEchelon(ctx, triple.a_basis)
+    pivots = ech.pivots()
+    images = linalg.mat_mul(ctx, ech.rows(), linalg.transpose(sigma)) if pivots else []
+    sigma_a = linalg.transpose([[image[pc] for pc in pivots] for image in images])
+    free = [c for c in range(triple.b.dim) if c not in pivots]
+    sigma_c = []
+    for fc in free:
+        image = ech.reduce([row[fc] for row in sigma])
+        sigma_c.append([image[c] for c in free])
+    return sigma_a, linalg.transpose(sigma_c)
+
+
+@pytest.mark.parametrize("ctx, q", TRIPLE_FIELDS, ids=lambda x: repr(x))
+def test_stacked_route_matches_one_rank_per_power(ctx, q):
+    rng = random.Random(1400 + q * ctx.q)
+    for _ in range(40):
+        triple = modrep.random_exact_triple(ctx, q, rng)
+        sigma_a, sigma_c = reduce_formula_sigmas(triple)
+        a_mod, c_mod = triple.a_module(), triple.c_module()
+        assert a_mod.sigma == sigma_a and c_mod.sigma == sigma_c
+        sequences = [per_power_ranks(mod) for mod in (triple.b, a_mod, c_mod)]
+        blocks = [blocks_from_ranks(ranks) for ranks in sequences]
+        for mod, expected in zip((triple.b, a_mod, c_mod), blocks):
+            assert modrep.block_decomposition(mod) == expected
+        assert modrep.splits(triple) == (blocks[0] == blocks[1] + blocks[2])
+        fixed = [ranks[0] - ranks[1] for ranks in sequences]
+        assert modrep.invariants_additive(triple) == (fixed[1] + fixed[2] == fixed[0])
+        # the stack holds N of B, A and C, each zero-padded to dim B
+        stack = triple.nil_stack()
+        assert stack.shape == (3, triple.b.dim, triple.b.dim)
+        for part, mod in zip(stack, (triple.b, a_mod, c_mod)):
+            assert part[: mod.dim, : mod.dim].tolist() == mod.nil
+            assert not part[mod.dim :].any() and not part[:, mod.dim :].any()
+        assert linalg.ranks(ctx, stack) == [ranks[1] for ranks in sequences]
+
+
+def test_splits_refuses_a_wrong_order():
+    # J_4 over GF(3) has order 9, not 3, whichever stable subspace is taken
+    j4 = CyclicModule(ctx=F3, sigma=[[1 if j in (i, i + 1) else 0 for j in range(4)]
+                                     for i in range(4)], q=3)
+    message = "generator matrix does not have the declared order"
+    with pytest.raises(ValueError, match=message):
+        per_power_ranks(j4)
+    for a_basis in ([], [[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]], linalg.identity(4)):
+        with pytest.raises(ValueError, match=message):
+            modrep.splits(modrep.ExactTriple(b=j4, a_basis=a_basis))
+
+
 def test_block_decomposition_examples():
     triv = CyclicModule(ctx=F3, sigma=linalg.identity(3), q=3)
     assert modrep.block_decomposition(triv) == Counter({1: 3})
@@ -123,6 +206,10 @@ def test_splits_and_additive_worked_cases():
     degenerate = modrep.ExactTriple(b=j2, a_basis=[])
     assert modrep.splits(degenerate)
     assert modrep.invariants_additive(degenerate)
+
+    empty = modrep.ExactTriple(b=CyclicModule(ctx=F3, sigma=[], q=3), a_basis=[])
+    assert modrep.splits(empty) and modrep.invariants_additive(empty)
+    assert empty.a_module().sigma == empty.c_module().sigma == []
 
 
 def test_j2_inside_j3():
