@@ -58,6 +58,32 @@ def _class_layout(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (cols + n * ks[at]) * size + cols, cols * (len(ks) + 1) + ks[at]
 
 
+def class_blocks(mat: np.ndarray, n: int, row_first: int, col_first: int,
+                 col_step: int = 1) -> np.ndarray:
+    """The blocks of mat by residue class mod n, as one zero-padded (n, r, c) array.
+
+    Row k carries the exponent row_first + k and column k the exponent
+    col_first + col_step * k, col_step prime to n.  Block r keeps the rows
+    and the columns whose exponent is r mod n, in their order; every block
+    is padded with zeros to ceil(rows / n) by ceil(cols / n).  N, the
+    differential t^e -> e t^(e+n) and the x-powers all keep an exponent's
+    class, so an entry that links two classes is refused, never dropped.
+    One padded copy, reshaped so that a class is one slot mod n of each
+    axis, and one gather.
+    """
+    rows, cols = mat.shape
+    br, bc = -(-rows // n), -(-cols // n)
+    padded = np.zeros((br * n, bc * n), dtype=mat.dtype)
+    padded[:rows, :cols] = mat
+    classes = np.arange(n)
+    row_slots = (classes - row_first) % n
+    col_slots = (classes - col_first) * pow(col_step, -1, n) % n
+    blocks = padded.reshape(br, n, bc, n)[:, row_slots, :, col_slots]
+    if np.count_nonzero(blocks) != np.count_nonzero(mat):
+        raise NormalFormError("lattice matrix links two exponent classes mod n")
+    return blocks
+
+
 def recommended_precision(p: int, n: int, w: int | None = None) -> int:
     """Precision making every window/cohomology run for (p, n) safe.
 
@@ -279,15 +305,13 @@ class LatticeWindow:
             out.append(vec)
         return out
 
-    def kernel(self) -> list[list[int]]:
-        """Basis of ker N, equal to linalg.nullspace(ctx, nil.tolist()).
+    def class_stack(self) -> np.ndarray:
+        """The blocks nil[r::n, r::n], zero-padded to one (n, b, b) code array.
 
-        N links t^i only to t^(i + nk), so it splits into one block per
-        residue class of the exponent mod n, each eliminated on its own.
-        A column is a pivot iff it is one inside its class, and the vector
-        of a free column lives on its class, with that column as its last
-        nonzero coordinate; ordered by free column, the scattered block
-        vectors are the full nullspace.
+        N links t^i only to t^(i + nk), so it is block diagonal by the
+        residue class of the exponent mod n; block r holds the exponents
+        lo + r + nk and is padded to b = ceil(size / n) with zero rows and
+        columns, which change no rank.
         """
         n, size = self.n, self.size
         entries = _class_layout(size, n)[0]
@@ -295,17 +319,7 @@ class LatticeWindow:
             raise NormalFormError(
                 "window matrix has an entry whose row - col is not a positive multiple of n"
             )
-        basis = []
-        for r in range(min(n, size)):
-            for vec in linalg.nullspace(self.ctx, self.nil[r::n, r::n].tolist()):
-                full = [0] * size
-                full[r::n] = vec
-                free = max(i for i, x in enumerate(vec) if x)
-                basis.append((r + n * free, full))
-        return [vec for _, vec in sorted(basis)]
-
-    def is_fixed(self, vec: list[int]) -> bool:
-        return not self.ctx.matmul(self.nil, self.ctx.array(vec)).any()
+        return class_blocks(self.nil, n, 0, 0)
 
     def verify_order(self) -> None:
         """Check N**p = 0, i.e. sigma**p = 1 + N**p = 1 (raises NormalFormError)."""

@@ -113,9 +113,14 @@ class CohomologyClassSet:
     dim: int
 
 
+def _x_powers(win: LatticeWindow) -> range:
+    """The j with lo <= p*j < a: the powers of x the window holds."""
+    return range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)
+
+
 def _x_image(win: LatticeWindow) -> list[list[int]]:
     """Truncations of the powers x^j with p*j in the window, checked fixed and independent."""
-    js = range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)  # lo <= p*j < a
+    js = _x_powers(win)
     k_image = win.x_truncations(js)
     rows = win.ctx.array(k_image)
     # row i of K N^T is N applied to x^(js[i]): all of them in one product
@@ -132,7 +137,8 @@ def _x_image(win: LatticeWindow) -> list[list[int]]:
 
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
-    fixed = len(win.kernel())
+    # dim ker N, summed over the residue blocks of N, all ranked in one pass
+    fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack()))
     k_image = _x_image(win)
     # the x-image is an independent subspace of ker N
     return CohomologyClassSet(window=win, k_image=k_image, dim=fixed - len(k_image))
@@ -186,8 +192,11 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     p, n = cov.p, cov.n
     exponents = [i for i in range(a - n, a) if i % p != 0]
     monomials = [win.unit_vector(i) for i in exponents]
-    for i, vec in zip(exponents, monomials):
-        if not win.is_fixed(vec):
+    # column k of N M^T is N applied to t^(exponents[k]): all of them in one product
+    rows = win.ctx.array(monomials).reshape(len(monomials), win.size)
+    moved = win.ctx.matmul(win.nil, rows.T).any(axis=0)
+    for i, bad in zip(exponents, moved):
+        if bad:
             raise CertificateError(f"[t^{i}] is not sigma-fixed in the window")
     k_image = classes.k_image
     if linalg.rank(win.ctx, k_image + monomials) - len(k_image) != len(exponents):
@@ -211,23 +220,61 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     )
 
 
-def _d_rank_once(cov: LocalCover, w: int) -> int:
-    win1 = cov.window(0, -w)
-    fixed = win1.kernel()
-    _x_image(win1)  # for its checks only: the source x-image lies in ker N
-    # the target H^1 is read modulo the x-image only: it needs no kernel
-    win2 = cov.window(cov.n + 1, -1 - w)
-    k_image = _x_image(win2)
-    # h -> t^(n+1) h' sends t^e to e t^(e+n): every kernel vector in one product
-    ctx, shift = cov.ctx, win1.lo + cov.n - win2.lo
-    image = np.zeros((len(fixed), win2.size), dtype=ctx.dtype)
-    image[:, shift : shift + win1.size] = ctx.mul_array(
-        ctx.array(fixed), ctx.array(range(win1.lo, win1.a))
-    )
-    if ctx.matmul(image, win2.nil.T).any():
+def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
+    """The d-rank of one window pass, split into the share of each exponent class mod n.
+
+    d sends t^e to e t^(e+n); let D be its matrix and X the target
+    x-image.  The rank of d(ker N_src) modulo X is rank A - rank N_src - #X
+    for A = [[N_src, 0], [D, -X^T]]: ker A holds the u in ker N_src with
+    Du in X, one v each.  N, d and the x-powers keep an exponent's class
+    mod n, so this holds class by class.
+    - D's entry e is a unit iff p does not divide e.  Pivoting on the
+      units leaves the Schur complement A' on the other columns, and
+      rank A = #units + rank A'.
+    - The differential image is sigma-fixed, N_tgt D ker N_src = 0, iff
+      rank [N_src; N_tgt D] = rank N_src.  Its top rows pivot as N_src
+      alone would, so their pivots count rank N_src, and a pivot below
+      them is an image sigma moves.
+    """
+    ctx, p, n = cov.ctx, cov.p, cov.n
+    src = cov.window(0, -w)
+    _x_image(src)  # for its checks only: the source x-image lies in ker N
+    tgt = cov.window(n + 1, -1 - w)  # its H^1 is read modulo its x-image
+    js = _x_powers(tgt)
+    x_cols = ctx.array(_x_image(tgt)).reshape(len(js), tgt.size).T
+    exps = np.arange(src.lo, src.a)
+    image = exps + n - tgt.lo  # the target row of t^(e+n)
+    unit = exps % p != 0
+    # Both matrices have the rows t^e of the source, then the rows t^f of
+    # the target, from a row whose class and block position leave the
+    # source's blocks whole: top block rows of N_src in every class.
+    top = -(-src.size // n)
+    tgt_row = n * top + (tgt.lo - src.lo) % n
+    check = np.zeros((tgt_row + tgt.size, src.size), dtype=ctx.dtype)
+    check[: src.size] = src.nil
+    # N_tgt D: the column of t^e is e times the column of t^(e+n) in N_tgt
+    check[tgt_row:] = ctx.mul_array(tgt.nil[:, image], ctx.array(exps))
+    check = ascover.class_blocks(check, n, src.lo, src.lo)
+    pivots = linalg.pivot_rows(ctx, check)
+    if pivots[:, top:].any():
         raise ascover.NormalFormError("differential image is not sigma-fixed (precision bug)")
-    # d(x^j) = -j x^(j+n) lies in the target x-image, so d(ker N) mod it is the rank
-    return linalg.rank(ctx, k_image + image.tolist()) - len(k_image)
+    # A' = [[N_src on the p | e columns, N_src E^-1 X^T], [0, X^T off the unit
+    # rows]], up to the sign of rows.  Its columns are the t^(pi) with p | e,
+    # then from a column in x^j's class the x^j, which lead at t^(pj).
+    first_i = -(-src.lo // p)
+    p_cols = -first_i  # the t^(pi) with lo <= pi < 0
+    x_col = p_cols + js.start % n
+    inverses = ctx.array([ctx.inv(e) for e in ctx.array(exps[unit]).tolist()])
+    schur = np.zeros((tgt_row + tgt.size, x_col + len(js)), dtype=ctx.dtype)
+    schur[: src.size, :p_cols] = src.nil[:, ~unit]
+    schur[: src.size, x_col:] = ctx.matmul(ctx.mul_array(src.nil[:, unit], inverses),
+                                           x_cols[image[unit]])
+    schur[tgt_row:, x_col:] = x_cols
+    schur[tgt_row + image[unit], x_col:] = 0
+    schur_pivots = linalg.pivot_rows(ctx, ascover.class_blocks(schur, n, src.lo, p * first_i, p))
+    units = np.bincount(exps[unit] % n, minlength=n)
+    x_powers = np.bincount(p * np.array(js, dtype=np.int64) % n, minlength=n)
+    return units + schur_pivots.sum(axis=1) - pivots[:, :top].sum(axis=1) - x_powers
 
 
 def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
@@ -238,8 +285,8 @@ def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
     Stabilization against the widened window is enforced as in h1_lattice.
     """
     w = _window_size(cov, w)
-    first = _d_rank_once(cov, w)
-    second = _d_rank_once(cov, w + cov.p)
+    first = int(_d_rank_classes(cov, w).sum())
+    second = int(_d_rank_classes(cov, w + cov.p).sum())
     if first != second:
         raise StabilizationError(
             f"d-image window did not stabilize: rank {first} at W={w}, "

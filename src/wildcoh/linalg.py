@@ -5,8 +5,9 @@ Gauss-Jordan with deterministic pivoting (first nonzero entry in column
 order, rows scanned top to bottom), so every result is byte-stable.
 Elimination and products run on the field context's code arrays, one
 kernel for every field; the small incremental work (RowEchelon,
-elementwise sums) stays on Python lists.  ``ranks`` takes a stack of
-small matrices as one code array and ranks them all in one pass.
+elementwise sums) stays on Python lists.  ``pivot_rows`` takes a stack
+of small matrices as one code array and finds the pivot rows of them
+all in one pass; ``ranks`` counts them.
 """
 
 from __future__ import annotations
@@ -102,29 +103,42 @@ def rank(ctx: FieldCtx, a: Matrix) -> int:
     return len(rref(ctx, a)[1])
 
 
-def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
-    """Rank of every matrix of a (B, r, c) code array, in one elimination.
+def pivot_rows(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """Pivot rows of every matrix of a (B, r, c) code array, in one elimination.
 
     A fraction-free forward pass: at each column every matrix replaces
     each row by pivot * row - row[0] * pivot_row, where the pivot row is
     its first row nonzero in that column.  This clears the column in
-    every row, the pivot row included, so nothing is inverted, moved or
-    marked, and the column is dropped.  Zero rows and columns, such as
-    the padding of smaller matrices in a stack, leave a rank unchanged.
+    every row, the pivot row included, so nothing is inverted or moved,
+    and the column is dropped.  Zero rows and columns, such as the
+    padding of smaller matrices in a stack, change no pivot.
+
+    Returns the (B, r) mask of the rows that served as a pivot.  A pivot
+    row is zero afterwards, so each row serves at most once and a
+    member's mask sums to its rank.  A pivot below the first k rows only
+    rescales them, so those rows keep the pivots they would have alone:
+    their mask sums to the rank of the top k rows.
     """
     m = np.asarray(stack)
-    count = np.zeros(len(m), dtype=np.int64)
+    rows = m.shape[1]
+    mask = np.zeros((len(m), rows + 1), dtype=bool)  # a column without a pivot marks row `rows`
     batch = np.arange(len(m))
     while np.count_nonzero(m):
         lead = m[:, :, 0]
-        nonzero = lead != 0
-        found = nonzero.any(axis=1)
-        pivot_rows = m[batch, nonzero.argmax(axis=1)]
+        pick = (lead != 0).argmax(axis=1)
+        pivot = m[batch, pick]
+        missing = pivot[:, 0] == 0
+        pick[missing] = rows
+        mask[batch, pick] = True
         # a matrix whose column is zero keeps its rows: scale 1, factors 0
-        scale = np.where(found, pivot_rows[:, 0], 1)
-        m = ctx.mul_sub(m[:, :, 1:], scale[:, None, None], lead[:, :, None], pivot_rows[:, None, 1:])
-        count += found
-    return count.tolist()
+        m = ctx.mul_sub(m[:, :, 1:], (pivot[:, 0] + missing)[:, None, None], lead[:, :, None],
+                        pivot[:, None, 1:])
+    return mask[:, :rows]
+
+
+def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
+    """Rank of every matrix of a (B, r, c) code array: its pivot rows, counted."""
+    return pivot_rows(ctx, stack).sum(axis=1).tolist()
 
 
 def nullspace(ctx: FieldCtx, a: Matrix) -> list[Vector]:

@@ -27,6 +27,10 @@ def sigma_of(win):
             for r, row in enumerate(win.nil.tolist())]
 
 
+def is_fixed(win, vec):
+    return not win.ctx.matmul(win.nil, win.ctx.array(vec)).any()
+
+
 def test_sigma_head_p3_n1():
     # independent expansion: t/(1+t) = t(1 - t + t^2 - ...) = t + 2t^2 + t^3 ... mod 3
     cov = cover(3, 1)
@@ -89,7 +93,7 @@ def test_window_triangular_with_unit_diagonal():
     # top basis vector is fixed: sigma(t^(a-1)) = t^(a-1) mod t^a
     top = win.unit_vector(win.a - 1)
     assert linalg.mat_mul(win.ctx, [top], linalg.transpose(sigma)) == [top]
-    assert win.is_fixed(top)
+    assert is_fixed(win, top)
 
 
 def test_window_constant_appears_only_above_cutoff():
@@ -137,7 +141,7 @@ def test_x_truncations_are_fixed():
         win = cov.window(0, -(n + p + 1))
         j_lo = -(-win.lo // p)
         for j in range(j_lo, 0):
-            assert win.is_fixed(win.x_truncation(j))
+            assert is_fixed(win, win.x_truncation(j))
 
 
 def test_build_preconditions():
@@ -344,8 +348,11 @@ def test_binomials_match_scalar_lucas(p, n):
 
 
 def assert_kernel_matches_nullspace(p, n, a, w):
+    # ker N from the residue blocks: their stacked ranks sum to the full rank
     win = cover(p, n).window(a, a - w)
-    assert win.kernel() == linalg.nullspace(win.ctx, win.nil.tolist())
+    total = sum(linalg.ranks(win.ctx, win.class_stack()))
+    assert total == linalg.rank(win.ctx, win.nil.tolist())
+    assert win.size - total == len(linalg.nullspace(win.ctx, win.nil.tolist()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,16 +372,48 @@ def test_window_kernel_matches_full_nullspace_at_size(p, n):
             assert_kernel_matches_nullspace(p, n, a, w)
 
 
+def test_class_stack_holds_the_residue_blocks():
+    # block r is nil[r::n, r::n], zero-padded; n > size leaves 1x1 zero blocks
+    for p, n, a, w in ((3, 2, 0, 6), (5, 3, 1, 10), (7, 6, 4, 14), (3, 8, 0, 5)):
+        win = cover(p, n).window(a, a - w)
+        stack = win.class_stack()
+        b = -(-win.size // n)
+        assert stack.shape == (n, b, b)
+        for r in range(n):
+            block = win.nil[r::n, r::n]
+            k = len(block)
+            assert stack[r, :k, :k].tolist() == block.tolist()
+            assert not stack[r, k:].any() and not stack[r, :, k:].any()
+
+
+def test_class_blocks_follow_the_exponent_labels():
+    # rows carry exponents -3.., columns 5 * (-1 + k): class r keeps exponents r mod 3
+    rows, cols = np.arange(-3, 4), 5 * np.arange(-1, 4)
+    same = rows[:, None] % 3 == cols[None, :] % 3
+    mat = np.where(same, np.arange(1, 36).reshape(7, 5), 0)
+    blocks = ascover.class_blocks(mat, 3, -3, -5, 5)
+    assert blocks.shape == (3, 3, 2)
+    for r in range(3):
+        kept = mat[np.ix_(rows % 3 == r, cols % 3 == r)]
+        assert blocks[r, : len(kept), : kept.shape[1]].tolist() == kept.tolist()
+        assert np.count_nonzero(blocks[r]) == kept.size
+    # an entry linking two classes is refused, not dropped
+    mat[0, 0] = 1  # t^-3 and t^-5
+    with pytest.raises(ascover.NormalFormError, match="links two exponent classes"):
+        ascover.class_blocks(mat, 3, -3, -5, 5)
+
+
 def test_window_kernel_rejects_a_matrix_linking_classes():
     cov = cover(3, 2)
     # N maps t^i to t^(i+2): blocks by residue mod n = 2, kernel t^2, t^3
     within = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=np.eye(4, k=-2, dtype=np.int64))
-    assert within.kernel() == [[0, 0, 1, 0], [0, 0, 0, 1]]
+    assert within.class_stack().tolist() == [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]
+    assert linalg.ranks(cov.ctx, within.class_stack()) == [1, 1]
     # t^i -> t^(i+1) links the two classes; t^i -> t^(i-2) points upward
     for nil in (np.eye(4, k=-1, dtype=np.int64), np.eye(4, k=2, dtype=np.int64)):
         win = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=nil)
         with pytest.raises(ascover.NormalFormError, match="positive multiple of n"):
-            win.kernel()
+            win.class_stack()
 
 
 # sha256 of json [val, coeffs, prec] of (sigma_t, x_t) at recommended_precision,

@@ -48,7 +48,8 @@ def test_kernel_is_x_image_plus_monomial_classes(p, n, a):
     assert classes.dim == len(monomials) == cohom.h1_closed_form(p, n, a)
     both = linalg.RowEchelon(win.ctx, classes.k_image + monomials)
     assert both.rank == len(classes.k_image) + len(monomials)
-    assert linalg.RowEchelon(win.ctx, win.kernel()).rows() == both.rows()
+    kernel = linalg.nullspace(win.ctx, win.nil.tolist())
+    assert linalg.RowEchelon(win.ctx, kernel).rows() == both.rows()
 
 
 def x_powers_in(win):
@@ -132,8 +133,8 @@ def test_d_image_monomial_level_mapping():
     assert not ech.contains(model2.window.unit_vector(1))
 
 
-def test_d_image_rank_builds_one_kernel_per_window(monkeypatch):
-    # the source lattice needs ker N; the target is read modulo the x-image only
+def test_d_image_rank_builds_no_kernel(monkeypatch):
+    # both lattices are read through ranks of their residue blocks: no basis
     calls = []
     nullspace = linalg.nullspace
 
@@ -142,12 +143,45 @@ def test_d_image_rank_builds_one_kernel_per_window(monkeypatch):
         return nullspace(ctx, a)
 
     monkeypatch.setattr(linalg, "nullspace", counting)
-    cov = cohom.cached_cover(3, 2)
-    assert cohom.d_image_rank(cov) == 1
-    # one call per residue block mod n = 2 of the source windows n + p + 1
-    # and n + 2p + 1; none for the target windows, which are wider by n + 1
-    assert calls == [3, 3, 5, 4]
-    assert [sum(calls[: cov.n]), sum(calls[cov.n :])] == [6, 9]
+    assert cohom.d_image_rank(cohom.cached_cover(3, 2)) == 1
+    assert cohom.h1_lattice(cohom.cached_cover(3, 2), 0).dim == 2
+    assert calls == []
+
+
+def basis_route_d_rank(cov, w):
+    """Oracle: d applied to a kernel basis of N_src, ranked modulo the target x-image."""
+    src, tgt = cov.window(0, -w), cov.window(cov.n + 1, -1 - w)
+    kernel = linalg.nullspace(cov.ctx, src.nil.tolist())
+    k_image = tgt.x_truncations(x_powers_in(tgt))
+    image = [d_map(src, tgt, vec) for vec in kernel]
+    if image:  # sigma-fixed: N_tgt sends every image to zero
+        assert not any(map(any, linalg.mat_mul(cov.ctx, image, tgt.nil.T.tolist())))
+    return linalg.rank(cov.ctx, k_image + image) - len(k_image)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+       n=st.integers(1, 20))
+def test_d_rank_matches_the_kernel_basis_route(p, n):
+    assume(n % p != 0)
+    cov = cohom.cached_cover(p, n)
+    for w in (n + p + 1, n + 2 * p + 1):
+        assert cohom._d_rank_classes(cov, w).sum() == basis_route_d_rank(cov, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+       n=st.integers(1, 20), data=st.data())
+def test_each_residue_class_adds_its_indicator_to_the_d_rank(p, n, data):
+    # class r holds the one exponent i in [1-n, -1] with i = r mod n; d(t^i)
+    # survives iff p divides neither i nor i + n, and class 0 has no such i
+    assume(n % p != 0)
+    w = data.draw(st.sampled_from([n + p + 1, n + 2 * p + 1]), label="w")
+    shares = cohom._d_rank_classes(cohom.cached_cover(p, n), w)
+    want = [0] * n
+    for i in range(1 - n, 0):
+        want[i % n] = int(i % p != 0 and (i + n) % p != 0)
+    assert shares.tolist() == want
 
 
 def test_window_size_precondition():
@@ -208,10 +242,14 @@ def test_h1_raises_when_the_widened_window_disagrees(monkeypatch):
 
 
 def test_d_rank_raises_when_the_widened_window_disagrees(monkeypatch):
-    # dropping the kernel vector of t^-1 only from the widened source window
-    kernel = ascover.LatticeWindow.kernel
-    monkeypatch.setattr(ascover.LatticeWindow, "kernel",
-                        lambda win: kernel(win)[: -1 if win.size == 9 else None])
+    # only the widened target swaps x^-1 for the fixed t^1 = -d(t^-1), which
+    # stays in x^-1's class: d(t^-1) now dies there, and x^-1 is no image in
+    # characteristic 3, since d(x^-3) = 3 x^-1
+    def swap(win, rows):
+        if win.a == 3 and win.size == 13:
+            rows[-2] = win.unit_vector(1)
+
+    patch_x_truncations(monkeypatch, swap)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
         cohom.d_image_rank(cohom.cached_cover(3, 2))
@@ -220,21 +258,35 @@ def test_d_rank_raises_when_the_widened_window_disagrees(monkeypatch):
 def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch):
     cov = cohom.cached_cover(5, 3)
     w = cov.n + cov.p + 1
-    target = cov.window(cov.n + 1, -1 - w)
-    # a source exponent e whose image e t^(e+n) sigma moves in the target window
-    e = next(e for e in range(-w, 0)
-             if e % cov.p and target.nil[:, e + cov.n - target.lo].any())
-    kernel = ascover.LatticeWindow.kernel
+    source, target = cov.window(0, -w), cov.window(cov.n + 1, -1 - w)
+    x_support = np.array(source.x_truncations(x_powers_in(source))).any(axis=0)
+    # a source exponent e off the source x-image whose image e t^(e+n) sigma moves
+    e = next(e for e in range(-w, 0) if e % cov.p and not x_support[e + w]
+             and target.nil[:, e + cov.n - target.lo].any())
+    window = ascover.LocalCover.window
 
-    def corrupted(win):
-        basis = kernel(win)
-        basis[0][e - win.lo] = (basis[0][e - win.lo] + 1) % cov.p
-        return basis
+    def corrupted(self, a, lo):
+        win = window(self, a, lo)
+        if (a, lo) == (0, -w):
+            win.nil[:, e - lo] = 0  # t^e joins ker N_src
+        return win
 
-    monkeypatch.setattr(ascover.LatticeWindow, "kernel", corrupted)
+    monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
     with pytest.raises(ascover.NormalFormError,
                        match=r"^differential image is not sigma-fixed \(precision bug\)$"):
         cohom.d_image_rank(cov)
+
+
+def test_d_rank_refuses_an_x_power_outside_its_class(monkeypatch):
+    # a fixed, independent target row in the wrong class must not be dropped
+    def move(win, rows):
+        if win.a == 3:
+            rows[-2] = win.unit_vector(2)
+
+    patch_x_truncations(monkeypatch, move)
+    with pytest.raises(ascover.NormalFormError,
+                       match="^lattice matrix links two exponent classes mod n$"):
+        cohom.d_image_rank(cohom.cached_cover(3, 2))
 
 
 def test_certificate_raises_on_a_monomial_in_the_x_image(monkeypatch):

@@ -267,6 +267,24 @@ def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
 
 
 @pytest.mark.parametrize("name", FIELDS)
+@PROPERTY
+@given(rng=rngs, rows=dims, cols=dims)
+def test_pivot_rows_of_the_top_rows_count_their_rank(name, rng, rows, cols):
+    # rows below the first k only rescale them, so their pivots are rank of
+    # the top k, and a pivot below means the lower rows leave that row space
+    ctx = FIELDS[name]
+    members = random_stack_members(rng, ctx, rows, cols)
+    mask = linalg.pivot_rows(ctx, np.array(members, dtype=ctx.dtype))
+    assert mask.dtype == bool and mask.shape == (len(members), rows)
+    for member, pivots in zip(members, mask.tolist()):
+        assert sum(pivots) == linalg.rank(ctx, member)
+        for k in range(rows + 1):
+            top = linalg.rank(ctx, member[:k]) if k else 0
+            assert sum(pivots[:k]) == top
+            assert any(pivots[k:]) == (linalg.rank(ctx, member) > top)
+
+
+@pytest.mark.parametrize("name", FIELDS)
 def test_stacked_ranks_edge_shapes(name):
     ctx = FIELDS[name]
     assert linalg.ranks(ctx, np.zeros((0, 3, 3), dtype=ctx.dtype)) == []
@@ -360,5 +378,6 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     triple = modrep.ExactTriple(b=mod, a_basis=[[1, 0, 0], [0, 1, 0]])
     assert not modrep.splits(triple)
     assert not modrep.invariants_additive(triple)
-    # no src path on this tour adds matrices, and modules form N on code arrays
-    assert set(names) - {"mat_add", "mat_sub"} <= set(calls)
+    # no src path on this tour adds matrices, modules form N on code arrays,
+    # and the lattice dimensions are ranks of residue blocks, with no kernel basis
+    assert set(names) - {"mat_add", "mat_sub", "nullspace"} <= set(calls)

@@ -361,3 +361,17 @@ def test_random_triples_are_valid():
             assert tri.a_dim + tri.c_dim == tri.b.dim
             tri.a_module().validate()
             tri.c_module().validate()
+
+
+def test_an_echelon_basis_is_kept_once():
+    # random_exact_triple passes A's echelon rows: the triple keeps no copy
+    rng = random.Random(11)
+    for _ in range(10):
+        tri = modrep.random_exact_triple(FieldCtx(3), 9, rng)
+        assert tri._a_rows is tri.a_basis
+    # any other spanning set gets its own echelon rows, and the same answers
+    j3 = CyclicModule(ctx=F3, sigma=[[1, 1, 0], [0, 1, 1], [0, 0, 1]], q=3)
+    echelon = modrep.ExactTriple(b=j3, a_basis=[[1, 0, 0], [0, 1, 0]])
+    spanned = modrep.ExactTriple(b=j3, a_basis=[[1, 1, 0], [2, 0, 0], [1, 0, 0]])
+    assert spanned._a_rows == echelon.a_basis and spanned._a_rows is not spanned.a_basis
+    assert spanned.nil_stack().tolist() == echelon.nil_stack().tolist()
