@@ -52,10 +52,16 @@ def _class_layout(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     exponents of one residue class mod n.  Returns the flat positions
     row * size + col of those entries in N, and col * depth + k, their
     places in the (size, depth) binomial table, depth = (size - 1) // n + 1.
+    Every window is filled at these positions alone, so checking once per
+    layout that they lie strictly below the diagonal makes every window
+    matrix strictly lower triangular: sigma = 1 + N is unipotent.
     """
     ks = np.arange(1, (size - 1) // n + 1)
     cols, at = np.nonzero(np.arange(size)[:, None] + n * ks < size)
-    return (cols + n * ks[at]) * size + cols, cols * (len(ks) + 1) + ks[at]
+    rows = cols + n * ks[at]
+    if (rows <= cols).any():
+        raise NormalFormError("window matrix is not unipotent lower triangular")
+    return rows * size + cols, cols * (len(ks) + 1) + ks[at]
 
 
 def class_blocks(mat: np.ndarray, n: int, row_first: int, col_first: int,
@@ -241,8 +247,6 @@ class LocalCover:
         # sigma(t^i) - t^i has the coefficient binom(-i/n, k) at t^(i + nk), k >= 1
         table = self.binomials(range(lo, a), (size - 1) // self.n + 1)
         nil.ravel()[entries] = table.ravel()[places]
-        if np.triu(nil).any():
-            raise NormalFormError("window matrix is not unipotent lower triangular")
         return LatticeWindow(cover=self, a=a, lo=lo, nil=nil)
 
 
@@ -323,8 +327,10 @@ class LatticeWindow:
 
     def verify_order(self) -> None:
         """Check N**p = 0, i.e. sigma**p = 1 + N**p = 1 (raises NormalFormError)."""
-        if any(map(any, linalg.mat_pow(self.ctx, self.nil.tolist(), self.p))):
-            raise NormalFormError("window matrix does not have order p")
+        try:
+            linalg.power_ranks(self.ctx, self.nil[None], self.p)
+        except ValueError:
+            raise NormalFormError("window matrix does not have order p") from None
 
 
 @dataclass

@@ -57,15 +57,9 @@ class CyclicModule:
         sigma = np.array(self.sigma, dtype=ctx.dtype).reshape(dim, dim)
         return ctx.sub_array(sigma, np.eye(dim, dtype=ctx.dtype))
 
-    @property
-    def nil(self) -> list[list[int]]:
-        """N = sigma - 1 as lists of codes."""
-        return self.nil_codes().tolist()
-
     def validate(self) -> None:
         """Check sigma^q = 1, i.e. N^q = 0, since q is a power of p."""
-        if any(map(any, linalg.mat_pow(self.ctx, self.nil, self.q))):
-            raise ValueError("generator matrix does not have the declared order")
+        linalg.power_ranks(self.ctx, self.nil_codes()[None], self.q)
 
 
 def periodic_cohomology(mod: CyclicModule, i: int) -> int:
@@ -76,18 +70,15 @@ def periodic_cohomology(mod: CyclicModule, i: int) -> int:
     """
     if i not in (0, 1, 2):
         raise ValueError("periodicity makes only i in {0, 1, 2} meaningful")
-    mod.validate()
-    ctx = mod.ctx
-    dim = mod.dim
-    if dim == 0:
-        return 0
-    nil = mod.nil
+    # row j - 1 is rank N^j, and the rows stop at the first N^j = 0
+    ranks = linalg.power_ranks(mod.ctx, mod.nil_codes()[None], mod.q)[:, 0].tolist()
+    rank_nil = ranks[0]
+    rank_norm = ranks[mod.q - 2] if mod.q - 2 < len(ranks) else 0
     if i == 0:
-        return dim - linalg.rank(ctx, nil)
-    norm = linalg.mat_pow(ctx, nil, mod.q - 1)
+        return mod.dim - rank_nil
     if i == 1:
-        return (dim - linalg.rank(ctx, norm)) - linalg.rank(ctx, nil)
-    return (dim - linalg.rank(ctx, nil)) - linalg.rank(ctx, norm)
+        return (mod.dim - rank_norm) - rank_nil
+    return (mod.dim - rank_nil) - rank_norm
 
 
 def h1_closed_form(p: int, n: int, a: int) -> int:

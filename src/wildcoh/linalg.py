@@ -4,10 +4,13 @@ Matrices are lists of rows of element codes.  Elimination is plain
 Gauss-Jordan with deterministic pivoting (first nonzero entry in column
 order, rows scanned top to bottom), so every result is byte-stable.
 Elimination and products run on the field context's code arrays, one
-kernel for every field; the small incremental work (RowEchelon,
-elementwise sums) stays on Python lists.  ``pivot_rows`` takes a stack
-of small matrices as one code array and finds the pivot rows of them
-all in one pass; ``ranks`` counts them.
+kernel for every field.  There are two eliminations: ``rref`` gives the
+reduced rows of one matrix, and ``pivot_rows`` takes a stack of small
+matrices as one code array and finds the pivot rows of them all in one
+pass; ``ranks`` counts them, and ``power_ranks`` ranks every power of a
+stack of nilpotent matrices that way.  ``RowEchelon`` and the
+elementwise sums on Python lists serve the tests and callers outside
+the library.
 """
 
 from __future__ import annotations
@@ -49,23 +52,6 @@ def mat_add(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
 def mat_sub(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
     sub = ctx.sub
     return [[sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_pow(ctx: FieldCtx, a: Matrix, e: int) -> Matrix:
-    if e < 0:
-        raise ValueError("negative matrix power not supported")
-    if e == 0:
-        return identity(len(a))
-    base = a
-    while not e & 1:  # start at the lowest set bit of e: no identity product
-        base = mat_mul(ctx, base, base)
-        e >>= 1
-    result = base
-    while e := e >> 1:
-        base = mat_mul(ctx, base, base)
-        if e & 1:
-            result = mat_mul(ctx, result, base)
-    return [row[:] for row in a] if result is a else result
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -141,6 +127,23 @@ def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
     return pivot_rows(ctx, stack).sum(axis=1).tolist()
 
 
+def power_ranks(ctx: FieldCtx, stack: np.ndarray, q: int) -> np.ndarray:
+    """Row j - 1 holds rank N^j for every N of a (k, d, d) stack, up to the
+    first power at which every N vanishes: the last row is zero.
+
+    Each power is one stacked product, and the nonzero ones are ranked in
+    one elimination.  Since q is a power of p, sigma^q - 1 = N^q, so
+    N^q != 0 means sigma does not have the declared order.
+    """
+    powers = [stack]
+    while np.count_nonzero(powers[-1]):
+        if len(powers) == q:
+            raise ValueError("generator matrix does not have the declared order")
+        powers.append(ctx.matmul(powers[-1], stack))
+    counts = ranks(ctx, np.concatenate(powers[:-1])) if len(powers) > 1 else []
+    return np.array(counts + [0] * len(stack)).reshape(len(powers), len(stack))
+
+
 def nullspace(ctx: FieldCtx, a: Matrix) -> list[Vector]:
     """Deterministic kernel basis: one vector per free column, in column order."""
     if not a:
@@ -174,6 +177,8 @@ class RowEchelon:
 
     Rows are kept normalized (leading coefficient 1) and fully reduced
     against each other; pivot choice is the leftmost nonzero coordinate.
+    The library itself spans with ``rref``; this scalar route stays as the
+    tests' independent reference for it.
     """
 
     def __init__(self, ctx: FieldCtx, rows: Sequence[Vector] = ()):

@@ -26,26 +26,10 @@ from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 
 
-def _power_ranks(ctx: FieldCtx, nils: np.ndarray, q: int) -> np.ndarray:
-    """Row j - 1 holds rank N^j for every N of a (k, d, d) stack, up to the
-    first power at which every N vanishes: the last row is zero.
-
-    Each power is one stacked product, and the nonzero ones are ranked in
-    one elimination.  Since q is a power of p, sigma^q - 1 = N^q, so
-    N^q != 0 means sigma does not have the declared order.
-    """
-    powers = [nils]
-    while np.count_nonzero(powers[-1]):
-        if len(powers) == q:
-            raise ValueError("generator matrix does not have the declared order")
-        powers.append(ctx.matmul(powers[-1], nils))
-    ranks = linalg.ranks(ctx, np.concatenate(powers[:-1])) if len(powers) > 1 else []
-    return np.array(ranks + [0] * len(nils)).reshape(len(powers), len(nils))
-
-
 def block_decomposition(mod: CyclicModule) -> Counter:
     """Multiset of Jordan block sizes of the generator (unipotent, order q)."""
-    ranks = [mod.dim, *_power_ranks(mod.ctx, mod.nil_codes()[None], mod.q)[:, 0].tolist(), 0]
+    powers = linalg.power_ranks(mod.ctx, mod.nil_codes()[None], mod.q)
+    ranks = [mod.dim, *powers[:, 0].tolist(), 0]
     blocks: Counter = Counter()
     # blocks of size >= j count r_(j-1) - r_j, so blocks of size j count
     # r_(j-1) - 2 r_j + r_(j+1); the sizes sum to r_0 = dim
@@ -64,19 +48,15 @@ class ExactTriple:
     a_basis: list[list[int]]
 
     def __post_init__(self):
-        ctx = self.b.ctx
-        ech = linalg.RowEchelon(ctx, self.a_basis)
-        rows = ech.rows()
-        # an echelon basis, as random_exact_triple passes, is kept once
-        self._a_rows = self.a_basis if rows == self.a_basis else rows
-        if not all(map(ech.contains, self._sigma_of_a_rows())):
+        ctx, dim = self.b.ctx, self.b.dim
+        rows, pivots = linalg.rref(ctx, self.a_basis)
+        rows = ctx.array(rows[: len(pivots)]).reshape(len(pivots), dim)
+        sigma = np.array(self.b.sigma, dtype=ctx.dtype).reshape(dim, dim)
+        # the rows are reduced, so S = sigma(rows) lies in A iff S = S[:, pivots] rows
+        images = ctx.matmul(rows, sigma.T)
+        if ctx.sub_array(images, ctx.matmul(images[:, pivots], rows)).any():
             raise ValueError("subspace is not sigma-stable")
-        self._a_pivots = ech.pivots()
-
-    def _sigma_of_a_rows(self) -> list[list[int]]:
-        """sigma applied to each echelon row of A, in one product."""
-        rows = self._a_rows
-        return linalg.mat_mul(self.b.ctx, rows, linalg.transpose(self.b.sigma)) if rows else []
+        self._a_rows, self._a_pivots = rows, pivots
 
     @property
     def a_dim(self) -> int:
@@ -94,8 +74,7 @@ class ExactTriple:
         """
         ctx, dim = self.b.ctx, self.b.dim
         x = np.asarray(x, dtype=ctx.dtype).reshape(dim, dim)
-        rows = np.array(self._a_rows, dtype=ctx.dtype).reshape(self.a_dim, dim)
-        pivots = self._a_pivots
+        rows, pivots = self._a_rows, self._a_pivots
         free = sorted(set(range(dim)).difference(pivots))
         # the rows are reduced: a vector of A has its coordinates at the pivots
         on_a = ctx.matmul(rows, x.T)[:, pivots].T
@@ -131,7 +110,7 @@ def splits(triple: ExactTriple) -> bool:
     determine it, so this holds iff rank N_B^j = rank N_A^j + rank N_C^j
     for every j.
     """
-    ranks = _power_ranks(triple.b.ctx, triple.nil_stack(), triple.b.q)
+    ranks = linalg.power_ranks(triple.b.ctx, triple.nil_stack(), triple.b.q)
     return bool((ranks[:, 0] == ranks[:, 1] + ranks[:, 2]).all())
 
 
@@ -293,24 +272,29 @@ def random_cyclic_module(ctx, q: int, rng, max_dim: int = 10) -> CyclicModule:
         at += size
     while True:
         g = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(dim)]
-        if linalg.rank(ctx, g) == dim:
+        try:
+            g_inv = linalg.inverse(ctx, g)
             break
-    conj = linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, sigma), linalg.inverse(ctx, g))
+        except ValueError:  # singular: draw again
+            pass
+    conj = linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, sigma), g_inv)
     return CyclicModule(ctx=ctx, sigma=conj, q=q)
 
 
 def random_exact_triple(ctx, q: int, rng, max_dim: int = 10) -> ExactTriple:
-    """Random stable-subspace triple: generators closed under sigma."""
+    """Random stable-subspace triple: generators closed under sigma.
+
+    The sigma-closure of the generators G is the row space of
+    [G; G sigma^T; ...; G (sigma^T)^(q-1)], since sigma^q = 1; its reduced
+    rows, which are unique, are the basis of A.
+    """
     mod = random_cyclic_module(ctx, q, rng, max_dim)
     dim = mod.dim
     r = rng.randint(0, dim)
     gens = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(r)]
-    ech = linalg.RowEchelon(ctx, gens)
-    # close under sigma so the subspace is stable by construction
-    frontier = ech.rows()
-    sigma_tr = linalg.transpose(mod.sigma)
-    while frontier:
-        # row i of frontier * sigma^T is sigma applied to frontier row i
-        images = linalg.mat_mul(ctx, frontier, sigma_tr)
-        frontier = [res for res in map(ech.add, images) if any(res)]
-    return ExactTriple(b=mod, a_basis=ech.rows())
+    sigma_tr = np.array(mod.sigma, dtype=ctx.dtype).T
+    krylov = [ctx.array(gens).reshape(r, dim)]
+    for _ in range(q - 1):
+        krylov.append(ctx.matmul(krylov[-1], sigma_tr))
+    rows, pivots = linalg.rref(ctx, np.concatenate(krylov).tolist())
+    return ExactTriple(b=mod, a_basis=rows[: len(pivots)])

@@ -362,7 +362,10 @@ def test_periodic_cohomology_against_the_explicit_norm(p, q):
         dim = mod.dim
         aug = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
         norm = explicit_norm(mod)
-        assert norm == linalg.mat_pow(ctx, aug, q - 1)
+        power = linalg.identity(dim)
+        for _ in range(q - 1):
+            power = linalg.mat_mul(ctx, power, aug)
+        assert norm == power
         ker_aug = dim - linalg.rank(ctx, aug)
         want = [ker_aug, dim - linalg.rank(ctx, norm) - linalg.rank(ctx, aug),
                 ker_aug - linalg.rank(ctx, norm)]

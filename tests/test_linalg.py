@@ -89,33 +89,6 @@ def test_rank_transpose_property():
             assert linalg.rank(ctx, a) == linalg.rank(ctx, linalg.transpose(a))
 
 
-def test_mat_pow_matches_iterated_product():
-    a = [[1, 1], [0, 1]]
-    prod = linalg.identity(2)
-    for e in range(6):
-        assert linalg.mat_pow(F5, a, e) == prod
-        prod = linalg.mat_mul(F5, prod, a)
-
-
-def test_mat_pow_starts_at_the_first_needed_power(monkeypatch):
-    products = Counter()
-    mat_mul = linalg.mat_mul
-
-    def counting(ctx, x, y):
-        products["mat_mul"] += 1
-        return mat_mul(ctx, x, y)
-
-    monkeypatch.setattr(linalg, "mat_mul", counting)
-    a = [[1, 1], [0, 1]]
-    for e, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
-        products.clear()
-        assert linalg.mat_pow(F5, a, e) == [[1, e % 5], [0, 1]]
-        assert products["mat_mul"] == expected, e
-    power = linalg.mat_pow(F5, a, 1)
-    power[0][1] = 4
-    assert a == [[1, 1], [0, 1]]
-
-
 def test_row_echelon_incremental():
     ech = linalg.RowEchelon(F5)
     assert ech.add([0, 2, 4]) == [0, 1, 2]
@@ -137,7 +110,6 @@ def test_empty_shapes():
     assert linalg.mat_mul(F5, [], []) == []
     assert linalg.rank(F5, []) == 0
     assert linalg.nullspace(F5, []) == []
-    assert linalg.mat_pow(F5, [], 3) == []
 
 
 def random_code(rng, ctx, nonzero=False):
@@ -313,6 +285,67 @@ def test_stacked_matmul_is_one_product_per_member(name, rng, shape):
     assert shared.tolist() == [schoolbook(ctx, x, b[0]) for x in a]
 
 
+def random_nilpotent(rng, ctx, d):
+    """A random strictly lower triangular matrix conjugated by a random
+    invertible one: nilpotent, N^d = 0, with a random rank sequence."""
+    lower = [[random_code(rng, ctx) if j < i and rng.random() < 0.7 else 0 for j in range(d)]
+             for i in range(d)]
+    g = random_invertible(rng, ctx, d)
+    return schoolbook(ctx, schoolbook(ctx, g, lower), linalg.inverse(ctx, g))
+
+
+def one_rank_per_power(ctx, members):
+    # rank N^j for j = 1, 2, ... by one product and one rank per matrix and
+    # power, up to the first power at which every member vanishes
+    rows, powers = [], members
+    while any(x for power in powers for row in power for x in row):
+        rows.append([linalg.rank(ctx, power) for power in powers])
+        powers = [schoolbook(ctx, power, member) for power, member in zip(powers, members)]
+    return rows + [[0] * len(members)]
+
+
+POWER_FIELDS = ("GF2", "GF3", "GF4", "GF9")
+
+
+@pytest.mark.parametrize("name", POWER_FIELDS)
+@PROPERTY
+@given(rng=rngs, d=dims, batch=st.integers(1, 4))
+def test_power_ranks_match_one_rank_per_power(name, rng, d, batch):
+    ctx = FIELDS[name]
+    q = ctx.p
+    while q < d:  # the least power of p that kills every d by d nilpotent matrix
+        q *= ctx.p
+    members = [random_nilpotent(rng, ctx, d) for _ in range(batch)]
+    stack = np.array(members, dtype=ctx.dtype)
+    got = linalg.power_ranks(ctx, stack, q)
+    assert got.tolist() == one_rank_per_power(ctx, members)
+    assert stack.tolist() == members  # the stack is left as it was
+
+
+@pytest.mark.parametrize("name", POWER_FIELDS)
+def test_power_ranks_refuse_a_nonzero_qth_power(name):
+    ctx = FIELDS[name]
+    p = ctx.p
+    message = "generator matrix does not have the declared order"
+    # a shift of size p has N^(p-1) != 0 = N^p; one size more and N^p != 0
+    shift = np.eye(p, k=-1, dtype=ctx.dtype)
+    assert linalg.power_ranks(ctx, shift[None], p)[:, 0].tolist() == list(range(p - 1, -1, -1))
+    longer = np.eye(p + 1, k=-1, dtype=ctx.dtype)
+    with pytest.raises(ValueError, match=message):
+        linalg.power_ranks(ctx, longer[None], p)
+    # one bad member refuses the whole stack, and N = 1 is not nilpotent at all
+    padded = np.zeros((2, p + 1, p + 1), dtype=ctx.dtype)
+    padded[0, :p, :p], padded[1] = shift, longer
+    with pytest.raises(ValueError, match=message):
+        linalg.power_ranks(ctx, padded, p)
+    with pytest.raises(ValueError, match=message):
+        linalg.power_ranks(ctx, np.eye(2, dtype=ctx.dtype)[None], p * p)
+    # empty and all-zero stacks: one row, of zeros
+    assert linalg.power_ranks(ctx, np.zeros((0, 3, 3), dtype=ctx.dtype), p).shape == (1, 0)
+    assert linalg.power_ranks(ctx, np.zeros((2, 0, 0), dtype=ctx.dtype), p).tolist() == [[0, 0]]
+    assert linalg.power_ranks(ctx, np.zeros((3, 2, 2), dtype=ctx.dtype), p).tolist() == [[0] * 3]
+
+
 def sympy_matrix(ctx, a, cols):
     matrices = pytest.importorskip("sympy.polys.matrices")
     from sympy import GF
@@ -352,16 +385,24 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
 
     def guard(name, fn):
         def wrapper(ctx, *args):
-            # mat_pow's exponent is the one argument that is not a matrix
-            assert all(isinstance(m, list) for m in args if not isinstance(m, int)), name
+            assert all(isinstance(m, list) for m in args), name
             calls[name] += 1
             return fn(ctx, *args)
 
         return wrapper
 
-    names = ("rref", "rank", "nullspace", "mat_mul", "mat_add", "mat_sub", "mat_pow")
+    def unused(name):
+        def wrapper(*args):
+            raise AssertionError(f"RowEchelon.{name} called")
+
+        return wrapper
+
+    names = ("rref", "rank", "nullspace", "mat_mul", "mat_add", "mat_sub")
     for name in names:
         monkeypatch.setattr(linalg, name, guard(name, getattr(linalg, name)))
+    # the library spans with rref: RowEchelon is the tests' reference only
+    for name in ("add", "reduce"):
+        monkeypatch.setattr(linalg.RowEchelon, name, unused(name))
     cov = cohom.cached_cover(3, 2)
     assert cohom.h1_lattice(cov, 0).dim == 2
     assert cohom.d_image_rank(cov) == 1
@@ -378,6 +419,10 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     triple = modrep.ExactTriple(b=mod, a_basis=[[1, 0, 0], [0, 1, 0]])
     assert not modrep.splits(triple)
     assert not modrep.invariants_additive(triple)
+    # random triples span the sigma-closure of their generators by rref
+    for q, ctx in ((9, FieldCtx(3)), (4, F4)):
+        triple = modrep.random_exact_triple(ctx, q, random.Random(q))
+        assert triple.a_dim + triple.c_dim == triple.b.dim
     # no src path on this tour adds matrices, modules form N on code arrays,
     # and the lattice dimensions are ranks of residue blocks, with no kernel basis
     assert set(names) - {"mat_add", "mat_sub", "nullspace"} <= set(calls)
