@@ -113,9 +113,9 @@ def build(p: int, n: int, prec: int) -> "LocalCover":
     ctx = FieldCtx(p)
     one = LaurentSeries.one(ctx, prec)
     t_n = LaurentSeries.monomial(ctx, n, prec)
-    sigma_t = (one + t_n).nth_root(n).invert().shift(1)
+    sigma_t = (one + t_n).nth_root(-n).shift(1)
     t_big = LaurentSeries.monomial(ctx, n * (p - 1), prec)
-    x_t = (one - t_big).nth_root(n).invert().shift(p)
+    x_t = (one - t_big).nth_root(-n).shift(p)
     return LocalCover(p=p, n=n, prec=prec, ctx=ctx, sigma_t=sigma_t, x_t=x_t)
 
 

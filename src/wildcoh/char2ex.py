@@ -253,19 +253,6 @@ def ramification_order(g: AutTriple, prec: int = DEFAULT_PREC) -> int:
     return diff.valuation()
 
 
-def conjugacy_classes() -> list[list[AutTriple]]:
-    elements = enumerate_group()
-    remaining = set(elements)
-    classes = []
-    for g in elements:
-        if g not in remaining:
-            continue
-        cls = {compose(compose(h, g), inverse(h)) for h in elements}
-        classes.append(sorted(cls))
-        remaining -= cls
-    return classes
-
-
 @dataclass
 class FiltrationReport:
     """Ramification filtration at infinity plus structural certificates."""

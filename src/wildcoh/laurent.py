@@ -8,7 +8,9 @@ t**prec.  Coefficients are field codes (see wildcoh.gf); dense storage is
 deliberate, every window this library needs stays within a few hundred
 terms.  Inverses, powers and roots of a unit u(t) = v(t^s), with s the gcd
 of the exponents carrying a digit, are computed on the code array of v's
-digits and spread back; only the result becomes a series.
+digits and spread back; only the result becomes a series.  One Newton
+iteration, for v^(-1/n), serves them all: n = 1 is the inverse, and a
+negative root index reads v^(-1/n) off directly.
 """
 
 from __future__ import annotations
@@ -50,19 +52,23 @@ def power_digits(ctx: FieldCtx, a: np.ndarray, e: int, length: int) -> np.ndarra
         base = _convolve(ctx, base, base, length)
 
 
-def _inverse_digits(ctx: FieldCtx, u: np.ndarray, length: int) -> np.ndarray:
-    """The first ``length`` digits of 1/u for a code array u with u[0] != 0."""
-    # Newton: h <- h - h (u h - 1) doubles the digits of h = u^(-1) known;
-    # u h - 1 vanishes below t^k, so only its digits k .. k2 are formed
+def _inverse_root_digits(ctx: FieldCtx, u: np.ndarray, n: int, length: int) -> np.ndarray:
+    """The first ``length`` digits of u^(-1/n) for a code array u and n >= 1.
+
+    n = 1 gives the inverse of any unit u; n > 1 needs u[0] = 1 and gives
+    the root with constant term 1.
+    """
+    # Newton: h <- h + h (1 - u h^n) / n doubles the digits of h known;
+    # u h^n - 1 vanishes below t^k, so only its digits k .. k2 are formed
     h = np.zeros(length, dtype=ctx.dtype)
     h[0] = ctx.inv(int(u[0]))
-    minus_one = ctx.neg(1)
+    neg_n_inv = ctx.neg(ctx.inv(ctx.embed(n)))
     k = 1
     while k < length:
         k2 = min(2 * k, length)
-        err = _convolve(ctx, u[:k2], h[:k], k2)[k:]
+        err = _convolve(ctx, u[:k2], power_digits(ctx, h[:k], n, k2), k2)[k:]
         corr = _convolve(ctx, h[:k], err, k2 - k)
-        h[k : k + len(corr)] = ctx.mul_array(minus_one, corr)
+        h[k : k + len(corr)] = ctx.mul_array(neg_n_inv, corr)
         k = k2
     return h
 
@@ -258,7 +264,7 @@ class LaurentSeries:
             )
         step, unit, length = self._decimated()
         # f = t^val u(t^s)  =>  1/f = t^(-val) u^(-1)(t^s), known mod t^(prec - 2 val)
-        inverse = _inverse_digits(self.ctx, unit, length)
+        inverse = _inverse_root_digits(self.ctx, unit, 1, length)
         return _spread(self.ctx, inverse, step, -self.val, self.prec - 2 * self.val)
 
     def __pow__(self, e: int) -> "LaurentSeries":
@@ -273,7 +279,7 @@ class LaurentSeries:
         # f^e = t^(e val) v^e(t^s): square and multiply on the decimated unit
         step, unit, length = self._decimated()
         if e < 0:
-            unit = _inverse_digits(ctx, unit, length)
+            unit = _inverse_root_digits(ctx, unit, 1, length)
         digits = power_digits(ctx, unit, abs(e), length)
         return _spread(ctx, digits, step, e * self.val, rel + e * self.val)
 
@@ -314,40 +320,34 @@ class LaurentSeries:
         return result
 
     def nth_root(self, n: int) -> "LaurentSeries":
-        """Deterministic n-th root by inverse-root Newton on the decimated unit (gcd(n, p) = 1).
+        """Deterministic n-th root by inverse-root Newton on the decimated unit.
 
-        The branch is fixed by gf's enumeration-order root of the leading
-        coefficient together with the unit-part root normalized to constant
-        term 1.
+        n != 0 and gcd(n, p) = 1; a negative n gives the inverse of the
+        |n|-th root with no inversion.  The branch is fixed by gf's
+        enumeration-order root of the leading coefficient together with the
+        unit-part root normalized to constant term 1.
         """
         ctx = self.ctx
-        if n < 1:
-            raise ValueError("root index must be positive")
+        if n == 0:
+            raise ValueError("root index must be nonzero")
         if n == 1:
             return self
-        if gcd(n, ctx.p) != 1:
+        m = abs(n)
+        if gcd(m, ctx.p) != 1:
             raise ValueError(f"root index {n} not coprime to characteristic {ctx.p}")
         if self.is_zero:
             raise ValueError("n-th root of a series that is 0 mod t^prec")
-        if self.val % n != 0:
+        if self.val % m != 0:
             raise ValueError(f"valuation {self.val} not divisible by root index {n}")
-        lead_root = ctx.nth_root(self.coeffs[0], n)  # may raise NoRootError
+        lead_root = ctx.nth_root(self.coeffs[0], m)  # may raise NoRootError
         step, unit, length = self._decimated()
         w = ctx.mul_array(ctx.inv(self.coeffs[0]), unit)  # constant term 1
-        neg_n_inv = ctx.neg(ctx.inv(ctx.embed(n)))
-        # inverse-root Newton: h <- h + h (1 - w h^n) / n doubles the digits
-        # of h = w^(-1/n) known; w h^n - 1 vanishes below t^k, so only its
-        # digits k .. k2 are formed
-        h = np.zeros(length, dtype=ctx.dtype)
-        h[0] = 1
-        k = 1
-        while k < length:
-            k2 = min(2 * k, length)
-            err = _convolve(ctx, w[:k2], power_digits(ctx, h[:k], n, k2), k2)[k:]
-            corr = _convolve(ctx, h[:k], err, k2 - k)
-            h[k : k + len(corr)] = ctx.mul_array(neg_n_inv, corr)
-            k = k2
-        unit_root = ctx.mul_array(lead_root, _inverse_digits(ctx, h, length))
+        unit_root = _inverse_root_digits(ctx, w, m, length)  # w^(-1/m)
+        if n > 0:
+            unit_root = _inverse_root_digits(ctx, unit_root, 1, length)
+        else:
+            lead_root = ctx.inv(lead_root)
+        unit_root = ctx.mul_array(lead_root, unit_root)
         root = _spread(ctx, unit_root, step, self.val // n, self.prec - self.val + self.val // n)
         if not (root ** n).agrees(self):
             raise ArithmeticError("Newton n-th root failed to verify")  # pragma: no cover

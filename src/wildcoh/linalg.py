@@ -54,10 +54,6 @@ def mat_sub(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
     return [[sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list (deterministic)."""
     if not a or not a[0]:

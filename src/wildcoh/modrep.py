@@ -25,6 +25,8 @@ from wildcoh import linalg
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 
+MAX_DIM = 10  # dimension bound of the random modules drawn for criterion 8
+
 
 def block_decomposition(mod: CyclicModule) -> Counter:
     """Multiset of Jordan block sizes of the generator (unipotent, order q)."""
@@ -252,13 +254,13 @@ def average_section(
     return averaged
 
 
-def random_cyclic_module(ctx, q: int, rng, max_dim: int = 10) -> CyclicModule:
+def random_cyclic_module(ctx, q: int, rng) -> CyclicModule:
     """Random module: a random block shape conjugated by a random invertible map."""
     blocks = []
     dim = 0
-    while not blocks or (dim < max_dim and rng.random() < 0.6):
+    while not blocks or (dim < MAX_DIM and rng.random() < 0.6):
         size = rng.randint(1, q)
-        if dim + size > max_dim:
+        if dim + size > MAX_DIM:
             break
         blocks.append(size)
         dim += size
@@ -281,14 +283,14 @@ def random_cyclic_module(ctx, q: int, rng, max_dim: int = 10) -> CyclicModule:
     return CyclicModule(ctx=ctx, sigma=conj, q=q)
 
 
-def random_exact_triple(ctx, q: int, rng, max_dim: int = 10) -> ExactTriple:
+def random_exact_triple(ctx, q: int, rng) -> ExactTriple:
     """Random stable-subspace triple: generators closed under sigma.
 
     The sigma-closure of the generators G is the row space of
     [G; G sigma^T; ...; G (sigma^T)^(q-1)], since sigma^q = 1; its reduced
     rows, which are unique, are the basis of A.
     """
-    mod = random_cyclic_module(ctx, q, rng, max_dim)
+    mod = random_cyclic_module(ctx, q, rng)
     dim = mod.dim
     r = rng.randint(0, dim)
     gens = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(r)]

@@ -21,6 +21,10 @@ def cover(p, n, w=None):
     return ascover.build(p, n, ascover.recommended_precision(p, n, w))
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def sigma_of(win):
     # sigma = 1 + N, as a list of rows of codes
     return [[(x + (r == c)) % win.p for c, x in enumerate(row)]
@@ -92,7 +96,7 @@ def test_window_triangular_with_unit_diagonal():
             assert sigma[row][col] == 0
     # top basis vector is fixed: sigma(t^(a-1)) = t^(a-1) mod t^a
     top = win.unit_vector(win.a - 1)
-    assert linalg.mat_mul(win.ctx, [top], linalg.transpose(sigma)) == [top]
+    assert linalg.mat_mul(win.ctx, [top], transpose(sigma)) == [top]
     assert is_fixed(win, top)
 
 
@@ -101,10 +105,10 @@ def test_window_constant_appears_only_above_cutoff():
     # sigma(t^-2) = t^-2 + 1: with a = 0 the +1 is truncated away...
     win0 = cov.window(0, -4)
     t_minus_2 = win0.unit_vector(-2)
-    assert linalg.mat_mul(win0.ctx, [t_minus_2], linalg.transpose(sigma_of(win0))) == [t_minus_2]
+    assert linalg.mat_mul(win0.ctx, [t_minus_2], transpose(sigma_of(win0))) == [t_minus_2]
     # ...with a = 1 the constant 1 shows up
     win1 = cov.window(1, -4)
-    [image] = linalg.mat_mul(win1.ctx, [win1.unit_vector(-2)], linalg.transpose(sigma_of(win1)))
+    [image] = linalg.mat_mul(win1.ctx, [win1.unit_vector(-2)], transpose(sigma_of(win1)))
     expected = [a + b for a, b in zip(win1.unit_vector(-2), win1.unit_vector(0))]
     assert image == expected
 
@@ -273,6 +277,23 @@ def test_corrupted_sigma_fails_order_check(exp):
     for _ in range(bad.p - 1):
         s = s.substitute(bad.sigma_t)
     assert not s.agrees(LaurentSeries.monomial(bad.ctx, 1, s.prec))
+
+
+def test_build_matches_the_inverted_root():
+    # reference: the n-th root, then its inverse
+    for p in (2, 3, 5, 13, 101):
+        for n in (1, 2, 3, 4, 7, 10):
+            if n % p == 0:
+                continue
+            for prec in (n * p + p + 1, n * p + p + 8, ascover.recommended_precision(p, n)):
+                cov = ascover.build(p, n, prec)
+                one = LaurentSeries.one(cov.ctx, prec)
+                t_n = LaurentSeries.monomial(cov.ctx, n, prec)
+                t_big = LaurentSeries.monomial(cov.ctx, n * (p - 1), prec)
+                sigma_t = (one + t_n).nth_root(n).invert().shift(1)
+                x_t = (one - t_big).nth_root(n).invert().shift(p)
+                for got, want in ((cov.sigma_t, sigma_t), (cov.x_t, x_t)):
+                    assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
 
 
 # (p, n) from the smallest field to p = 101, with n below, near and above p

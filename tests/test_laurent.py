@@ -146,6 +146,12 @@ def test_nth_root_preconditions():
         LaurentSeries.one(F3, 8).nth_root(3)  # index divisible by p
     with pytest.raises(ValueError):
         LaurentSeries.zero(F3, 8).nth_root(2)
+    with pytest.raises(ValueError, match="nonzero"):
+        LaurentSeries.one(F3, 8).nth_root(0)
+    with pytest.raises(ValueError, match="not coprime"):
+        LaurentSeries.one(F3, 8).nth_root(-3)  # index divisible by p
+    with pytest.raises(ValueError, match="not divisible"):
+        LaurentSeries.monomial(F3, 1, 8).nth_root(-2)
 
 
 def test_double_inversion_roundtrip():
@@ -279,6 +285,26 @@ def test_stepped_nth_root_matches_dense_newton():
     assert same_series(f.nth_root(2), dense_newton_root(f, 2))
 
 
+def test_negative_root_index_is_the_inverted_root():
+    # reference: the |n|-th root, then its inverse; stepped and dense units
+    rng = random.Random(73)
+    leads = set()
+    draws = [d for d in stepped_draws(73, 2) if d[0] is not F101]
+    draws += [(ctx, 1, random_series(ctx, rng, 30, unit=True)) for ctx in (F3, F4, F9)
+              for _ in range(6)]
+    for ctx, _, f in draws:
+        for n in (1, 2, 4, 5, 7):
+            if gcd(n, ctx.p) != 1:
+                continue
+            # a leading digit with an n-th root, at a valuation divisible by n
+            lead = ctx.pow(rng.randrange(1, ctx.q), n)
+            val = n * rng.randint(-2, 1)
+            g = LaurentSeries(ctx, val, (lead,) + f.coeffs[1:], val + f.prec - f.val)
+            assert same_series(g.nth_root(-n), g.nth_root(n).invert())
+            leads.add((lead, val < 0))
+    assert any(lead != 1 for lead, _ in leads) and any(neg for _, neg in leads)
+
+
 def test_constructor_keeps_its_invariants():
     # nothing at or above prec, a nonzero leading digit, no trailing zeros
     for val, coeffs, prec, want in [
@@ -314,6 +340,7 @@ SERIES_OPS = {
     ),
     "pow": (lambda f, e, n: f ** e, lambda f, e, n: f.prec + (e - 1) * f.val),
     "nth_root": (lambda f, e, n: f.nth_root(n), lambda f, e, n: f.prec),
+    "nth_root_negative": (lambda f, e, n: f.nth_root(-n), lambda f, e, n: f.prec),
     "derivative": (lambda f, e, n: f.derivative(), lambda f, e, n: f.prec - 1),
 }
 
@@ -334,7 +361,7 @@ def test_op_is_stable_under_added_precision(op, field, val, digits, extra, e, n)
     apply, documented = SERIES_OPS[op]
     coeffs = [d % field.q for d in digits]
     coeffs[0] = coeffs[0] or 1
-    if op == "nth_root":  # a unit with constant term 1, index coprime to p
+    if op.startswith("nth_root"):  # a unit with constant term 1, index coprime to p
         assume(gcd(n, field.p) == 1)
         val, coeffs[0] = 0, 1
     prec = val + len(coeffs)

@@ -20,6 +20,10 @@ F2 = FieldCtx(2)
 F3 = FieldCtx(3)
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def local_rank_mod_p(matrix, p):
     # test-local elimination, kept independent of wildcoh.linalg
     m = [row[:] for row in matrix]
@@ -97,14 +101,14 @@ def reduce_formula_sigmas(triple):
     ctx, sigma = triple.b.ctx, triple.b.sigma
     ech = linalg.RowEchelon(ctx, triple.a_basis)
     pivots = ech.pivots()
-    images = linalg.mat_mul(ctx, ech.rows(), linalg.transpose(sigma)) if pivots else []
-    sigma_a = linalg.transpose([[image[pc] for pc in pivots] for image in images])
+    images = linalg.mat_mul(ctx, ech.rows(), transpose(sigma)) if pivots else []
+    sigma_a = transpose([[image[pc] for pc in pivots] for image in images])
     free = [c for c in range(triple.b.dim) if c not in pivots]
     sigma_c = []
     for fc in free:
         image = ech.reduce([row[fc] for row in sigma])
         sigma_c.append([image[c] for c in free])
-    return sigma_a, linalg.transpose(sigma_c)
+    return sigma_a, transpose(sigma_c)
 
 
 def frontier_closure_triple(ctx, q, rng, max_dim=10):
@@ -135,7 +139,7 @@ def frontier_closure_triple(ctx, q, rng, max_dim=10):
     ech = linalg.RowEchelon(ctx, gens)
     frontier = ech.rows()
     while frontier:
-        images = linalg.mat_mul(ctx, frontier, linalg.transpose(conj))
+        images = linalg.mat_mul(ctx, frontier, transpose(conj))
         frontier = [res for res in map(ech.add, images) if any(res)]
     return conj, ech.rows()
 
@@ -318,7 +322,7 @@ def _assert_no_stable_complement(ctx, sigma, a_basis, dim, a_dim):
             continue
         if linalg.RowEchelon(ctx, a_basis + [vectors[i], vectors[j]]).rank != dim:
             continue
-        images = linalg.mat_mul(ctx, [vectors[i], vectors[j]], linalg.transpose(sigma))
+        images = linalg.mat_mul(ctx, [vectors[i], vectors[j]], transpose(sigma))
         if all(space.contains(image) for image in images):
             raise AssertionError("a stable complement exists after all")
 
