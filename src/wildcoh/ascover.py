@@ -64,6 +64,11 @@ def _class_layout(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows * size + cols, cols * (len(ks) + 1) + ks[at]
 
 
+def _x_powers(p: int, lo: int, a: int) -> range:
+    """The j with lo <= p*j < a: the powers of x a window [lo, a) holds."""
+    return range(-(-lo // p), (a - 1) // p + 1)
+
+
 def class_blocks(mat: np.ndarray, n: int, row_first: int, col_first: int,
                  col_step: int = 1) -> np.ndarray:
     """The blocks of mat by residue class mod n, as one zero-padded (n, r, c) array.
@@ -236,18 +241,30 @@ class LocalCover:
         return LaurentSeries(self.ctx, lo, out.tolist(), hi)
 
     def window(self, a: int, lo: int) -> "LatticeWindow":
-        """Matrix of N = sigma - 1 mod t^a on the basis t^lo .. t^(a-1)."""
+        """Matrix of N = sigma - 1 mod t^a on the basis t^lo .. t^(a-1), with its x-image."""
         if lo >= a:
             raise ValueError("window requires lo < a")
         if self.prec < a - lo:
             raise InsufficientPrecisionError(f"cover precision {self.prec} < window span {a - lo}")
-        size = a - lo
-        entries, places = _class_layout(size, self.n)
+        p, n, size = self.p, self.n, a - lo
+        js, depth = _x_powers(p, lo, a), (size - 1) // n + 1
+        entries, places = _class_layout(size, n)
+        # one table: the rows t^lo .. t^(a-1) for N, then the rows of the x^j;
+        # x^j steps by n(p-1) >= n, so the depth of N covers its digits too
+        table = self.binomials([*range(lo, a), *js], depth)
         nil = np.zeros((size, size), dtype=self.ctx.dtype)
         # sigma(t^i) - t^i has the coefficient binom(-i/n, k) at t^(i + nk), k >= 1
-        table = self.binomials(range(lo, a), (size - 1) // self.n + 1)
-        nil.ravel()[entries] = table.ravel()[places]
-        return LatticeWindow(cover=self, a=a, lo=lo, nil=nil)
+        nil.ravel()[entries] = table[:size].ravel()[places]
+        # x^j has the coefficient (-1)^k binom(-j/n, k) at t^(pj + n(p-1)k).  The
+        # series x^j is known below t^(prec + pj), and prec >= a - lo with
+        # pj >= lo puts every digit the window reads there.
+        digits = table[size:]
+        digits[:, 1::2] = -digits[:, 1::2] % p
+        at = p * np.arange(js.start, js.stop)[:, None] - lo + n * (p - 1) * np.arange(depth)
+        rows, ks = np.nonzero(at < size)
+        x_image = np.zeros((len(js), size), dtype=self.ctx.dtype)
+        x_image[rows, at[rows, ks]] = digits[rows, ks]
+        return LatticeWindow(cover=self, a=a, lo=lo, nil=nil, x_image=x_image)
 
 
 @dataclass
@@ -255,12 +272,15 @@ class LatticeWindow:
     """Finite slice span{t^i : lo <= i < a} with the matrix of sigma - 1 mod t^a.
 
     ``nil`` is the strictly lower triangular code array N; sigma = 1 + N.
+    ``x_image`` row r holds the coordinates of x^j, j = x_powers[r],
+    truncated to the window.
     """
 
     cover: LocalCover
     a: int
     lo: int
     nil: np.ndarray
+    x_image: np.ndarray
 
     @property
     def p(self) -> int:
@@ -278,36 +298,9 @@ class LatticeWindow:
     def size(self) -> int:
         return self.a - self.lo
 
-    def unit_vector(self, exp: int) -> list[int]:
-        if not self.lo <= exp < self.a:
-            raise ValueError(f"exponent {exp} outside window [{self.lo}, {self.a})")
-        vec = [0] * self.size
-        vec[exp - self.lo] = 1
-        return vec
-
-    def x_truncation(self, j: int) -> list[int]:
-        """Coordinates of x**j truncated to the window (requires p*j >= lo)."""
-        return self.x_truncations([j])[0]
-
-    def x_truncations(self, js: Sequence[int]) -> list[list[int]]:
-        """x_truncation(j) for every j in a nonempty js, from one table of binomials."""
-        p, lo, size = self.p, self.lo, self.size
-        low = p * min(js)  # the lowest power binds both limits
-        if low < lo:
-            raise ValueError(f"x^{min(js)} has valuation {low} below the window")
-        if self.cover.prec + low < self.a:
-            raise InsufficientPrecisionError("cover precision too small for x-power")
-        # x^j has the coefficient (-1)^k binom(-j/n, k) at t^(pj + n(p-1)k)
-        step = self.n * (p - 1)
-        table = self.cover.binomials(js, len(range(low - lo, size, step)))
-        table[:, 1::2] = -table[:, 1::2] % p
-        out = []
-        for j, row in zip(js, table.tolist()):
-            vec = [0] * size
-            for at, c in zip(range(p * j - lo, size, step), row):
-                vec[at] = c
-            out.append(vec)
-        return out
+    @property
+    def x_powers(self) -> range:
+        return _x_powers(self.p, self.lo, self.a)
 
     def class_stack(self) -> np.ndarray:
         """The blocks nil[r::n, r::n], zero-padded to one (n, b, b) code array.

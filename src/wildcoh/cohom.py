@@ -100,39 +100,30 @@ class CohomologyClassSet:
     """H^1 inside one window: ker N modulo the x-image, read as a count."""
 
     window: LatticeWindow
-    k_image: list[list[int]]
     dim: int
 
 
-def _x_powers(win: LatticeWindow) -> range:
-    """The j with lo <= p*j < a: the powers of x the window holds."""
-    return range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)
-
-
-def _x_image(win: LatticeWindow) -> list[list[int]]:
-    """Truncations of the powers x^j with p*j in the window, checked fixed and independent."""
-    js = _x_powers(win)
-    k_image = win.x_truncations(js)
-    rows = win.ctx.array(k_image)
-    # row i of K N^T is N applied to x^(js[i]): all of them in one product
+def _x_image(win: LatticeWindow) -> np.ndarray:
+    """The window's x-image, checked sigma-fixed and independent."""
+    rows = win.x_image
+    # row i of X N^T is N applied to x^(x_powers[i]): all of them in one product
     moved = win.ctx.matmul(rows, win.nil.T).any(axis=1)
-    for j, bad in zip(js, moved):
+    for j, bad in zip(win.x_powers, moved):
         if bad:
             raise ascover.NormalFormError(f"x^{j} truncation is not sigma-fixed")
     # x^j leads at t^(pj), so the rows have distinct nonzero leads: independent
     leads = (rows != 0).argmax(axis=1)
     if not rows.any(axis=1).all() or len(set(leads.tolist())) < len(rows):
         raise CertificateError("x-power truncations are not independent")
-    return k_image
+    return rows
 
 
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
     # dim ker N, summed over the residue blocks of N, all ranked in one pass
     fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack()))
-    k_image = _x_image(win)
     # the x-image is an independent subspace of ker N
-    return CohomologyClassSet(window=win, k_image=k_image, dim=fixed - len(k_image))
+    return CohomologyClassSet(window=win, dim=fixed - len(_x_image(win)))
 
 
 def _window_size(cov: LocalCover, w: int | None) -> int:
@@ -180,17 +171,18 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     """
     classes = h1_lattice(cov, a, w)
     win = classes.window
-    p, n = cov.p, cov.n
+    p, n, lo = cov.p, cov.n, win.lo
     exponents = [i for i in range(a - n, a) if i % p != 0]
-    monomials = [win.unit_vector(i) for i in exponents]
-    # column k of N M^T is N applied to t^(exponents[k]): all of them in one product
-    rows = win.ctx.array(monomials).reshape(len(monomials), win.size)
-    moved = win.ctx.matmul(win.nil, rows.T).any(axis=0)
+    at = [i - lo for i in exponents]
+    # column i - lo of N is N applied to t^i
+    moved = win.nil[:, at].any(axis=0)
     for i, bad in zip(exponents, moved):
         if bad:
             raise CertificateError(f"[t^{i}] is not sigma-fixed in the window")
-    k_image = classes.k_image
-    if linalg.rank(win.ctx, k_image + monomials) - len(k_image) != len(exponents):
+    units = np.eye(win.size, dtype=win.ctx.dtype)
+    x_image = win.x_image
+    stack = np.vstack([x_image, units[at]])
+    if linalg.rank(win.ctx, stack.tolist()) - len(x_image) != len(exponents):
         raise CertificateError("candidate monomial classes are not independent")
     if len(exponents) != classes.dim:
         raise CertificateError(
@@ -201,7 +193,7 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     for i in range(a - n, a):
         if i % p == 0:
             j = i // p
-            if win.x_truncation(j) != win.unit_vector(i):
+            if not np.array_equal(x_image[j - win.x_powers.start], units[i - lo]):
                 raise CertificateError(
                     f"x^{j} does not reduce [t^{i}]: truncations differ below t^{a}"
                 )
@@ -231,8 +223,8 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     src = cov.window(0, -w)
     _x_image(src)  # for its checks only: the source x-image lies in ker N
     tgt = cov.window(n + 1, -1 - w)  # its H^1 is read modulo its x-image
-    js = _x_powers(tgt)
-    x_cols = ctx.array(_x_image(tgt)).reshape(len(js), tgt.size).T
+    js = tgt.x_powers
+    x_cols = _x_image(tgt).T
     exps = np.arange(src.lo, src.a)
     image = exps + n - tgt.lo  # the target row of t^(e+n)
     unit = exps % p != 0

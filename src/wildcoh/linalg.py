@@ -8,9 +8,9 @@ kernel for every field.  There are two eliminations: ``rref`` gives the
 reduced rows of one matrix, and ``pivot_rows`` takes a stack of small
 matrices as one code array and finds the pivot rows of them all in one
 pass; ``ranks`` counts them, and ``power_ranks`` ranks every power of a
-stack of nilpotent matrices that way.  ``RowEchelon`` and the
-elementwise sums on Python lists serve the tests and callers outside
-the library.
+stack of nilpotent matrices that way.  ``RowEchelon`` serves the tests
+and callers outside the library; of the elementwise sums on Python
+lists, ``mat_add`` also serves ``modrep.average_section``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def unit_vector(win, exp):
+    return [int(i == exp) for i in range(win.lo, win.a)]
+
+
 def sigma_of(win):
     # sigma = 1 + N, as a list of rows of codes
     return [[(x + (r == c)) % win.p for c, x in enumerate(row)]
@@ -95,7 +99,7 @@ def test_window_triangular_with_unit_diagonal():
         for row in range(col):
             assert sigma[row][col] == 0
     # top basis vector is fixed: sigma(t^(a-1)) = t^(a-1) mod t^a
-    top = win.unit_vector(win.a - 1)
+    top = unit_vector(win, win.a - 1)
     assert linalg.mat_mul(win.ctx, [top], transpose(sigma)) == [top]
     assert is_fixed(win, top)
 
@@ -104,12 +108,12 @@ def test_window_constant_appears_only_above_cutoff():
     cov = cover(3, 2)
     # sigma(t^-2) = t^-2 + 1: with a = 0 the +1 is truncated away...
     win0 = cov.window(0, -4)
-    t_minus_2 = win0.unit_vector(-2)
+    t_minus_2 = unit_vector(win0, -2)
     assert linalg.mat_mul(win0.ctx, [t_minus_2], transpose(sigma_of(win0))) == [t_minus_2]
     # ...with a = 1 the constant 1 shows up
     win1 = cov.window(1, -4)
-    [image] = linalg.mat_mul(win1.ctx, [win1.unit_vector(-2)], transpose(sigma_of(win1)))
-    expected = [a + b for a, b in zip(win1.unit_vector(-2), win1.unit_vector(0))]
+    [image] = linalg.mat_mul(win1.ctx, [unit_vector(win1, -2)], transpose(sigma_of(win1)))
+    expected = [a + b for a, b in zip(unit_vector(win1, -2), unit_vector(win1, 0))]
     assert image == expected
 
 
@@ -123,11 +127,13 @@ def test_verify_order_reads_n_to_the_p():
     p = cov.p
     # a shift block of size p has N^(p-1) != 0 = N^p: order exactly p
     shift = np.eye(p, k=-1, dtype=np.int64)
-    ascover.LatticeWindow(cover=cov, a=p, lo=0, nil=shift).verify_order()
+    none = np.zeros((0, p), dtype=np.int64)  # the x-image plays no part
+    ascover.LatticeWindow(cover=cov, a=p, lo=0, nil=shift, x_image=none).verify_order()
     # one size more and N^p != 0: sigma has order p^2
     longer = np.eye(p + 1, k=-1, dtype=np.int64)
     with pytest.raises(ascover.NormalFormError, match="does not have order p"):
-        ascover.LatticeWindow(cover=cov, a=p + 1, lo=0, nil=longer).verify_order()
+        ascover.LatticeWindow(cover=cov, a=p + 1, lo=0, nil=longer,
+                              x_image=np.zeros((0, p + 1), dtype=np.int64)).verify_order()
 
 
 def test_window_power_of_nilpotent_part():
@@ -146,9 +152,10 @@ def test_x_truncations_are_fixed():
     for p, n in ((3, 2), (5, 3), (2, 5)):
         cov = cover(p, n)
         win = cov.window(0, -(n + p + 1))
-        j_lo = -(-win.lo // p)
-        for j in range(j_lo, 0):
-            assert is_fixed(win, win.x_truncation(j))
+        assert win.x_powers == range(-(-win.lo // p), 0)
+        assert len(win.x_image) == len(win.x_powers)
+        for row in win.x_image.tolist():
+            assert is_fixed(win, row)
 
 
 def test_build_preconditions():
@@ -322,9 +329,11 @@ def test_closed_form_matches_laurent_route(p, n):
         for col, i in enumerate(exps):
             want = [sigma_powers[i].coefficient(e) if e >= i else 0 for e in exps]
             assert [row[col] for row in sigma] == want
-        for j in range(-(-win.lo // p), (a - 1) // p + 1):
+        assert win.x_powers == range(-(-win.lo // p), (a - 1) // p + 1)
+        assert len(win.x_image) == len(win.x_powers)
+        for j, row in zip(win.x_powers, win.x_image.tolist()):
             x_j = cov.x_t ** j
-            assert win.x_truncation(j) == [x_j.coefficient(e) if e >= p * j else 0 for e in exps]
+            assert row == [x_j.coefficient(e) if e >= p * j else 0 for e in exps]
             x_powers.add(j)
     assert min(x_powers) < 0 < max(x_powers)
 
@@ -335,13 +344,9 @@ def test_closed_form_keeps_the_precision_limits():
     with pytest.raises(InsufficientPrecisionError):
         cov.window(0, -13)
     # x^-6 = t^-18 (1 - t^4)^3 = t^-18 (1 - t^12) in characteristic 3
-    assert cov.window(-6, -18).x_truncation(-6) == [1] + [0] * 11
-    # x^-6 is known below t^(12 - 18) only; cov.window cannot span this far
-    too_wide = ascover.LatticeWindow(cover=cov, a=0, lo=-18, nil=np.zeros((18, 18), np.int64))
-    with pytest.raises(InsufficientPrecisionError):
-        too_wide.x_truncation(-6)
-    with pytest.raises(ValueError):
-        too_wide.x_truncation(-7)
+    win = cov.window(-6, -18)
+    assert win.x_powers.start == -6
+    assert win.x_image[0].tolist() == [1] + [0] * 11
 
 
 def lucas_binomial(p, n, e, k):
@@ -431,12 +436,14 @@ def test_class_blocks_follow_the_exponent_labels():
 def test_window_kernel_rejects_a_matrix_linking_classes():
     cov = cover(3, 2)
     # N maps t^i to t^(i+2): blocks by residue mod n = 2, kernel t^2, t^3
-    within = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=np.eye(4, k=-2, dtype=np.int64))
+    none = np.zeros((0, 4), dtype=np.int64)  # the x-image plays no part
+    within = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=np.eye(4, k=-2, dtype=np.int64),
+                                   x_image=none)
     assert within.class_stack().tolist() == [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]
     assert linalg.ranks(cov.ctx, within.class_stack()) == [1, 1]
     # t^i -> t^(i+1) links the two classes; t^i -> t^(i-2) points upward
     for nil in (np.eye(4, k=-1, dtype=np.int64), np.eye(4, k=2, dtype=np.int64)):
-        win = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=nil)
+        win = ascover.LatticeWindow(cover=cov, a=4, lo=0, nil=nil, x_image=none)
         with pytest.raises(ascover.NormalFormError, match="positive multiple of n"):
             win.class_stack()
 

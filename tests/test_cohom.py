@@ -15,6 +15,10 @@ from wildcoh.laurent import InsufficientPrecisionError
 F3 = FieldCtx(3)
 
 
+def unit_vector(win, exp):
+    return [int(i == exp) for i in range(win.lo, win.a)]
+
+
 def test_h1_closed_form_values():
     assert cohom.h1_closed_form(3, 2, 0) == 2
     assert cohom.h1_closed_form(3, 1, 0) == 1
@@ -44,17 +48,12 @@ def test_kernel_is_x_image_plus_monomial_classes(p, n, a):
     # ker N = x-image (+) span{t^i : a-n <= i < a, p does not divide i}
     classes = cohom.h1_lattice(cohom.cached_cover(p, n), a)
     win = classes.window
-    monomials = [win.unit_vector(i) for i in range(a - n, a) if i % p]
+    monomials = [unit_vector(win, i) for i in range(a - n, a) if i % p]
     assert classes.dim == len(monomials) == cohom.h1_closed_form(p, n, a)
-    both = linalg.RowEchelon(win.ctx, classes.k_image + monomials)
-    assert both.rank == len(classes.k_image) + len(monomials)
+    both = linalg.RowEchelon(win.ctx, win.x_image.tolist() + monomials)
+    assert both.rank == len(win.x_image) + len(monomials)
     kernel = linalg.nullspace(win.ctx, win.nil.tolist())
     assert linalg.RowEchelon(win.ctx, kernel).rows() == both.rows()
-
-
-def x_powers_in(win):
-    """The j with lo <= p*j < a."""
-    return range(-(-win.lo // win.p), (win.a - 1) // win.p + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,7 +66,7 @@ def test_each_residue_class_adds_its_monomial_to_h1(p, n, data):
     a = data.draw(st.integers(-3, n + 4), label="a")
     w = data.draw(st.sampled_from([n + p + 1, n + 2 * p + 1]), label="w")
     win = cohom.cached_cover(p, n).window(a, a - w)
-    js = x_powers_in(win)
+    js = win.x_powers
     for r in range(n):
         block = win.nil[r::n, r::n].tolist()
         x_powers = sum((p * j - win.lo) % n == r for j in js)
@@ -90,12 +89,15 @@ def test_d_sends_the_source_x_image_into_the_target_x_image(p, n):
     cov = cohom.cached_cover(p, n)
     w = n + p + 1
     src, tgt = cov.window(0, -w), cov.window(n + 1, -1 - w)
-    js = x_powers_in(src)
-    target = linalg.RowEchelon(cov.ctx, tgt.x_truncations(x_powers_in(tgt)))
-    for j, vec in zip(js, src.x_truncations(js)):
+    target = linalg.RowEchelon(cov.ctx, tgt.x_image.tolist())
+    for j, vec in zip(src.x_powers, src.x_image.tolist()):
         image = d_map(src, tgt, vec)
         assert target.contains(image)
-        assert image == [-j * c % p for c in tgt.x_truncation(j + n)]
+        # x^(j+n) leads at t^(p(j+n)): past the target's top it truncates to zero
+        if j + n in tgt.x_powers:
+            assert image == [-j * c % p for c in tgt.x_image[j + n - tgt.x_powers.start].tolist()]
+        else:
+            assert not any(image)
 
 
 def test_basis_certificate_worked_cases():
@@ -105,7 +107,7 @@ def test_basis_certificate_worked_cases():
     # [t^0] dies against x^0 = 1 even though 0 is below the basis range
     classes = cohom.h1_lattice(cohom.cached_cover(3, 2), 3)
     win = classes.window
-    assert linalg.RowEchelon(win.ctx, classes.k_image).contains(win.unit_vector(0))
+    assert linalg.RowEchelon(win.ctx, win.x_image.tolist()).contains(unit_vector(win, 0))
 
     cert2 = cohom.h1_basis_certificate(cohom.cached_cover(2, 3), 0)
     assert cert2.monomial_exponents == [-3, -1]
@@ -128,9 +130,10 @@ def test_d_image_monomial_level_mapping():
     # t^-1 to -t (survives) for p = 3, n = 2
     cov = cohom.cached_cover(3, 2)
     model2 = cohom._lattice_model(cov, 3, 6 + 2 + 2)
-    ech = linalg.RowEchelon(model2.window.ctx, model2.k_image)
-    assert ech.contains(model2.window.unit_vector(0))
-    assert not ech.contains(model2.window.unit_vector(1))
+    win = model2.window
+    ech = linalg.RowEchelon(win.ctx, win.x_image.tolist())
+    assert ech.contains(unit_vector(win, 0))
+    assert not ech.contains(unit_vector(win, 1))
 
 
 def test_d_image_rank_builds_no_kernel(monkeypatch):
@@ -152,11 +155,11 @@ def basis_route_d_rank(cov, w):
     """Oracle: d applied to a kernel basis of N_src, ranked modulo the target x-image."""
     src, tgt = cov.window(0, -w), cov.window(cov.n + 1, -1 - w)
     kernel = linalg.nullspace(cov.ctx, src.nil.tolist())
-    k_image = tgt.x_truncations(x_powers_in(tgt))
+    x_image = tgt.x_image.tolist()
     image = [d_map(src, tgt, vec) for vec in kernel]
     if image:  # sigma-fixed: N_tgt sends every image to zero
         assert not any(map(any, linalg.mat_mul(cov.ctx, image, tgt.nil.T.tolist())))
-    return linalg.rank(cov.ctx, k_image + image) - len(k_image)
+    return linalg.rank(cov.ctx, x_image + image) - len(x_image)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,16 +195,18 @@ def test_window_size_precondition():
         cohom.d_image_rank(cov, w=2)
 
 
-def patch_x_truncations(monkeypatch, corrupt):
-    """Let corrupt(window, rows) edit every window's x-power truncations."""
-    x_truncations = ascover.LatticeWindow.x_truncations
+def patch_x_image(monkeypatch, corrupt):
+    """Let corrupt(window, rows) edit every window's x-image, read as a list of rows."""
+    window = ascover.LocalCover.window
 
-    def corrupted(self, js):
-        rows = x_truncations(self, js)
-        corrupt(self, rows)
-        return rows
+    def corrupted(self, a, lo):
+        win = window(self, a, lo)
+        rows = win.x_image.tolist()
+        corrupt(win, rows)
+        win.x_image = np.array(rows, dtype=win.ctx.dtype).reshape(len(rows), win.size)
+        return win
 
-    monkeypatch.setattr(ascover.LatticeWindow, "x_truncations", corrupted)
+    monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
 
 
 def test_x_image_raises_on_a_truncation_sigma_moves(monkeypatch):
@@ -209,7 +214,7 @@ def test_x_image_raises_on_a_truncation_sigma_moves(monkeypatch):
         moved = int(np.flatnonzero(win.nil.any(axis=0))[0])  # N t^moved != 0
         rows[0][moved] = (rows[0][moved] + 1) % win.p
 
-    patch_x_truncations(monkeypatch, perturb)
+    patch_x_image(monkeypatch, perturb)
     with pytest.raises(ascover.NormalFormError, match=r"^x\^-2 truncation is not sigma-fixed$"):
         cohom.h1_lattice(cohom.cached_cover(3, 2), 0)
 
@@ -222,7 +227,7 @@ def test_x_image_raises_on_dependent_truncations(monkeypatch, row):
     def repeat(win, rows):
         rows[-1] = row(rows)
 
-    patch_x_truncations(monkeypatch, repeat)
+    patch_x_image(monkeypatch, repeat)
     for run in (lambda cov: cohom.h1_lattice(cov, 1), cohom.d_image_rank):
         with pytest.raises(cohom.CertificateError,
                            match="^x-power truncations are not independent$"):
@@ -235,7 +240,7 @@ def test_h1_raises_when_the_widened_window_disagrees(monkeypatch):
         if win.size == 9:
             rows.pop()
 
-    patch_x_truncations(monkeypatch, drop)
+    patch_x_image(monkeypatch, drop)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^h1 window did not stabilize: dim 2 at W=6, 3 at W=9$"):
         cohom.h1_lattice(cohom.cached_cover(3, 2), 0, w=6)
@@ -247,9 +252,9 @@ def test_d_rank_raises_when_the_widened_window_disagrees(monkeypatch):
     # characteristic 3, since d(x^-3) = 3 x^-1
     def swap(win, rows):
         if win.a == 3 and win.size == 13:
-            rows[-2] = win.unit_vector(1)
+            rows[-2] = unit_vector(win, 1)
 
-    patch_x_truncations(monkeypatch, swap)
+    patch_x_image(monkeypatch, swap)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
         cohom.d_image_rank(cohom.cached_cover(3, 2))
@@ -259,7 +264,7 @@ def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch):
     cov = cohom.cached_cover(5, 3)
     w = cov.n + cov.p + 1
     source, target = cov.window(0, -w), cov.window(cov.n + 1, -1 - w)
-    x_support = np.array(source.x_truncations(x_powers_in(source))).any(axis=0)
+    x_support = source.x_image.any(axis=0)
     # a source exponent e off the source x-image whose image e t^(e+n) sigma moves
     e = next(e for e in range(-w, 0) if e % cov.p and not x_support[e + w]
              and target.nil[:, e + cov.n - target.lo].any())
@@ -281,9 +286,9 @@ def test_d_rank_refuses_an_x_power_outside_its_class(monkeypatch):
     # a fixed, independent target row in the wrong class must not be dropped
     def move(win, rows):
         if win.a == 3:
-            rows[-2] = win.unit_vector(2)
+            rows[-2] = unit_vector(win, 2)
 
-    patch_x_truncations(monkeypatch, move)
+    patch_x_image(monkeypatch, move)
     with pytest.raises(ascover.NormalFormError,
                        match="^lattice matrix links two exponent classes mod n$"):
         cohom.d_image_rank(cohom.cached_cover(3, 2))
@@ -293,9 +298,9 @@ def test_certificate_raises_on_a_monomial_in_the_x_image(monkeypatch):
     # x^1 replaced by the fixed top monomial t^2: [t^2] now dies in H^1
     def replace(win, rows):
         if len(rows) > 1:
-            rows[-1] = win.unit_vector(win.a - 1)
+            rows[-1] = unit_vector(win, win.a - 1)
 
-    patch_x_truncations(monkeypatch, replace)
+    patch_x_image(monkeypatch, replace)
     with pytest.raises(cohom.CertificateError,
                        match="^candidate monomial classes are not independent$"):
         cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 3)
@@ -306,7 +311,7 @@ def test_certificate_raises_when_h1_miscounts(monkeypatch):
         if len(rows) > 1:
             rows.pop()
 
-    patch_x_truncations(monkeypatch, drop)
+    patch_x_image(monkeypatch, drop)
     with pytest.raises(cohom.CertificateError,
                        match="^monomial classes span a space of dimension 2, "
                              "but H\\^1 has dimension 3$"):
@@ -320,10 +325,33 @@ def test_certificate_raises_when_an_x_power_misses_its_monomial(monkeypatch):
         for row in rows:
             row[-1] = (row[-1] + 1) % win.p
 
-    patch_x_truncations(monkeypatch, lift)
+    patch_x_image(monkeypatch, lift)
     with pytest.raises(cohom.CertificateError,
                        match=r"^x\^0 does not reduce \[t\^0\]: truncations differ below t\^2$"):
         cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 2)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 3), (101, 7)])
+def test_each_window_reads_one_binomial_table(monkeypatch, p, n):
+    # N and the x-image of a window come from one Lucas table: h1 builds two
+    # windows, the d-rank four, and the certificate, whose [t^0] vanishes at
+    # a = 1, reads only its h1 windows
+    cov = cohom.cached_cover(p, n)
+    calls = []
+    binomials = ascover.LocalCover.binomials
+
+    def counting(self, exps, count):
+        calls.append(count)
+        return binomials(self, exps, count)
+
+    monkeypatch.setattr(ascover.LocalCover, "binomials", counting)
+    counts = []
+    for run in (lambda: cohom.h1_lattice(cov, 1), lambda: cohom.d_image_rank(cov),
+                lambda: cohom.h1_basis_certificate(cov, 1)):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    assert counts == [2, 4, 2]
 
 
 def test_periodic_cohomology_trivial_module():
