@@ -167,9 +167,9 @@ class LocalCover:
         """sigma(t)**i from the closed form, to the precision prec + i of sigma_t**i."""
         n = self.n
         row = self.binomials([i], -(-self.prec // n))[0]  # the terms t^(i + nk) below prec + i
-        coeffs = [0] * ((len(row) - 1) * n + 1)
-        coeffs[::n] = row.tolist()
-        return LaurentSeries(self.ctx, i, coeffs, self.prec + i)
+        digits = np.zeros((len(row) - 1) * n + 1, dtype=self.ctx.dtype)
+        digits[::n] = row
+        return LaurentSeries(self.ctx, i, digits, self.prec + i)
 
     @cached_property
     def _sigma_step(self) -> int:
@@ -181,7 +181,7 @@ class LocalCover:
         """
         if self.sigma_t.is_zero or self.sigma_t.valuation() != 1:
             raise ValueError("substitution requires a series of valuation exactly 1")
-        return support_step(self.sigma_t.coeffs, 1)
+        return support_step(self.sigma_t.digits, 1)
 
     def _sigma_block(self, r: int, size: int) -> np.ndarray:
         """Block B[s, j] = coefficient of t^(r + j m) in sigma(t)**(r + s m), m the step.
@@ -199,7 +199,7 @@ class LocalCover:
             ctx = self.ctx
             rows = len(range(r, max(size, self.prec + self.p), m))
             unit = np.zeros(rows, dtype=ctx.dtype)  # v, read from sigma(t) / t
-            digits = self.sigma_t.coeffs[::m][:rows]
+            digits = self.sigma_t.digits[::m][:rows]
             unit[: len(digits)] = digits
             block = np.zeros((rows, rows), dtype=ctx.dtype)
             head = power_digits(ctx, unit, r, rows)
@@ -229,16 +229,16 @@ class LocalCover:
             raise ValueError("apply_sigma requires a series of valuation >= 0")
         hi = min(f.prec, self.sigma_t.prec + lo - 1)
         m = self._sigma_step
-        coeffs = np.array(f.coeffs[: hi - lo], dtype=self.ctx.dtype)
-        out = np.zeros(hi - lo, dtype=coeffs.dtype)
-        for r in sorted(set(((lo + np.flatnonzero(coeffs)) % m).tolist())):
+        coeffs = f.digits[: hi - lo]
+        out = np.zeros(hi - lo, dtype=self.ctx.dtype)
+        for r in sorted(set(((lo + coeffs.nonzero()[0]) % m).tolist())):
             block = self._sigma_block(r, hi)
             first = (r - lo) % m  # offset of the class's first exponent >= lo
             s = (lo + first) // m  # its row in the block
             digits = coeffs[first::m]
             cols = len(range(first, hi - lo, m))
             out[first::m] = self.ctx.matmul(digits, block[s : s + len(digits), s : s + cols])
-        return LaurentSeries(self.ctx, lo, out.tolist(), hi)
+        return LaurentSeries(self.ctx, lo, out, hi)
 
     def window(self, a: int, lo: int) -> "LatticeWindow":
         """Matrix of N = sigma - 1 mod t^a on the basis t^lo .. t^(a-1), with its x-image."""
@@ -362,10 +362,10 @@ def verify_normal_form(cov: LocalCover) -> NormalFormReport:
     jump_exp = p + n * (p - 1)
     if cov.x_t.valuation() != p or cov.x_t.coefficient(p) != 1:
         raise NormalFormError("x does not start with t^p")
-    for e in range(p + 1, jump_exp):
-        if cov.x_t.coefficient(e):
-            raise NormalFormError("x has spurious terms below the first correction")
-    if cov.x_t.coefficient(jump_exp) != ctx.inv(ctx.embed(n)):
+    if cov.x_t.digits[1 : jump_exp - p].any():
+        raise NormalFormError("x has spurious terms below the first correction")
+    # every digit below x_t.prec is stored: a short x_t raises at its first unknown exponent
+    if cov.x_t.coefficient(min(jump_exp, cov.x_t.prec)) != ctx.inv(ctx.embed(n)):
         raise NormalFormError("first correction of x is not (1/n) t^(p + n(p-1))")
     checked.append("x = t^p + (1/n) t^(p+n(p-1)) + ...")
 

@@ -1,16 +1,17 @@
 """Truncated Laurent series over a finite field, with explicit precision.
 
-A series is stored as (val, coeffs, prec): the coefficients from exponent
-``val`` upward, known modulo t**prec.  All operations propagate the
-minimum justified precision of their inputs and never fabricate digits;
-the leading stored coefficient is nonzero unless the series is 0 mod
-t**prec.  Coefficients are field codes (see wildcoh.gf); dense storage is
-deliberate, every window this library needs stays within a few hundred
-terms.  Inverses, powers and roots of a unit u(t) = v(t^s), with s the gcd
-of the exponents carrying a digit, are computed on the code array of v's
-digits and spread back; only the result becomes a series.  One Newton
-iteration, for v^(-1/n), serves them all: n = 1 is the inverse, and a
-negative root index reads v^(-1/n) off directly.
+A series is stored as (val, digits, prec): a read-only code array of the
+coefficients from exponent ``val`` upward, known modulo t**prec.  All
+operations propagate the minimum justified precision of their inputs and
+never fabricate digits; the first and last stored digits are nonzero, and
+the series 0 mod t**prec stores none.  Digits are field codes (see
+wildcoh.gf) and every operation is one array kernel of the field on them;
+dense storage is deliberate, every window this library needs stays within
+a few thousand terms.  Inverses, powers and roots of a unit u(t) = v(t^s),
+with s the gcd of the exponents carrying a digit, are computed on the
+digits of v and spread back.  One Newton iteration, for v^(-1/n), serves
+them all: n = 1 is the inverse, and a negative root index reads v^(-1/n)
+off directly.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ class InsufficientPrecisionError(ValueError):
     """An operation needs more stored digits than the series carries."""
 
 
-def _convolve(ctx: FieldCtx, a: Sequence[int], b: Sequence[int], out_len: int) -> np.ndarray:
-    """The first ``out_len`` digits of a * b as a code array; a and b are codes or code arrays."""
+def _convolve(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
+    """The first ``out_len`` digits of a * b for code arrays a and b."""
     if out_len <= 0 or len(a) == 0 or len(b) == 0:
         return np.zeros(0, dtype=ctx.dtype)
-    # coefficients are codes already: convert without reducing (arrays pass through)
-    a = np.asarray(a[:out_len], dtype=ctx.dtype)
-    b = np.asarray(b[:out_len], dtype=ctx.dtype)
-    return ctx.convolve(a, b, out_len)
+    return ctx.convolve(a[:out_len], b[:out_len], out_len)
 
 
 def power_digits(ctx: FieldCtx, a: np.ndarray, e: int, length: int) -> np.ndarray:
@@ -78,39 +76,34 @@ def _spread(ctx: FieldCtx, digits: np.ndarray, step: int, val: int, prec: int) -
     ceil((prec - val) / step) digits that this reads."""
     out = np.zeros(prec - val, dtype=ctx.dtype)
     out[: step * len(digits) : step] = digits
-    return LaurentSeries(ctx, val, out.tolist(), prec)
+    return LaurentSeries(ctx, val, out, prec)
 
 
-def support_step(coeffs: Sequence[int], length: int) -> int:
+def support_step(digits: np.ndarray, length: int) -> int:
     """gcd of the indices of the nonzero digits; ``length`` if only digit 0 is nonzero.
 
-    Digits with step s are those of v(t^s) for v = coeffs[::s].
+    Digits with step s are those of v(t^s) for v = digits[::s].
     """
-    step = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            step = gcd(step, i)
-            if step == 1:
-                break
-    return step or length
+    return int(np.gcd.reduce(digits.nonzero()[0])) or length
 
 
 class LaurentSeries:
     """Truncated Laurent series; immutable, combines only within one context."""
 
-    __slots__ = ("ctx", "val", "coeffs", "prec")
+    __slots__ = ("ctx", "val", "digits", "prec")
 
-    def __init__(self, ctx: FieldCtx, val: int, coeffs: Sequence[int], prec: int):
-        # keep the digits below t^prec, from the first nonzero to the last
-        end = max(0, min(len(coeffs), prec - val))
-        lead = 0
-        while lead < end and coeffs[lead] == 0:
-            lead += 1
-        while end > lead and coeffs[end - 1] == 0:
-            end -= 1
+    def __init__(self, ctx: FieldCtx, val: int, coeffs: Sequence[int] | np.ndarray, prec: int):
+        # a private copy of the digits below t^prec, from the first nonzero to the last
+        digits = np.array(coeffs[: max(0, prec - val)], dtype=ctx.dtype)
+        if len(digits) and not (digits[0] and digits[-1]):
+            nonzero = digits.nonzero()[0]
+            lead, end = (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
+            val += lead
+            digits = digits[lead:end]
+        digits.flags.writeable = False
         self.ctx = ctx
-        self.val = val + lead if lead < end else prec
-        self.coeffs = tuple(coeffs[lead:end])
+        self.val = val if len(digits) else prec
+        self.digits = digits
         self.prec = prec
 
     # -- constructors -----------------------------------------------------
@@ -141,8 +134,13 @@ class LaurentSeries:
     # -- inspection ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The digits as a tuple of Python ints."""
+        return tuple(self.digits.tolist())
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.digits)
 
     def valuation(self) -> int:
         if self.is_zero:
@@ -155,17 +153,18 @@ class LaurentSeries:
             raise InsufficientPrecisionError(
                 f"coefficient of t^{exp} requested beyond precision O(t^{self.prec})"
             )
-        if exp < self.val or exp >= self.val + len(self.coeffs):
-            return 0
-        return self.coeffs[exp - self.val]
+        i = exp - self.val
+        return int(self.digits[i]) if 0 <= i < len(self.digits) else 0
 
     def terms(self) -> dict[int, int]:
-        return {self.val + i: c for i, c in enumerate(self.coeffs) if c}
+        return {self.val + i: c for i, c in enumerate(self.digits.tolist()) if c}
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec > self.prec:
             raise InsufficientPrecisionError("cannot raise precision by truncation")
-        return LaurentSeries(self.ctx, self.val, self.coeffs, prec)
+        if prec == self.prec:
+            return self  # immutable, so nothing to copy
+        return LaurentSeries(self.ctx, self.val, self.digits, prec)
 
     def agrees(self, other: "LaurentSeries") -> bool:
         """Equality of the two series modulo the smaller precision."""
@@ -174,7 +173,7 @@ class LaurentSeries:
         m = min(self.prec, other.prec)
         a = self.truncate(m)
         b = other.truncate(m)
-        return a.val == b.val and a.coeffs == b.coeffs
+        return a.val == b.val and np.array_equal(a.digits, b.digits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -187,8 +186,7 @@ class LaurentSeries:
         if self.is_zero:
             return f"O(t^{self.prec})"
         parts = []
-        for e in sorted(self.terms()):
-            c = self.coefficient(e)
+        for e, c in self.terms().items():
             cs = "" if (c == 1 and e != 0) else f"{c}"
             if e == 0:
                 parts.append(f"{c}")
@@ -204,38 +202,35 @@ class LaurentSeries:
         if self.ctx != other.ctx:
             raise ValueError("series context mismatch")
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_ctx(other)
-        prec = min(self.prec, other.prec)
-        if self.is_zero and other.is_zero:
-            return LaurentSeries.zero(self.ctx, prec)
-        terms: dict[int, int] = {}
-        add = self.ctx.add
-        for e, c in self.terms().items():
-            if e < prec:
-                terms[e] = c
-        for e, c in other.terms().items():
-            if e < prec:
-                terms[e] = add(terms.get(e, 0), c)
-        return LaurentSeries.from_terms(self.ctx, terms, prec)
-
-    def __neg__(self) -> "LaurentSeries":
-        neg = self.ctx.neg
-        return LaurentSeries(self.ctx, self.val, [neg(c) for c in self.coeffs], self.prec)
+    def _aligned(self, lo: int, length: int) -> np.ndarray:
+        """The digits of t^lo .. t^(lo + length - 1), for lo <= val, as a new code array."""
+        out = np.zeros(length, dtype=self.ctx.dtype)
+        start = self.val - lo
+        digits = self.digits[: max(0, length - start)]
+        out[start : start + len(digits)] = digits
+        return out
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        self._check_ctx(other)
+        prec = min(self.prec, other.prec)
+        lo = min(self.val, other.val)
+        length = max(0, prec - lo)
+        diff = self.ctx.sub_array(self._aligned(lo, length), other._aligned(lo, length))
+        return LaurentSeries(self.ctx, lo, diff, prec)
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries(self.ctx, self.val, self.ctx.sub_array(0, self.digits), self.prec)
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self - (-other)
 
     def scale(self, c: int) -> "LaurentSeries":
         """Multiply by a field element given as a code."""
-        if c == 0:
-            return LaurentSeries.zero(self.ctx, self.prec)
-        mul = self.ctx.mul
-        return LaurentSeries(self.ctx, self.val, [mul(c, x) for x in self.coeffs], self.prec)
+        return LaurentSeries(self.ctx, self.val, self.ctx.mul_array(c, self.digits), self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t**k (exact reindexing)."""
-        return LaurentSeries(self.ctx, self.val + k, self.coeffs, self.prec + k)
+        return LaurentSeries(self.ctx, self.val + k, self.digits, self.prec + k)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_ctx(other)
@@ -245,16 +240,16 @@ class LaurentSeries:
             return LaurentSeries.zero(self.ctx, min(self.prec + v2, other.prec + v1))
         val = self.val + other.val
         prec = min(self.prec + other.val, other.prec + self.val)
-        out = _convolve(self.ctx, self.coeffs, other.coeffs, prec - val)
-        return LaurentSeries(self.ctx, val, out.tolist(), prec)
+        out = _convolve(self.ctx, self.digits, other.digits, prec - val)
+        return LaurentSeries(self.ctx, val, out, prec)
 
     def _decimated(self) -> tuple[int, np.ndarray, int]:
         """(s, v, length) with self = t^val v(t^s): s is the step of the digits,
         and v, a code array, is the unit known to the length = ceil((prec - val) / s)
         digits that determine self."""
         rel = self.prec - self.val
-        step = support_step(self.coeffs, rel)
-        return step, np.array(self.coeffs[::step], dtype=self.ctx.dtype), -(-rel // step)
+        step = support_step(self.digits, rel)
+        return step, self.digits[::step], -(-rel // step)
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse; requires the series to be nonzero mod t^prec."""
@@ -285,13 +280,10 @@ class LaurentSeries:
 
     def derivative(self) -> "LaurentSeries":
         """Term-wise d/dt; absolute precision drops by one."""
-        ctx = self.ctx
-        terms = {}
-        for e, c in self.terms().items():
-            f = ctx.mul(ctx.embed(e), c)
-            if f:
-                terms[e - 1] = f
-        return LaurentSeries.from_terms(ctx, terms, self.prec - 1)
+        # the integer e embeds as the code e mod p in every field
+        exps = np.arange(self.val, self.val + len(self.digits), dtype=self.ctx.dtype) % self.ctx.p
+        return LaurentSeries(self.ctx, self.val - 1, self.ctx.mul_array(exps, self.digits),
+                             self.prec - 1)
 
     def substitute(self, g: "LaurentSeries") -> "LaurentSeries":
         """Composition self(g) for g of valuation exactly 1.
@@ -307,7 +299,7 @@ class LaurentSeries:
             return LaurentSeries.zero(ctx, self.prec)
         wp = g.prec + abs(self.val) + 4
         acc = LaurentSeries.zero(ctx, wp)
-        hi = self.val + len(self.coeffs)
+        hi = self.val + len(self.digits)
         for e in range(hi - 1, self.val - 1, -1):
             acc = acc * g
             c = self.coefficient(e)
@@ -339,9 +331,10 @@ class LaurentSeries:
             raise ValueError("n-th root of a series that is 0 mod t^prec")
         if self.val % m != 0:
             raise ValueError(f"valuation {self.val} not divisible by root index {n}")
-        lead_root = ctx.nth_root(self.coeffs[0], m)  # may raise NoRootError
+        lead = int(self.digits[0])
+        lead_root = ctx.nth_root(lead, m)  # may raise NoRootError
         step, unit, length = self._decimated()
-        w = ctx.mul_array(ctx.inv(self.coeffs[0]), unit)  # constant term 1
+        w = ctx.mul_array(ctx.inv(lead), unit)  # constant term 1
         unit_root = _inverse_root_digits(ctx, w, m, length)  # w^(-1/m)
         if n > 0:
             unit_root = _inverse_root_digits(ctx, unit_root, 1, length)

@@ -240,9 +240,6 @@ def main_theorem_check(prof: RamificationProfile) -> MainTheoremVerdict:
     )
 
 
-def defect_by_linear_algebra(prof: RamificationProfile, w: int | None = None) -> int:
+def defect_by_linear_algebra(prof: RamificationProfile) -> int:
     """Defect as the sum of per-point differential-image ranks (no formulas)."""
-    total = 0
-    for n in prof.jumps:
-        total += cohom.d_image_rank(cohom.cached_cover(prof.p, n), w)
-    return total
+    return sum(cohom.d_image_rank(cohom.cached_cover(prof.p, n)) for n in prof.jumps)

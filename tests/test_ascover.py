@@ -77,6 +77,24 @@ def test_x_correction_valuation():
     assert diff.valuation() == 7  # p + n(p-1)
 
 
+def with_x(cov, x_t):
+    return ascover.LocalCover(p=cov.p, n=cov.n, prec=cov.prec, ctx=cov.ctx,
+                              sigma_t=cov.sigma_t, x_t=x_t)
+
+
+def test_verify_normal_form_reads_the_head_of_x():
+    cov = cover(5, 3)  # first correction at t^(p + n(p-1)) = t^17
+    # x + x^2 is sigma-invariant, but its t^10 lies below the first correction
+    with pytest.raises(ascover.NormalFormError, match="spurious terms below the first correction"):
+        ascover.verify_normal_form(with_x(cov, cov.x_t + cov.x_t ** 2))
+    # an x known only below t^9 raises at t^9, the first digit it lacks
+    with pytest.raises(InsufficientPrecisionError, match=r"t\^9 requested"):
+        ascover.verify_normal_form(with_x(cov, cov.x_t.truncate(9)))
+    # known below t^17 exactly: the correction itself is the first missing digit
+    with pytest.raises(InsufficientPrecisionError, match=r"t\^17 requested"):
+        ascover.verify_normal_form(with_x(cov, cov.x_t.truncate(17)))
+
+
 def test_invariant_differential_examples():
     for p, n in ((3, 1), (5, 2), (2, 3)):
         assert ascover.invariant_differential_check(cover(p, n))

@@ -5,15 +5,18 @@ the test itself: re-multiplication for inverses and roots, the Leibniz
 identity for derivatives, and homomorphy for substitution.
 """
 
+import json
 import random
+from functools import reduce
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wildcoh.gf import FieldCtx
-from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
+from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, support_step
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -342,6 +345,12 @@ SERIES_OPS = {
     "nth_root": (lambda f, e, n: f.nth_root(n), lambda f, e, n: f.prec),
     "nth_root_negative": (lambda f, e, n: f.nth_root(-n), lambda f, e, n: f.prec),
     "derivative": (lambda f, e, n: f.derivative(), lambda f, e, n: f.prec - 1),
+    "sub_unit": (
+        lambda f, e, n: f - LaurentSeries(f.ctx, 0, UNIT, UNIT_PREC),
+        lambda f, e, n: min(f.prec, UNIT_PREC),
+    ),
+    "neg": (lambda f, e, n: -f, lambda f, e, n: f.prec),
+    "scale": (lambda f, e, n: f.scale(f.ctx.q - 1), lambda f, e, n: f.prec),
 }
 
 
@@ -458,3 +467,135 @@ def test_product_matches_schoolbook_convolution(name, rng):
     product = f * g
     assert (product.val, product.coeffs, product.prec) == (
         expected.val, expected.coeffs, expected.prec)
+
+
+# -- the array kernels of +, -, negation, scale, derivative, agrees and truncate --
+
+
+def oracle_draw(ctx, rng):
+    """A random series: one draw in five is the zero series, one in five is
+    built from digits that all lie at or above prec, the rest mix leading and
+    trailing zeros."""
+    prec = rng.randint(-3, 14)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return LaurentSeries.zero(ctx, prec)
+    val = prec + rng.randint(0, 3) if kind == 1 else rng.randint(prec - 12, prec - 1)
+    digits = [rng.randrange(ctx.q) if rng.random() < 0.7 else 0 for _ in range(rng.randint(0, 14))]
+    return LaurentSeries(ctx, val, digits, prec)
+
+
+def from_dict(ctx, terms, prec):
+    """The series of a term dict, keeping only the exponents below prec."""
+    return LaurentSeries.from_terms(ctx, {e: c for e, c in terms.items() if e < prec}, prec)
+
+
+def dict_sum(f, g, sign):
+    """f + g (sign 1) or f - g (sign -1), term by term on the scalar field operations."""
+    ctx, terms = f.ctx, dict(f.terms())
+    for e, c in g.terms().items():
+        terms[e] = ctx.add(terms.get(e, 0), c if sign > 0 else ctx.neg(c))
+    return from_dict(ctx, terms, min(f.prec, g.prec))
+
+
+ORACLE_FIELDS = (F2, F3, F101, F4, F9)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+def test_elementwise_ops_match_term_dicts(ctx):
+    rng = random.Random(1900 + ctx.q)
+    seen = set()
+    for _ in range(300):
+        f, g = oracle_draw(ctx, rng), oracle_draw(ctx, rng)
+        c = rng.randrange(ctx.q) if rng.random() < 0.8 else 0
+        if f.is_zero:
+            seen.add("zero")
+        elif f.val >= g.prec:
+            seen.add("val above the other prec")
+        seen.add("scale by 0" if c == 0 else "scale by c")
+        assert same_series(f + g, dict_sum(f, g, 1))
+        assert same_series(f - g, dict_sum(f, g, -1))
+        assert same_series(-f, from_dict(ctx, {e: ctx.neg(x) for e, x in f.terms().items()},
+                                         f.prec))
+        assert same_series(f.scale(c), from_dict(ctx, {e: ctx.mul(c, x)
+                                                       for e, x in f.terms().items()}, f.prec))
+        assert same_series(f.derivative(), from_dict(
+            ctx, {e - 1: ctx.mul(ctx.embed(e), x) for e, x in f.terms().items()}, f.prec - 1))
+        m = min(f.prec, g.prec)
+        below = [{e: x for e, x in s.terms().items() if e < m} for s in (f, g)]
+        assert f.agrees(g) == (below[0] == below[1])
+        # random pairs rarely agree: (g + f) - g must, modulo the smaller precision
+        assert f.agrees((g + f) - g)
+        cut = rng.randint(f.prec - 15, f.prec)
+        assert same_series(f.truncate(cut), from_dict(ctx, f.terms(), cut))
+    built_above_prec = LaurentSeries(ctx, 6, [1, 1], 4)
+    assert same_series(built_above_prec, LaurentSeries.zero(ctx, 4))
+    assert seen == {"zero", "val above the other prec", "scale by 0", "scale by c"}
+
+
+def test_elementwise_ops_make_no_scalar_field_call(monkeypatch):
+    calls = []
+    for name in ("add", "sub", "mul", "neg"):
+        def counted(self, *args, _name=name, _op=getattr(FieldCtx, name)):
+            calls.append(_name)
+            return _op(self, *args)
+        monkeypatch.setattr(FieldCtx, name, counted)
+    rng = random.Random(19)
+    for ctx in (F101, F4):
+        f = LaurentSeries(ctx, -3, [rng.randrange(1, ctx.q) for _ in range(200)], 197)
+        g = LaurentSeries(ctx, 2, [rng.randrange(1, ctx.q) for _ in range(150)], 190)
+        c = ctx.q - 1
+        _ = (f + g, f - g, -f, f.scale(c), f.derivative(), f.agrees(g), f * g)
+    assert calls == []
+
+
+def test_support_step_is_the_gcd_of_the_nonzero_indices():
+    for digits, length, want in [
+        ([3], 7, 7),  # only digit 0 is nonzero
+        ([2, 0, 0, 0], 4, 4),
+        ([1, 0, 0, 0, 5, 0, 1], 7, 2),
+        ([1, 0, 0, 4, 0, 0, 0, 0, 0, 2], 10, 3),
+        ([1, 1], 9, 1),
+    ]:
+        assert support_step(np.array(digits), length) == want
+    rng = random.Random(20)
+    for _ in range(200):
+        digits = [rng.randrange(1, 5)] + [rng.randrange(5) * (rng.random() < 0.3)
+                                          for _ in range(rng.randint(0, 30))]
+        want = reduce(gcd, [i for i, d in enumerate(digits) if d], 0) or 41
+        got = support_step(np.array(digits), 41)
+        assert got == want and type(got) is int
+
+
+BOUNDARY_FIELDS = (F3, F101, F4, FieldCtx(32771))  # the last one holds its codes as Python ints
+
+
+@pytest.mark.parametrize("ctx", BOUNDARY_FIELDS, ids=repr)
+def test_boundary_values_are_python_ints(ctx):
+    f = LaurentSeries(ctx, -2, np.array([0, 1, 2, 0, ctx.q - 1, 0], dtype=np.int64), 9)
+    one = LaurentSeries.one(ctx, 12)
+    unit = one + LaurentSeries.monomial(ctx, 2, 12, ctx.q - 1)
+    results = [f, f + one, f - one, -f, f.scale(ctx.q - 1), f.derivative(), f * f, f.invert(),
+               f ** 3, f ** -2, unit.nth_root(2 if ctx.p != 2 else 3), f.shift(4), f.truncate(3)]
+    for s in results:
+        assert type(s.val) is int and type(s.prec) is int
+        assert type(s.valuation()) is int
+        assert all(type(c) is int for c in s.coeffs)
+        assert all(type(s.coefficient(e)) is int for e in range(s.val - 1, s.prec))
+        json.dumps([s.val, list(s.coeffs), s.prec])
+
+
+def test_series_digits_are_read_only_and_private():
+    source = [0, 1, 2, 3]
+    s = LaurentSeries(F5, 0, source, 6)
+    source[1] = 4
+    array = np.array([1, 2, 3])
+    a = LaurentSeries(F5, 0, array, 6)
+    array[0] = 4
+    assert (s.val, s.coeffs, a.coeffs) == (1, (1, 2, 3), (1, 2, 3))
+    for series_ in (s, a, s.shift(2), s * a, s + a):
+        with pytest.raises(ValueError):
+            series_.digits[0] = 0
+    # a series built from another's digits owns a copy of them
+    b = LaurentSeries(F5, 0, a.digits, 6)
+    assert b.digits is not a.digits and not np.shares_memory(b.digits, a.digits)
