@@ -79,13 +79,15 @@ def class_blocks(mat: np.ndarray, n: int, row_first: int, col_first: int,
     is padded with zeros to ceil(rows / n) by ceil(cols / n).  N, the
     differential t^e -> e t^(e+n) and the x-powers all keep an exponent's
     class, so an entry that links two classes is refused, never dropped.
-    One padded copy, reshaped so that a class is one slot mod n of each
-    axis, and one gather.
+    One padded copy (none when mat is already whole blocks), reshaped so
+    that a class is one slot mod n of each axis, and one gather.
     """
     rows, cols = mat.shape
     br, bc = -(-rows // n), -(-cols // n)
-    padded = np.zeros((br * n, bc * n), dtype=mat.dtype)
-    padded[:rows, :cols] = mat
+    padded = mat
+    if mat.shape != (br * n, bc * n):
+        padded = np.zeros((br * n, bc * n), dtype=mat.dtype)
+        padded[:rows, :cols] = mat
     classes = np.arange(n)
     row_slots = (classes - row_first) % n
     col_slots = (classes - col_first) * pow(col_step, -1, n) % n
@@ -134,8 +136,11 @@ class LocalCover:
     ctx: FieldCtx
     sigma_t: LaurentSeries
     x_t: LaurentSeries
-    # cache derived from sigma_t; never passed in
-    _sigma_blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    # caches derived from the fields above; never passed in, never compared
+    _sigma_blocks: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # cohom.d_image_rank by window size, stored once the widened window agrees
+    _d_ranks: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def binomials(self, exps: Sequence[int], count: int) -> np.ndarray:
         """B[r, k] = binom(-exps[r]/n, k) mod p for 0 <= k < count, by Lucas's theorem.

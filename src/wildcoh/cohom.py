@@ -226,17 +226,20 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     js = tgt.x_powers
     x_cols = _x_image(tgt).T
     exps = np.arange(src.lo, src.a)
-    image = exps + n - tgt.lo  # the target row of t^(e+n)
+    image = exps + n - tgt.lo  # the target row of t^(e+n), one run of consecutive rows
     unit = exps % p != 0
     # Both matrices have the rows t^e of the source, then the rows t^f of
     # the target, from a row whose class and block position leave the
     # source's blocks whole: top block rows of N_src in every class.
     top = -(-src.size // n)
     tgt_row = n * top + (tgt.lo - src.lo) % n
-    check = np.zeros((tgt_row + tgt.size, src.size), dtype=ctx.dtype)
-    check[: src.size] = src.nil
-    # N_tgt D: the column of t^e is e times the column of t^(e+n) in N_tgt
-    check[tgt_row:] = ctx.mul_array(tgt.nil[:, image], ctx.array(exps))
+    # whole blocks of n rows and n columns: class_blocks needs no padded copy
+    check = np.zeros((-(-(tgt_row + tgt.size) // n) * n, n * top), dtype=ctx.dtype)
+    check[: src.size, : src.size] = src.nil
+    # N_tgt D: the column of t^e is e times the column of t^(e+n) in N_tgt,
+    # written from a view of N_tgt straight into the stack
+    n_tgt = tgt.nil[:, image[0] : image[-1] + 1]
+    ctx.mul_array(n_tgt, ctx.array(exps), out=check[tgt_row : tgt_row + tgt.size, : src.size])
     check = ascover.class_blocks(check, n, src.lo, src.lo)
     pivots = linalg.pivot_rows(ctx, check)
     if pivots[:, top:].any():
@@ -247,7 +250,7 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     first_i = -(-src.lo // p)
     p_cols = -first_i  # the t^(pi) with lo <= pi < 0
     x_col = p_cols + js.start % n
-    inverses = ctx.array([ctx.inv(e) for e in ctx.array(exps[unit]).tolist()])
+    inverses = ctx.inv_array(exps[unit])
     schur = np.zeros((tgt_row + tgt.size, x_col + len(js)), dtype=ctx.dtype)
     schur[: src.size, :p_cols] = src.nil[:, ~unit]
     schur[: src.size, x_col:] = ctx.matmul(ctx.mul_array(src.nil[:, unit], inverses),
@@ -266,16 +269,22 @@ def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
     B dt is modeled as the a = n+1 lattice via h dt -> t^(n+1) h; the map
     sends h in ker N to t^(n+1) h', read modulo the target's x-image.
     Stabilization against the widened window is enforced as in h1_lattice.
+    The rank is computed once per (cover, window), with every check, and
+    lives on the cover: later calls read it back, a raise stores nothing,
+    and a rebuilt cover computes it again.
     """
     w = _window_size(cov, w)
-    first = int(_d_rank_classes(cov, w).sum())
-    second = int(_d_rank_classes(cov, w + cov.p).sum())
-    if first != second:
-        raise StabilizationError(
-            f"d-image window did not stabilize: rank {first} at W={w}, "
-            f"{second} at W={w + cov.p}"
-        )
-    return first
+    rank = cov._d_ranks.get(w)
+    if rank is None:
+        first = int(_d_rank_classes(cov, w).sum())
+        second = int(_d_rank_classes(cov, w + cov.p).sum())
+        if first != second:
+            raise StabilizationError(
+                f"d-image window did not stabilize: rank {first} at W={w}, "
+                f"{second} at W={w + cov.p}"
+            )
+        rank = cov._d_ranks[w] = first
+    return rank
 
 
 @lru_cache(maxsize=64)

@@ -108,7 +108,8 @@ class FieldCtx:
         self._sub_table = tuple(self._sub_array.ravel().tolist())
         self._mul_table = tuple(mul.ravel().tolist())
         self._neg_table = tuple(neg.tolist())
-        self._inv_table = tuple(np.argmax(mul == 1, axis=1).tolist())
+        self._inv_array = np.argmax(mul == 1, axis=1)
+        self._inv_table = tuple(self._inv_array.tolist())
 
     # -- code-level arithmetic -------------------------------------------
 
@@ -180,11 +181,34 @@ class FieldCtx:
         arr = np.array(rows, dtype=self.dtype)
         return arr % self.p if self.m == 1 else arr
 
-    def mul_array(self, a, b) -> np.ndarray:
-        """Elementwise product, with numpy broadcasting."""
+    def mul_array(self, a, b, out: np.ndarray | None = None) -> np.ndarray:
+        """Elementwise product, with numpy broadcasting; written into ``out`` if given."""
+        if out is None:
+            return a * b % self.p if self.m == 1 else self._mul_array[a, b]
         if self.m == 1:
-            return a * b % self.p
-        return self._mul_array[a, b]
+            np.multiply(a, b, out=out)
+            return np.remainder(out, self.p, out=out)
+        out[...] = self._mul_array[a, b]
+        return out
+
+    def inv_array(self, a) -> np.ndarray:
+        """Elementwise inverse of codes; a zero raises ZeroDivisionError, as inv does.
+
+        A prime field raises to the power p - 2 by repeated squaring, an
+        extension field reads its inverse table.
+        """
+        codes = self.array(a)
+        if not codes.all():
+            raise ZeroDivisionError("division by zero in finite field")
+        if self.m > 1:
+            return self._inv_array[codes]
+        result, e = np.ones_like(codes), self.p - 2
+        while e:
+            if e & 1:
+                result = result * codes % self.p
+            codes = codes * codes % self.p
+            e >>= 1
+        return result
 
     def sub_array(self, a, b) -> np.ndarray:
         """Elementwise difference, with numpy broadcasting."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wildcoh import acceptance, ascover, cohom, linalg, modrep
+from wildcoh import acceptance, ascover, cohom, linalg, modrep, profile
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError
@@ -136,7 +136,7 @@ def test_d_image_monomial_level_mapping():
     assert not ech.contains(unit_vector(win, 1))
 
 
-def test_d_image_rank_builds_no_kernel(monkeypatch):
+def test_d_image_rank_builds_no_kernel(monkeypatch, fresh_covers):
     # both lattices are read through ranks of their residue blocks: no basis
     calls = []
     nullspace = linalg.nullspace
@@ -195,58 +195,75 @@ def test_window_size_precondition():
         cohom.d_image_rank(cov, w=2)
 
 
-def patch_x_image(monkeypatch, corrupt):
-    """Let corrupt(window, rows) edit every window's x-image, read as a list of rows."""
+@pytest.fixture
+def fresh_covers():
+    """A cold cover cache before and after a test that corrupts or counts window builds.
+
+    A cover keeps its d-ranks: a shared cover would answer from them
+    without building a window, and one that stored a rank from corrupted
+    windows must not serve a later test.
+    """
+    cohom.cached_cover.cache_clear()
+    yield
+    cohom.cached_cover.cache_clear()
+
+
+@pytest.fixture
+def patch_x_image(monkeypatch, fresh_covers):
+    """patch(corrupt) lets corrupt(window, rows) edit every window's x-image, read as a list of rows."""
     window = ascover.LocalCover.window
 
-    def corrupted(self, a, lo):
-        win = window(self, a, lo)
-        rows = win.x_image.tolist()
-        corrupt(win, rows)
-        win.x_image = np.array(rows, dtype=win.ctx.dtype).reshape(len(rows), win.size)
-        return win
+    def patch(corrupt):
+        def corrupted(self, a, lo):
+            win = window(self, a, lo)
+            rows = win.x_image.tolist()
+            corrupt(win, rows)
+            win.x_image = np.array(rows, dtype=win.ctx.dtype).reshape(len(rows), win.size)
+            return win
 
-    monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
+        monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
+
+    return patch
 
 
-def test_x_image_raises_on_a_truncation_sigma_moves(monkeypatch):
+def test_x_image_raises_on_a_truncation_sigma_moves(patch_x_image):
     def perturb(win, rows):
         moved = int(np.flatnonzero(win.nil.any(axis=0))[0])  # N t^moved != 0
         rows[0][moved] = (rows[0][moved] + 1) % win.p
 
-    patch_x_image(monkeypatch, perturb)
+    patch_x_image(perturb)
     with pytest.raises(ascover.NormalFormError, match=r"^x\^-2 truncation is not sigma-fixed$"):
         cohom.h1_lattice(cohom.cached_cover(3, 2), 0)
 
 
 @pytest.mark.parametrize("row", [lambda rows: rows[0], lambda rows: [0] * len(rows[0])],
                          ids=["repeated", "zero"])
-def test_x_image_raises_on_dependent_truncations(monkeypatch, row):
+def test_x_image_raises_on_dependent_truncations(patch_x_image, row):
     # a repeated row and a zero row are both sigma-fixed, and both dependent;
     # at a = 1 no truncation leads at the window's first column, as a zero row does
     def repeat(win, rows):
         rows[-1] = row(rows)
 
-    patch_x_image(monkeypatch, repeat)
+    patch_x_image(repeat)
     for run in (lambda cov: cohom.h1_lattice(cov, 1), cohom.d_image_rank):
         with pytest.raises(cohom.CertificateError,
                            match="^x-power truncations are not independent$"):
             run(cohom.cached_cover(3, 2))
 
 
-def test_h1_raises_when_the_widened_window_disagrees(monkeypatch):
+def test_h1_raises_when_the_widened_window_disagrees(patch_x_image):
     # dropping an x-power only from the widened window adds a class there
     def drop(win, rows):
         if win.size == 9:
             rows.pop()
 
-    patch_x_image(monkeypatch, drop)
+    patch_x_image(drop)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^h1 window did not stabilize: dim 2 at W=6, 3 at W=9$"):
         cohom.h1_lattice(cohom.cached_cover(3, 2), 0, w=6)
 
 
-def test_d_rank_raises_when_the_widened_window_disagrees(monkeypatch):
+def test_d_rank_raises_when_the_widened_window_disagrees(patch_x_image):
     # only the widened target swaps x^-1 for the fixed t^1 = -d(t^-1), which
     # stays in x^-1's class: d(t^-1) now dies there, and x^-1 is no image in
     # characteristic 3, since d(x^-3) = 3 x^-1
@@ -254,13 +271,13 @@ def test_d_rank_raises_when_the_widened_window_disagrees(monkeypatch):
         if win.a == 3 and win.size == 13:
             rows[-2] = unit_vector(win, 1)
 
-    patch_x_image(monkeypatch, swap)
+    patch_x_image(swap)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
         cohom.d_image_rank(cohom.cached_cover(3, 2))
 
 
-def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch):
+def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch, fresh_covers):
     cov = cohom.cached_cover(5, 3)
     w = cov.n + cov.p + 1
     source, target = cov.window(0, -w), cov.window(cov.n + 1, -1 - w)
@@ -282,57 +299,57 @@ def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch):
         cohom.d_image_rank(cov)
 
 
-def test_d_rank_refuses_an_x_power_outside_its_class(monkeypatch):
+def test_d_rank_refuses_an_x_power_outside_its_class(patch_x_image):
     # a fixed, independent target row in the wrong class must not be dropped
     def move(win, rows):
         if win.a == 3:
             rows[-2] = unit_vector(win, 2)
 
-    patch_x_image(monkeypatch, move)
+    patch_x_image(move)
     with pytest.raises(ascover.NormalFormError,
                        match="^lattice matrix links two exponent classes mod n$"):
         cohom.d_image_rank(cohom.cached_cover(3, 2))
 
 
-def test_certificate_raises_on_a_monomial_in_the_x_image(monkeypatch):
+def test_certificate_raises_on_a_monomial_in_the_x_image(patch_x_image):
     # x^1 replaced by the fixed top monomial t^2: [t^2] now dies in H^1
     def replace(win, rows):
         if len(rows) > 1:
             rows[-1] = unit_vector(win, win.a - 1)
 
-    patch_x_image(monkeypatch, replace)
+    patch_x_image(replace)
     with pytest.raises(cohom.CertificateError,
                        match="^candidate monomial classes are not independent$"):
         cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 3)
 
 
-def test_certificate_raises_when_h1_miscounts(monkeypatch):
+def test_certificate_raises_when_h1_miscounts(patch_x_image):
     def drop(win, rows):
         if len(rows) > 1:
             rows.pop()
 
-    patch_x_image(monkeypatch, drop)
+    patch_x_image(drop)
     with pytest.raises(cohom.CertificateError,
                        match="^monomial classes span a space of dimension 2, "
                              "but H\\^1 has dimension 3$"):
         cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 3)
 
 
-def test_certificate_raises_when_an_x_power_misses_its_monomial(monkeypatch):
+def test_certificate_raises_when_an_x_power_misses_its_monomial(patch_x_image):
     # every truncation gains the fixed top monomial t^(a-1): the x-image and
     # the monomials span the same space, but x^0 no longer equals t^0
     def lift(win, rows):
         for row in rows:
             row[-1] = (row[-1] + 1) % win.p
 
-    patch_x_image(monkeypatch, lift)
+    patch_x_image(lift)
     with pytest.raises(cohom.CertificateError,
                        match=r"^x\^0 does not reduce \[t\^0\]: truncations differ below t\^2$"):
         cohom.h1_basis_certificate(cohom.cached_cover(3, 2), 2)
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 3), (101, 7)])
-def test_each_window_reads_one_binomial_table(monkeypatch, p, n):
+def test_each_window_reads_one_binomial_table(monkeypatch, fresh_covers, p, n):
     # N and the x-image of a window come from one Lucas table: h1 builds two
     # windows, the d-rank four, and the certificate, whose [t^0] vanishes at
     # a = 1, reads only its h1 windows
@@ -352,6 +369,90 @@ def test_each_window_reads_one_binomial_table(monkeypatch, p, n):
         run()
         counts.append(len(calls))
     assert counts == [2, 4, 2]
+
+
+@pytest.fixture
+def built_windows(monkeypatch):
+    """The (a, lo) of every window built while the test runs, in order."""
+    built = []
+    window = ascover.LocalCover.window
+
+    def counting(self, a, lo):
+        built.append((a, lo))
+        return window(self, a, lo)
+
+    monkeypatch.setattr(ascover.LocalCover, "window", counting)
+    return built
+
+
+def test_d_rank_is_computed_once_per_cover_and_window(fresh_covers, built_windows):
+    cov = cohom.cached_cover(3, 2)
+    assert cohom.d_image_rank(cov) == 1
+    assert len(built_windows) == 4  # source and target, at w and at w + p
+    built_windows.clear()
+    assert cohom.d_image_rank(cov) == 1
+    assert cohom.d_image_rank(cov, w=6) == 1  # the default window n + p + 1
+    assert built_windows == []
+    # another window computes again and is kept beside the first
+    assert cohom.d_image_rank(cov, w=7) == 1
+    assert len(built_windows) == 4
+    assert cov._d_ranks == {6: 1, 7: 1}
+
+
+def test_a_raised_d_rank_stores_nothing(patch_x_image):
+    # the widened-window swap of test_d_rank_raises_when_the_widened_window_disagrees
+    def swap(win, rows):
+        if win.a == 3 and win.size == 13:
+            rows[-2] = unit_vector(win, 1)
+
+    patch_x_image(swap)
+    cov = cohom.cached_cover(3, 2)
+    for _ in range(2):
+        with pytest.raises(cohom.StabilizationError,
+                           match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
+            cohom.d_image_rank(cov)
+    assert cov._d_ranks == {}
+
+
+def test_a_cleared_cover_cache_computes_the_d_rank_again(fresh_covers, built_windows):
+    first = cohom.cached_cover(5, 3)
+    rank = cohom.d_image_rank(first)
+    cohom.cached_cover.cache_clear()
+    built_windows.clear()
+    again = cohom.cached_cover(5, 3)
+    assert again is not first and again._d_ranks == {}
+    assert cohom.d_image_rank(again) == rank == cohom.d_image_closed_form(5, 3)
+    assert len(built_windows) == 4
+
+
+def test_equal_jumps_share_one_d_rank(monkeypatch, fresh_covers):
+    # y^12 = f(x) with deg f = 12 in characteristic 5: twelve points of jump 1
+    prof = profile.superelliptic(12, 12, 5)
+    assert prof.jumps == (1,) * 12
+    runs = []
+    d_rank_classes = cohom._d_rank_classes
+
+    def counting(cov, w):
+        runs.append(w)
+        return d_rank_classes(cov, w)
+
+    monkeypatch.setattr(cohom, "_d_rank_classes", counting)
+    assert profile.defect_by_linear_algebra(prof) == profile.defect(prof) == 0
+    assert runs == [7, 12]  # w = n + p + 1, then w + p, once for all twelve points
+
+
+def test_covers_compare_equal_with_filled_caches():
+    # the sigma blocks and the d-ranks are caches: they take no part in ==
+    a, b = ascover.build(3, 2, 40), ascover.build(3, 2, 40)
+    assert a == b
+    a.apply_sigma(a.x_t)
+    b.apply_sigma(b.x_t)
+    assert a == b
+    assert cohom.d_image_rank(a) == 1
+    assert a == b  # one cover holds a d-rank, the other none
+    assert cohom.d_image_rank(b) == 1
+    assert a == b
+    assert a != ascover.build(3, 2, 41)
 
 
 def test_periodic_cohomology_trivial_module():

@@ -5,6 +5,7 @@ In GF(p^m) the code p has base-p digits (0, 1): it is the image w of x.
 
 import random
 
+import numpy as np
 import pytest
 
 from wildcoh.gf import FieldCtx, NoRootError, is_prime
@@ -99,6 +100,26 @@ def test_inverse_roundtrip_and_zero_division():
     for ctx in (F5, F7, FieldCtx((1 << 31) - 1)):
         with pytest.raises(ZeroDivisionError):
             ctx.inv(2 * ctx.p)
+
+
+@pytest.mark.parametrize("ctx", [F3, FieldCtx(101), F4, F9], ids=repr)
+def test_inv_array_matches_inv(ctx):
+    codes = list(range(1, ctx.q))
+    assert ctx.inv_array(codes).tolist() == [ctx.inv(a) for a in codes]
+    assert ctx.inv_array(np.array(codes)[:, None]).tolist() == [[ctx.inv(a)] for a in codes]
+    for zero in ([0], [1, 0, 2], [[1], [0]]):
+        with pytest.raises(ZeroDivisionError, match="^division by zero in finite field$"):
+            ctx.inv_array(zero)
+    if ctx.m == 1:  # unreduced integers, as inv reads them
+        assert ctx.inv_array([ctx.p + 2]).tolist() == [ctx.inv(ctx.p + 2)]
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv_array([2 * ctx.p])
+
+
+def test_inv_array_without_tables():
+    big = FieldCtx((1 << 31) - 1)
+    codes = [1, 2, 123456789, big.p - 1]
+    assert big.inv_array(codes).tolist() == [big.inv(a) for a in codes]
 
 
 def test_context_mismatch_rejected():
