@@ -121,7 +121,7 @@ def _x_image(win: LatticeWindow) -> np.ndarray:
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
     # dim ker N, summed over the residue blocks of N, all ranked in one pass
-    fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack()))
+    fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack(), strictly_lower=True))
     # the x-image is an independent subspace of ker N
     return CohomologyClassSet(window=win, dim=fixed - len(_x_image(win)))
 
@@ -203,6 +203,27 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     )
 
 
+def _check_d_commutes(src: LatticeWindow, tgt: LatticeWindow) -> None:
+    """Check _d_rank_classes' identity N_tgt D = S N_src entry by entry,
+    or raise NormalFormError.
+
+    The difference is formed in codes that hold a difference of two
+    products unreduced, two matrices of the window's size in all.
+    """
+    n, narrow = src.n, src.ctx.narrow_dtype
+    factors = (np.arange(src.lo, src.a) % src.p).astype(narrow)
+    image = slice(src.lo + n - tgt.lo, src.a + n - tgt.lo)  # the rows and columns t^(e+n)
+    # column e of N_tgt D is e times the column of t^(e+n) in N_tgt
+    moved = tgt.nil[:, image].astype(narrow)
+    moved *= factors
+    fixed = src.nil.astype(narrow)
+    fixed *= factors[:, None]
+    moved[image] -= fixed
+    moved %= src.p
+    if moved.any():
+        raise ascover.NormalFormError("differential image is not sigma-fixed (precision bug)")
+
+
 def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     """The d-rank of one window pass, split into the share of each exponent class mod n.
 
@@ -214,10 +235,13 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     - D's entry e is a unit iff p does not divide e.  Pivoting on the
       units leaves the Schur complement A' on the other columns, and
       rank A = #units + rank A'.
-    - The differential image is sigma-fixed, N_tgt D ker N_src = 0, iff
-      rank [N_src; N_tgt D] = rank N_src.  Its top rows pivot as N_src
-      alone would, so their pivots count rank N_src, and a pivot below
-      them is an image sigma moves.
+    - The differential image is sigma-fixed, N_tgt D ker N_src = 0,
+      because d commutes with sigma: N_tgt D = S N_src, where S sends the
+      row t^f of N_src, times f, to the row t^(f+n), and every other
+      target row is zero.  Entrywise this is alpha binom(alpha - 1, k) =
+      (alpha - k) binom(alpha, k) for alpha = -e/n.  The identity is
+      checked entry by entry, which implies the kernel condition, so
+      N_src's class blocks are ranked alone.
     """
     ctx, p, n = cov.ctx, cov.p, cov.n
     src = cov.window(0, -w)
@@ -228,39 +252,31 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     exps = np.arange(src.lo, src.a)
     image = exps + n - tgt.lo  # the target row of t^(e+n), one run of consecutive rows
     unit = exps % p != 0
-    # Both matrices have the rows t^e of the source, then the rows t^f of
-    # the target, from a row whose class and block position leave the
-    # source's blocks whole: top block rows of N_src in every class.
-    top = -(-src.size // n)
-    tgt_row = n * top + (tgt.lo - src.lo) % n
-    # whole blocks of n rows and n columns: class_blocks needs no padded copy
-    check = np.zeros((-(-(tgt_row + tgt.size) // n) * n, n * top), dtype=ctx.dtype)
-    check[: src.size, : src.size] = src.nil
-    # N_tgt D: the column of t^e is e times the column of t^(e+n) in N_tgt,
-    # written from a view of N_tgt straight into the stack
-    n_tgt = tgt.nil[:, image[0] : image[-1] + 1]
-    ctx.mul_array(n_tgt, ctx.array(exps), out=check[tgt_row : tgt_row + tgt.size, : src.size])
-    check = ascover.class_blocks(check, n, src.lo, src.lo)
-    pivots = linalg.pivot_rows(ctx, check)
-    if pivots[:, top:].any():
-        raise ascover.NormalFormError("differential image is not sigma-fixed (precision bug)")
+    _check_d_commutes(src, tgt)
+    # class_stack's block r holds the exponents lo + r mod n
+    src_ranks = linalg.pivot_rows(ctx, src.class_stack(), strictly_lower=True).sum(axis=1)
+    src_ranks = src_ranks[(np.arange(n) - src.lo) % n]
     # A' = [[N_src on the p | e columns, N_src E^-1 X^T], [0, X^T off the unit
-    # rows]], up to the sign of rows.  Its columns are the t^(pi) with p | e,
+    # rows]], up to the sign of rows.  Its rows are the t^e of the source,
+    # then the t^f of the target, from a row whose class and block position
+    # leave the source's blocks whole.  Its columns are the t^(pi) with p | e,
     # then from a column in x^j's class the x^j, which lead at t^(pj).
+    tgt_row = n * -(-src.size // n) + (tgt.lo - src.lo) % n
     first_i = -(-src.lo // p)
     p_cols = -first_i  # the t^(pi) with lo <= pi < 0
     x_col = p_cols + js.start % n
-    inverses = ctx.inv_array(exps[unit])
+    # E^-1 X^T is a few columns, so N_src times it is formed with no scaled copy of N_src
+    scaled = np.zeros((src.size, len(js)), dtype=ctx.dtype)
+    scaled[unit] = ctx.mul_array(x_cols[image[unit]], ctx.inv_array(exps[unit])[:, None])
     schur = np.zeros((tgt_row + tgt.size, x_col + len(js)), dtype=ctx.dtype)
     schur[: src.size, :p_cols] = src.nil[:, ~unit]
-    schur[: src.size, x_col:] = ctx.matmul(ctx.mul_array(src.nil[:, unit], inverses),
-                                           x_cols[image[unit]])
+    schur[: src.size, x_col:] = ctx.matmul(src.nil, scaled)
     schur[tgt_row:, x_col:] = x_cols
     schur[tgt_row + image[unit], x_col:] = 0
     schur_pivots = linalg.pivot_rows(ctx, ascover.class_blocks(schur, n, src.lo, p * first_i, p))
     units = np.bincount(exps[unit] % n, minlength=n)
     x_powers = np.bincount(p * np.array(js, dtype=np.int64) % n, minlength=n)
-    return units + schur_pivots.sum(axis=1) - pivots[:, :top].sum(axis=1) - x_powers
+    return units + schur_pivots.sum(axis=1) - src_ranks - x_powers
 
 
 def d_image_rank(cov: LocalCover, w: int | None = None) -> int:

@@ -49,6 +49,11 @@ class FieldCtx:
     a monic irreducible polynomial of degree m >= 2 over GF(p), with
     p^m <= 256.  Irreducibility is checked at construction: the quotient
     ring must have no zero divisors.
+
+    ``dtype`` is the type of code arrays.  ``narrow_dtype`` is the
+    narrowest one that holds a * b - c * d of codes unreduced: int16 up to
+    p = 181, int32 up to 2**15, and ``dtype`` itself for extension fields,
+    whose codes index the tables, and for Python-int codes.
     """
 
     def __init__(self, p: int, modulus: Sequence[int] | None = None):
@@ -67,6 +72,9 @@ class FieldCtx:
             self.modulus: tuple[int, ...] | None = None
             self.q = p
             self.dtype = np.int64 if p <= _INT64_P_LIMIT else object
+            # a * b - c * d of codes lies within +-(p - 1)^2
+            self.narrow_dtype = (np.int16 if (p - 1) ** 2 < 1 << 15 else
+                                 np.int32 if p <= _INT64_P_LIMIT else object)
             return
         mod = tuple(c % p for c in modulus)
         if len(mod) < 3:
@@ -81,7 +89,7 @@ class FieldCtx:
                 f"GF({p}^{self.m}) has {self.q} elements; extension fields are "
                 f"limited to {_TABLE_LIMIT}"
             )
-        self.dtype = np.int64
+        self.dtype = self.narrow_dtype = np.int64  # codes index the tables
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -181,15 +189,9 @@ class FieldCtx:
         arr = np.array(rows, dtype=self.dtype)
         return arr % self.p if self.m == 1 else arr
 
-    def mul_array(self, a, b, out: np.ndarray | None = None) -> np.ndarray:
-        """Elementwise product, with numpy broadcasting; written into ``out`` if given."""
-        if out is None:
-            return a * b % self.p if self.m == 1 else self._mul_array[a, b]
-        if self.m == 1:
-            np.multiply(a, b, out=out)
-            return np.remainder(out, self.p, out=out)
-        out[...] = self._mul_array[a, b]
-        return out
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product, with numpy broadcasting."""
+        return a * b % self.p if self.m == 1 else self._mul_array[a, b]
 
     def inv_array(self, a) -> np.ndarray:
         """Elementwise inverse of codes; a zero raises ZeroDivisionError, as inv does.
@@ -241,8 +243,8 @@ class FieldCtx:
     def convolve(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients of the product of two nonempty
         1-D arrays read as polynomials (fewer if the product is shorter)."""
-        if self.m == 1:
-            return np.convolve(a, b)[:length] % self.p
+        if self.m == 1:  # np.convolve's own route, without its Python wrapper
+            return np.correlate(a, b[::-1], "full")[:length] % self.p
         # shift row i of the product table right by i, then sum the rows
         la, width = len(a), len(a) + len(b) - 1
         skew = np.zeros((la, width + 1), dtype=np.int64)

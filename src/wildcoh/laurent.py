@@ -342,6 +342,11 @@ class LaurentSeries:
             lead_root = ctx.inv(lead_root)
         unit_root = ctx.mul_array(lead_root, unit_root)
         root = _spread(ctx, unit_root, step, self.val // n, self.prec - self.val + self.val // n)
-        if not (root ** n).agrees(self):
-            raise ArithmeticError("Newton n-th root failed to verify")  # pragma: no cover
+        if n > 0:
+            verified = (root ** n).agrees(self)
+        else:  # for units root^(-m) = self iff root^m self = 1, which needs no inversion
+            product = root ** m * self
+            verified = product.agrees(LaurentSeries.one(ctx, product.prec))
+        if not verified:
+            raise ArithmeticError("Newton n-th root failed to verify")
         return root

@@ -299,6 +299,34 @@ def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch, fresh_co
         cohom.d_image_rank(cov)
 
 
+@pytest.mark.parametrize("where", ["image rows", "above them"])
+def test_d_rank_raises_when_the_target_moves_a_differential_image(monkeypatch, fresh_covers, where):
+    # N_tgt D = S N_src fails in one entry of N_tgt in the column of an image
+    # e t^(e+n), off the target x-image, so that only the identity sees it:
+    # a changed entry in the rows t^(f+n) of S N_src, or one in the rows
+    # above them, where S N_src is zero
+    cov = cohom.cached_cover(5, 3)
+    w = cov.n + cov.p + 1
+    target = cov.window(cov.n + 1, -1 - w)
+    x_support = target.x_image.any(axis=0)
+    col = next(e + cov.n - target.lo for e in range(-w, 0) if e % cov.p
+               and not x_support[e + cov.n - target.lo] and target.nil[:, e + cov.n - target.lo].any())
+    # the image rows start at t^(n - w), row n + 1; row col mod n above them is in col's class
+    row = int(np.flatnonzero(target.nil[:, col])[-1]) if where == "image rows" else col % cov.n
+    window = ascover.LocalCover.window
+
+    def corrupted(self, a, lo):
+        win = window(self, a, lo)
+        if (a, lo) == (cov.n + 1, -1 - w):
+            win.nil[row, col] = (win.nil[row, col] + 1) % cov.p
+        return win
+
+    monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
+    with pytest.raises(ascover.NormalFormError,
+                       match=r"^differential image is not sigma-fixed \(precision bug\)$"):
+        cohom.d_image_rank(cov)
+
+
 def test_d_rank_refuses_an_x_power_outside_its_class(patch_x_image):
     # a fixed, independent target row in the wrong class must not be dropped
     def move(win, rows):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wildcoh import laurent
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, support_step
 
@@ -155,6 +156,24 @@ def test_nth_root_preconditions():
         LaurentSeries.one(F3, 8).nth_root(-3)  # index divisible by p
     with pytest.raises(ValueError, match="not divisible"):
         LaurentSeries.monomial(F3, 1, 8).nth_root(-2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_nth_root_refuses_a_perturbed_newton_root(monkeypatch, sign):
+    # one wrong digit in the w^(-1/m) run; the inversion for n > 0 is left as is
+    newton = laurent._inverse_root_digits
+
+    def perturbed(ctx, u, n, length):
+        h = newton(ctx, u, n, length)
+        if n > 1:
+            h[length // 2] = ctx.add(int(h[length // 2]), 1)
+        return h
+
+    f = series(F5, {-6: 2, -3: 1, 0: 4, 1: 3}, 12)
+    assert (f.nth_root(sign * 3) ** (sign * 3)).agrees(f)
+    monkeypatch.setattr(laurent, "_inverse_root_digits", perturbed)
+    with pytest.raises(ArithmeticError, match="^Newton n-th root failed to verify$"):
+        f.nth_root(sign * 3)
 
 
 def test_double_inversion_roundtrip():

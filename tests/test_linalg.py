@@ -39,6 +39,10 @@ FIELDS = {
     "GF2^31-1": FieldCtx((1 << 31) - 1),
 }
 PRIME_FIELDS = [name for name, ctx in FIELDS.items() if ctx.m == 1]
+# stacked elimination runs prime fields in int16 codes up to p = 181 and
+# in int32 codes up to p = 2**15; these primes sit on both sides of the edges
+STACK_FIELDS = {**FIELDS, "GF181": FieldCtx(181), "GF191": FieldCtx(191),
+                "GF32749": FieldCtx(32749)}
 PROPERTY = settings(max_examples=30, deadline=None)
 
 
@@ -220,22 +224,25 @@ def test_mat_mul_is_associative_and_schoolbook(name, rng, shape):
 def random_stack_members(rng, ctx, rows, cols):
     """Matrices of one (B, rows, cols) stack that reach every branch of the
     stacked elimination: random, low rank, repeated rows, zero, a unit
-    column, and smaller random matrices zero-padded to the stack shape."""
+    column, all top codes (the largest products), and smaller random
+    matrices zero-padded to the stack shape."""
     low = linalg.mat_mul(ctx, random_matrix(rng, ctx, rows, 1), random_matrix(rng, ctx, 1, cols))
     repeated = random_matrix(rng, ctx, 1, cols) * rows
     unit = [[int(i == 0 and j == cols - 1) for j in range(cols)] for i in range(rows)]
-    members = [random_matrix(rng, ctx, rows, cols), low, repeated, linalg.zeros(rows, cols), unit]
+    top = [[ctx.q - 1] * cols for _ in range(rows)]
+    members = [random_matrix(rng, ctx, rows, cols), low, repeated, linalg.zeros(rows, cols), unit,
+               top]
     for r, c in ((rows, 1), (1, cols), (rng.randint(1, rows), rng.randint(1, cols))):
         small = random_matrix(rng, ctx, r, c)
         members.append([row + [0] * (cols - c) for row in small] + linalg.zeros(rows - r, cols))
     return members
 
 
-@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("name", STACK_FIELDS)
 @PROPERTY
 @given(rng=rngs, rows=dims, cols=dims)
 def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
-    ctx = FIELDS[name]
+    ctx = STACK_FIELDS[name]
     members = random_stack_members(rng, ctx, rows, cols)
     rng.shuffle(members)
     stack = np.array(members, dtype=ctx.dtype)
@@ -243,13 +250,13 @@ def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
     assert stack.tolist() == members  # the stack is left as it was
 
 
-@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("name", STACK_FIELDS)
 @PROPERTY
 @given(rng=rngs, rows=dims, cols=dims)
 def test_pivot_rows_of_the_top_rows_count_their_rank(name, rng, rows, cols):
     # rows below the first k only rescale them, so their pivots are rank of
     # the top k, and a pivot below means the lower rows leave that row space
-    ctx = FIELDS[name]
+    ctx = STACK_FIELDS[name]
     members = random_stack_members(rng, ctx, rows, cols)
     mask = linalg.pivot_rows(ctx, np.array(members, dtype=ctx.dtype))
     assert mask.dtype == bool and mask.shape == (len(members), rows)
@@ -261,9 +268,9 @@ def test_pivot_rows_of_the_top_rows_count_their_rank(name, rng, rows, cols):
             assert any(pivots[k:]) == (linalg.rank(ctx, member) > top)
 
 
-@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("name", STACK_FIELDS)
 def test_stacked_ranks_edge_shapes(name):
-    ctx = FIELDS[name]
+    ctx = STACK_FIELDS[name]
     assert linalg.ranks(ctx, np.zeros((0, 3, 3), dtype=ctx.dtype)) == []
     assert linalg.ranks(ctx, np.zeros((2, 0, 4), dtype=ctx.dtype)) == [0, 0]
     assert linalg.ranks(ctx, np.zeros((2, 4, 0), dtype=ctx.dtype)) == [0, 0]
@@ -273,6 +280,65 @@ def test_stacked_ranks_edge_shapes(name):
     padded = np.zeros((1, 5, 6), dtype=ctx.dtype)
     padded[0, :3, :3] = j3
     assert linalg.ranks(ctx, padded) == [3]
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("GF2", np.int16), ("GF101", np.int16), ("GF181", np.int16), ("GF191", np.int32),
+    ("GF32749", np.int32), ("GF40009", object), ("GF4", np.int64), ("GF9", np.int64),
+    ("GF25", np.int64)])
+def test_stacked_elimination_codes(monkeypatch, name, dtype):
+    # prime fields narrow their codes; extension tables and Python ints keep theirs
+    ctx = STACK_FIELDS[name]
+    seen = []
+    mul_sub = FieldCtx.mul_sub
+
+    def recording(self, a, b, c, d):
+        seen.append(a.dtype)
+        return mul_sub(self, a, b, c, d)
+
+    monkeypatch.setattr(FieldCtx, "mul_sub", recording)
+    stack = np.full((2, 3, 4), ctx.q - 1, dtype=ctx.dtype)
+    stack[1, 2, 0] = 0
+    assert linalg.ranks(ctx, stack) == [1, 2]
+    assert seen and set(seen) == {np.dtype(dtype)}
+    assert ctx.narrow_dtype == dtype
+
+
+def random_strictly_lower(rng, ctx, size):
+    """A random strictly lower triangular matrix, a third of its entries zero."""
+    return [[random_code(rng, ctx) if j < i and rng.random() < 0.7 else 0 for j in range(size)]
+            for i in range(size)]
+
+
+@pytest.mark.parametrize("name", STACK_FIELDS)
+@PROPERTY
+@given(rng=rngs, size=st.integers(1, linalg._ROW_DROP_MIN_ROWS + 4), batch=st.integers(1, 4))
+def test_row_drop_pass_gives_the_general_mask(name, rng, size, batch):
+    # below _ROW_DROP_MIN_ROWS the pass keeps its rows; from there on it drops them
+    ctx = STACK_FIELDS[name]
+    members = [random_strictly_lower(rng, ctx, size) for _ in range(batch)]
+    stack = np.array(members, dtype=ctx.dtype)
+    mask = linalg.pivot_rows(ctx, stack, strictly_lower=True)
+    assert mask.tolist() == linalg.pivot_rows(ctx, stack).tolist()
+    assert linalg.ranks(ctx, stack, strictly_lower=True) == [linalg.rank(ctx, m) for m in members]
+    assert stack.tolist() == members
+
+
+# the (p, n) covers of the benchmark's lattice sweep
+SWEEP_COVERS = ([(3, n) for n in (1, 2, 5, 8, 11)]
+                + [(p, n) for p in (5, 7, 13, 31) for n in (1, 3, 6, 9, 12)]
+                + [(101, 3), (101, 7)])
+
+
+@pytest.mark.parametrize("p, n", SWEEP_COVERS)
+def test_row_drop_pass_gives_the_general_mask_on_class_stacks(p, n):
+    cov = cohom.cached_cover(p, n)
+    for w in (n + p + 1, n + 2 * p + 1):
+        # the d-rank's source, its target and h1 windows on both sides of 0
+        for a, lo in ((0, -w), (n + 1, -1 - w), (-3, -3 - w), (n + 4, n + 4 - w)):
+            stack = cov.window(a, lo).class_stack()
+            mask = linalg.pivot_rows(cov.ctx, stack, strictly_lower=True)
+            assert mask.tolist() == linalg.pivot_rows(cov.ctx, stack).tolist()
 
 
 @pytest.mark.parametrize("name", FIELDS)
