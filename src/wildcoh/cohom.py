@@ -121,7 +121,7 @@ def _x_image(win: LatticeWindow) -> np.ndarray:
 def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     win = cov.window(a, a - w)
     # dim ker N, summed over the residue blocks of N, all ranked in one pass
-    fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack(), strictly_lower=True))
+    fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack()))
     # the x-image is an independent subspace of ker N
     return CohomologyClassSet(window=win, dim=fixed - len(_x_image(win)))
 
@@ -207,20 +207,18 @@ def _check_d_commutes(src: LatticeWindow, tgt: LatticeWindow) -> None:
     """Check _d_rank_classes' identity N_tgt D = S N_src entry by entry,
     or raise NormalFormError.
 
-    The difference is formed in codes that hold a difference of two
-    products unreduced, two matrices of the window's size in all.
+    Both sides are formed by the field's kernels in its narrow codes, so
+    the check holds no int64 matrix of the window's size.
     """
-    n, narrow = src.n, src.ctx.narrow_dtype
-    factors = (np.arange(src.lo, src.a) % src.p).astype(narrow)
-    image = slice(src.lo + n - tgt.lo, src.a + n - tgt.lo)  # the rows and columns t^(e+n)
-    # column e of N_tgt D is e times the column of t^(e+n) in N_tgt
+    ctx, narrow = src.ctx, src.ctx.narrow_dtype
+    factors = (np.arange(src.lo, src.a) % src.p).astype(narrow)  # e, in the prime field
+    image = slice(src.lo + src.n - tgt.lo, src.a + src.n - tgt.lo)  # the rows and columns t^(e+n)
+    # column e of N_tgt D is e times the column of t^(e+n) in N_tgt; S N_src
+    # is f times the row t^f of N_src in the row t^(f+n), and zero elsewhere
     moved = tgt.nil[:, image].astype(narrow)
-    moved *= factors
-    fixed = src.nil.astype(narrow)
-    fixed *= factors[:, None]
-    moved[image] -= fixed
-    moved %= src.p
-    if moved.any():
+    outside = np.concatenate((moved[: image.start], moved[image.stop :]))
+    if (ctx.mul_sub(moved[image], factors, src.nil.astype(narrow), factors[:, None]).any()
+            or ctx.mul_array(outside, factors).any()):
         raise ascover.NormalFormError("differential image is not sigma-fixed (precision bug)")
 
 
@@ -254,7 +252,7 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     unit = exps % p != 0
     _check_d_commutes(src, tgt)
     # class_stack's block r holds the exponents lo + r mod n
-    src_ranks = linalg.pivot_rows(ctx, src.class_stack(), strictly_lower=True).sum(axis=1)
+    src_ranks = linalg.pivot_rows(ctx, src.class_stack()).sum(axis=1)
     src_ranks = src_ranks[(np.arange(n) - src.lo) % n]
     # A' = [[N_src on the p | e columns, N_src E^-1 X^T], [0, X^T off the unit
     # rows]], up to the sign of rows.  Its rows are the t^e of the source,

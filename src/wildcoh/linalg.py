@@ -24,11 +24,13 @@ from wildcoh.gf import FieldCtx
 Matrix = list[list[int]]
 Vector = list[int]
 
-# The least height at which pivot_rows drops the dead rows of a strictly
-# lower triangular stack.  On class stacks of N the row drop cost 2-4 us
-# more a call at 3-5 rows and was even at 12-20 rows.  It was 18 % faster
-# at 7 classes of 30 rows and 21 % faster at 3 classes of 69 rows.
-_ROW_DROP_MIN_ROWS = 16
+# The least height at which pivot_rows narrows a prime field's codes and
+# drops zero top rows.  On class stacks of N the row drop cost 2-4 us more
+# a call at 3-5 rows and was even at 12-20 rows.  It was 18 % faster at 7
+# classes of 30 rows and 21 % faster at 3 classes of 69 rows.  The
+# narrowing copy costs about 1 us a call, which the small stacks of most
+# lattice windows do not pay back.
+_TALL_ROWS = 16
 
 
 def identity(n: int) -> Matrix:
@@ -91,7 +93,7 @@ def rank(ctx: FieldCtx, a: Matrix) -> int:
     return len(rref(ctx, a)[1])
 
 
-def pivot_rows(ctx: FieldCtx, stack: np.ndarray, strictly_lower: bool = False) -> np.ndarray:
+def pivot_rows(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
     """Pivot rows of every matrix of a (B, r, c) code array, in one elimination.
 
     A fraction-free forward pass: at each column every matrix replaces
@@ -99,20 +101,20 @@ def pivot_rows(ctx: FieldCtx, stack: np.ndarray, strictly_lower: bool = False) -
     its first row nonzero in that column.  This clears the column in
     every row, the pivot row included, so nothing is inverted or moved,
     and the column is dropped.  Zero rows and columns, such as the
-    padding of smaller matrices in a stack, change no pivot.  A prime
-    field eliminates in ``ctx.narrow_dtype`` codes (int16 up to p = 181,
-    int32 up to 2**15), where each update is exact before its reduction;
-    extension fields and Python-int codes keep their own.
+    padding of smaller matrices in a stack, change no pivot.
 
-    ``strictly_lower`` is the caller's promise that every member is
-    strictly lower triangular, as the class stacks of N are.  Row j is
-    then still zero from column j on when column j comes up, since each
-    pivot row that updated it lies above it and is zero from its own
-    index on.  So row j can serve no pivot and leaves the stack with
-    column j, in every member at once: the same mask, from about a third
-    fewer updated entries on a square stack.  Stacks of fewer than
-    ``_ROW_DROP_MIN_ROWS`` rows keep every row, as the bookkeeping costs
-    them more than the dropped rows save.
+    Stacks of ``_TALL_ROWS`` rows or more take two shortcuts that cost
+    smaller stacks more than they save:
+    - A prime field eliminates in ``ctx.narrow_dtype`` codes (int16 up
+      to p = 181, int32 up to 2**15), where each update is exact before
+      its reduction; extension fields and Python-int codes keep their own.
+    - A top row that is zero in every member can serve no pivot, and
+      no update changes it, so it leaves the stack.  On a strictly lower
+      triangular stack, as the class stacks of N are, row j is still
+      zero from column j on when column j comes up, since each pivot row
+      that updated it lies above it and is zero from its own index on.
+      So every row leaves with its column: the same mask, from about a
+      third fewer updated entries on a square stack.
 
     Returns the (B, r) mask of the rows that served as a pivot.  A pivot
     row is zero afterwards, so each row serves at most once and a
@@ -120,14 +122,17 @@ def pivot_rows(ctx: FieldCtx, stack: np.ndarray, strictly_lower: bool = False) -
     rescales them, so those rows keep the pivots they would have alone:
     their mask sums to the rank of the top k rows.
     """
-    m = np.asarray(stack).astype(ctx.narrow_dtype, copy=False)
+    m = np.asarray(stack)
     rows = m.shape[1]
-    drop = strictly_lower and rows >= _ROW_DROP_MIN_ROWS
+    tall = rows >= _TALL_ROWS
+    if tall:
+        m = m.astype(ctx.narrow_dtype, copy=False)
     batch = np.arange(len(m))
-    picks = []  # per column, every member's pivot row in m
+    # per column, every member's pivot row in m, and the stack row of m's row 0
+    picks, firsts = [], []
     first = 0  # the stack row that row 0 of m is
     while np.count_nonzero(m):
-        if drop:  # row `first` is zero from this column on
+        if tall and not m[:, 0].any():
             m = m[:, 1:]
             first += 1
         lead = m[:, :, 0]
@@ -136,24 +141,19 @@ def pivot_rows(ctx: FieldCtx, stack: np.ndarray, strictly_lower: bool = False) -
         missing = pivot[:, 0] == 0
         pick[missing] = rows - first  # a column without a pivot marks row `rows`
         picks.append(pick)
+        firsts.append(first)
         # a matrix whose column is zero keeps its rows: scale 1, factors 0
         m = ctx.mul_sub(m[:, :, 1:], (pivot[:, 0] + missing)[:, None, None], lead[:, :, None],
                         pivot[:, None, 1:])
     mask = np.zeros((len(batch), rows + 1), dtype=bool)
     if picks:
-        at = np.array(picks)
-        if drop:  # at column k, `first` was k + 1
-            at += np.arange(1, len(picks) + 1)[:, None]
-        mask[batch, at] = True
+        mask[batch, np.array(picks) + np.array(firsts)[:, None]] = True
     return mask[:, :rows]
 
 
-def ranks(ctx: FieldCtx, stack: np.ndarray, strictly_lower: bool = False) -> list[int]:
-    """Rank of every matrix of a (B, r, c) code array: its pivot rows, counted.
-
-    ``strictly_lower`` is passed on to ``pivot_rows``.
-    """
-    return pivot_rows(ctx, stack, strictly_lower).sum(axis=1).tolist()
+def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
+    """Rank of every matrix of a (B, r, c) code array: its pivot rows, counted."""
+    return pivot_rows(ctx, stack).sum(axis=1).tolist()
 
 
 def power_ranks(ctx: FieldCtx, stack: np.ndarray, q: int) -> np.ndarray:

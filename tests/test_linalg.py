@@ -8,6 +8,7 @@ operations, and prime-field rank, rref, nullspace and inverse against
 sympy.
 """
 
+import contextlib
 import random
 from collections import Counter
 
@@ -39,8 +40,9 @@ FIELDS = {
     "GF2^31-1": FieldCtx((1 << 31) - 1),
 }
 PRIME_FIELDS = [name for name, ctx in FIELDS.items() if ctx.m == 1]
-# stacked elimination runs prime fields in int16 codes up to p = 181 and
-# in int32 codes up to p = 2**15; these primes sit on both sides of the edges
+# stacked elimination runs tall prime-field stacks in int16 codes up to
+# p = 181 and in int32 codes up to p = 2**15; these primes sit on both
+# sides of the edges
 STACK_FIELDS = {**FIELDS, "GF181": FieldCtx(181), "GF191": FieldCtx(191),
                 "GF32749": FieldCtx(32749)}
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -221,6 +223,15 @@ def test_mat_mul_is_associative_and_schoolbook(name, rng, shape):
     assert linalg.mat_mul(ctx, ab, c) == linalg.mat_mul(ctx, a, linalg.mat_mul(ctx, b, c))
 
 
+@contextlib.contextmanager
+def tall_rows(height):
+    """pivot_rows with its tall-stack shortcuts (narrow codes, the row drop)
+    from ``height`` rows on: 1 puts every stack on them, a huge height none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_TALL_ROWS", height)
+        yield
+
+
 def random_stack_members(rng, ctx, rows, cols):
     """Matrices of one (B, rows, cols) stack that reach every branch of the
     stacked elimination: random, low rank, repeated rows, zero, a unit
@@ -247,6 +258,8 @@ def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
     rng.shuffle(members)
     stack = np.array(members, dtype=ctx.dtype)
     assert linalg.ranks(ctx, stack) == [linalg.rank(ctx, m) for m in members]
+    with tall_rows(1):
+        assert linalg.ranks(ctx, stack) == [linalg.rank(ctx, m) for m in members]
     assert stack.tolist() == members  # the stack is left as it was
 
 
@@ -259,6 +272,8 @@ def test_pivot_rows_of_the_top_rows_count_their_rank(name, rng, rows, cols):
     ctx = STACK_FIELDS[name]
     members = random_stack_members(rng, ctx, rows, cols)
     mask = linalg.pivot_rows(ctx, np.array(members, dtype=ctx.dtype))
+    with tall_rows(1):
+        assert linalg.pivot_rows(ctx, np.array(members, dtype=ctx.dtype)).tolist() == mask.tolist()
     assert mask.dtype == bool and mask.shape == (len(members), rows)
     for member, pivots in zip(members, mask.tolist()):
         assert sum(pivots) == linalg.rank(ctx, member)
@@ -287,7 +302,8 @@ def test_stacked_ranks_edge_shapes(name):
     ("GF32749", np.int32), ("GF40009", object), ("GF4", np.int64), ("GF9", np.int64),
     ("GF25", np.int64)])
 def test_stacked_elimination_codes(monkeypatch, name, dtype):
-    # prime fields narrow their codes; extension tables and Python ints keep theirs
+    # tall prime-field stacks narrow their codes, short ones keep the
+    # field's; extension tables and Python ints always keep theirs
     ctx = STACK_FIELDS[name]
     seen = []
     mul_sub = FieldCtx.mul_sub
@@ -297,10 +313,12 @@ def test_stacked_elimination_codes(monkeypatch, name, dtype):
         return mul_sub(self, a, b, c, d)
 
     monkeypatch.setattr(FieldCtx, "mul_sub", recording)
-    stack = np.full((2, 3, 4), ctx.q - 1, dtype=ctx.dtype)
-    stack[1, 2, 0] = 0
-    assert linalg.ranks(ctx, stack) == [1, 2]
-    assert seen and set(seen) == {np.dtype(dtype)}
+    for rows, codes in ((3, ctx.dtype), (linalg._TALL_ROWS, dtype)):
+        seen.clear()
+        stack = np.full((2, rows, 4), ctx.q - 1, dtype=ctx.dtype)
+        stack[1, rows - 1, 0] = 0
+        assert linalg.ranks(ctx, stack) == [1, 2]
+        assert seen and set(seen) == {np.dtype(codes)}
     assert ctx.narrow_dtype == dtype
 
 
@@ -312,16 +330,30 @@ def random_strictly_lower(rng, ctx, size):
 
 @pytest.mark.parametrize("name", STACK_FIELDS)
 @PROPERTY
-@given(rng=rngs, size=st.integers(1, linalg._ROW_DROP_MIN_ROWS + 4), batch=st.integers(1, 4))
-def test_row_drop_pass_gives_the_general_mask(name, rng, size, batch):
-    # below _ROW_DROP_MIN_ROWS the pass keeps its rows; from there on it drops them
+@given(rng=rngs, size=st.integers(1, linalg._TALL_ROWS + 4), batch=st.integers(1, 4),
+       upper=st.booleans())
+def test_row_drop_pass_gives_the_general_mask(name, rng, size, batch, upper):
+    # below _TALL_ROWS the pass keeps its rows; from there on it drops zero
+    # top rows, which on a strictly lower stack is every row with its column,
+    # and one entry on or above the diagonal keeps its row in the stack
     ctx = STACK_FIELDS[name]
     members = [random_strictly_lower(rng, ctx, size) for _ in range(batch)]
+    if upper:
+        i = rng.randrange(size)
+        members[rng.randrange(batch)][i][rng.randrange(i, size)] = random_code(rng, ctx, True)
     stack = np.array(members, dtype=ctx.dtype)
-    mask = linalg.pivot_rows(ctx, stack, strictly_lower=True)
-    assert mask.tolist() == linalg.pivot_rows(ctx, stack).tolist()
-    assert linalg.ranks(ctx, stack, strictly_lower=True) == [linalg.rank(ctx, m) for m in members]
+    mask = linalg.pivot_rows(ctx, stack).tolist()
+    with tall_rows(size + 1):
+        assert mask == linalg.pivot_rows(ctx, stack).tolist()
+    assert linalg.ranks(ctx, stack) == [linalg.rank(ctx, m) for m in members]
     assert stack.tolist() == members
+
+
+def test_row_drop_keeps_the_rows_of_a_stack_that_is_not_strictly_lower():
+    # one diagonal entry: dropping row 0 with column 0 would lose the rank
+    stack = np.zeros((2, linalg._TALL_ROWS, linalg._TALL_ROWS), dtype=np.int64)
+    stack[0, 0, 0] = stack[1, 5, 2] = 1
+    assert linalg.ranks(FieldCtx(5), stack) == [1, 1]
 
 
 # the (p, n) covers of the benchmark's lattice sweep
@@ -337,8 +369,10 @@ def test_row_drop_pass_gives_the_general_mask_on_class_stacks(p, n):
         # the d-rank's source, its target and h1 windows on both sides of 0
         for a, lo in ((0, -w), (n + 1, -1 - w), (-3, -3 - w), (n + 4, n + 4 - w)):
             stack = cov.window(a, lo).class_stack()
-            mask = linalg.pivot_rows(cov.ctx, stack, strictly_lower=True)
-            assert mask.tolist() == linalg.pivot_rows(cov.ctx, stack).tolist()
+            with tall_rows(1):
+                mask = linalg.pivot_rows(cov.ctx, stack).tolist()
+            with tall_rows(stack.shape[1] + 1):
+                assert mask == linalg.pivot_rows(cov.ctx, stack).tolist()
 
 
 @pytest.mark.parametrize("name", FIELDS)
