@@ -22,7 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from wildcoh import ascover, char2ex, cohom, linalg, modrep, profile
+import numpy as np
+
+from wildcoh import ascover, char2ex, cohom, modrep, profile
 from wildcoh.char2ex import F4, OMEGA, AutTriple
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
@@ -254,7 +256,8 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     )
 
-    orders = {g: char2ex.ramification_order(g) for g in elements if g != char2ex.IDENTITY}
+    report = char2ex.filtration_report()
+    orders = report.ramification_orders
     sixteen = [g for g in orders if g.u != 1]
     six = [g for g in orders if g.u == 1 and g.r != 0]
     involution = AutTriple(1, 0, 1)
@@ -269,7 +272,6 @@ def criterion_7(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         and symbolic == 4
         and orders[involution] == char2ex.ramification_order(involution, prec=48)
     )
-    report = char2ex.filtration_report()
     flagged = any("ord(g(t) - t) = 2" in f for f in report.paper_discrepancies)
     results.append(
         CheckResult(
@@ -296,28 +298,15 @@ def _order24_averaging_check() -> bool:
     table = char2ex.group_table()
     sylow = [g for g in table.elements if g.u == 1]
     regular = table.regular_representation()
-    n = table.order
-    ident = linalg.identity(n)
-
-    def double(m):
-        out = linalg.zeros(2 * n, 2 * n)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = m[i][j]
-                out[n + i][n + j] = m[i][j]
-        return out
-
-    on_total = {g: double(regular[g]) for g in table.elements}
-    projection = [[0] * n + row for row in ident]
+    ident = np.eye(table.order, dtype=np.int64)
+    on_total = {g: np.kron(np.eye(2, dtype=np.int64), m) for g, m in regular.items()}
+    projection = np.hstack([np.zeros_like(ident), ident])
     # P-equivariant but not G-equivariant: project onto the P-coset of the identity
-    psi = linalg.zeros(n, n)
-    for idx, h in enumerate(table.elements):
-        if h in sylow:
-            psi[idx][idx] = 1
-    section = [row[:] for row in psi] + [row[:] for row in ident]
+    psi = np.diag([int(h in sylow) for h in table.elements])
+    section = np.vstack([psi, ident])
     action = modrep.SectionAction(F4, on_total, regular, projection)
     averaged = modrep.average_section(table, sylow, section, action)
-    return len(averaged) == 2 * n
+    return len(averaged) == 2 * table.order
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -384,11 +373,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         ctx = FieldCtx(p)
         cycle = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
         for r in (1, 2, 3):
-            sigma = linalg.zeros(r * p, r * p)
-            for b in range(r):
-                for i in range(p):
-                    for j in range(p):
-                        sigma[b * p + i][b * p + j] = cycle[i][j]
+            sigma = np.kron(np.eye(r, dtype=np.int64), cycle).tolist()
             mod = CyclicModule(ctx=ctx, sigma=sigma, q=p)
             h1 = cohom.periodic_cohomology(mod, 1)
             h2 = cohom.periodic_cohomology(mod, 2)

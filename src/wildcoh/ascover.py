@@ -52,15 +52,13 @@ def _class_layout(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     exponents of one residue class mod n.  Returns the flat positions
     row * size + col of those entries in N, and col * depth + k, their
     places in the (size, depth) binomial table, depth = (size - 1) // n + 1.
-    Every window is filled at these positions alone, so checking once per
-    layout that they lie strictly below the diagonal makes every window
-    matrix strictly lower triangular: sigma = 1 + N is unipotent.
+    Every window is filled at these positions alone, and each has row =
+    col + nk with n, k >= 1, so every window matrix is strictly lower
+    triangular by construction: sigma = 1 + N is unipotent.
     """
     ks = np.arange(1, (size - 1) // n + 1)
     cols, at = np.nonzero(np.arange(size)[:, None] + n * ks < size)
     rows = cols + n * ks[at]
-    if (rows <= cols).any():
-        raise NormalFormError("window matrix is not unipotent lower triangular")
     return rows * size + cols, cols * (len(ks) + 1) + ks[at]
 
 

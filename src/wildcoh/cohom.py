@@ -182,7 +182,7 @@ def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> Basis
     units = np.eye(win.size, dtype=win.ctx.dtype)
     x_image = win.x_image
     stack = np.vstack([x_image, units[at]])
-    if linalg.rank(win.ctx, stack.tolist()) - len(x_image) != len(exponents):
+    if linalg.ranks(win.ctx, stack[None])[0] - len(x_image) != len(exponents):
         raise CertificateError("candidate monomial classes are not independent")
     if len(exponents) != classes.dim:
         raise CertificateError(

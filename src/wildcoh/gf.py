@@ -60,13 +60,6 @@ class FieldCtx:
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
-        # flat q*q (add, sub, mul) and length-q (neg, inv) tables of an
-        # extension field; None for a prime field, which reduces mod p
-        self._add_table: tuple[int, ...] | None = None
-        self._sub_table: tuple[int, ...] | None = None
-        self._mul_table: tuple[int, ...] | None = None
-        self._neg_table: tuple[int, ...] | None = None
-        self._inv_table: tuple[int, ...] | None = None
         if modulus is None:
             self.m = 1
             self.modulus: tuple[int, ...] | None = None
@@ -107,47 +100,42 @@ class FieldCtx:
         mul = np.einsum("ai,bj,ijk->abk", digits, digits, cross) % p @ self._weights
         if (mul[1:, 1:] == 0).any():
             raise ValueError("modulus is reducible")
-        add = (digits[:, None] + digits[None, :]) % p @ self._weights
-        neg = -digits % p @ self._weights
+        self._add_array = (digits[:, None] + digits[None, :]) % p @ self._weights
         self._digit_array = digits
         self._mul_array = mul
-        self._sub_array = add[:, neg]
-        self._add_table = tuple(add.ravel().tolist())
-        self._sub_table = tuple(self._sub_array.ravel().tolist())
-        self._mul_table = tuple(mul.ravel().tolist())
-        self._neg_table = tuple(neg.tolist())
+        self._sub_array = self._add_array[:, -digits % p @ self._weights]
         self._inv_array = np.argmax(mul == 1, axis=1)
-        self._inv_table = tuple(self._inv_array.tolist())
 
     # -- code-level arithmetic -------------------------------------------
+    # extension fields read a table by ndarray.item, a third of int(table[a, b])'s cost
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is None:
+        if self.modulus is None:
             return (a + b) % self.p
-        return self._add_table[a * self.q + b]
+        return self._add_array.item(a, b)
 
     def neg(self, a: int) -> int:
-        if self._neg_table is None:
+        if self.modulus is None:
             return -a % self.p
-        return self._neg_table[a]
+        return self._sub_array.item(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        if self._sub_table is None:
+        if self.modulus is None:
             return (a - b) % self.p
-        return self._sub_table[a * self.q + b]
+        return self._sub_array.item(a, b)
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is None:
+        if self.modulus is None:
             return a * b % self.p
-        return self._mul_table[a * self.q + b]
+        return self._mul_array.item(a, b)
 
     def inv(self, a: int) -> int:
         # a prime field also refuses an unreduced multiple of p
-        if (a % self.p if self._inv_table is None else a) == 0:
+        if (a % self.p if self.modulus is None else a) == 0:
             raise ZeroDivisionError("division by zero in finite field")
-        if self._inv_table is None:
+        if self.modulus is None:
             return pow(a, self.p - 2, self.p)
-        return self._inv_table[a]
+        return self._inv_array.item(a)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -252,15 +252,9 @@ class LaurentSeries:
         return step, self.digits[::step], -(-rel // step)
 
     def invert(self) -> "LaurentSeries":
-        """Multiplicative inverse; requires the series to be nonzero mod t^prec."""
-        if self.is_zero:
-            raise ZeroDivisionError(
-                "cannot invert a series indistinguishable from 0 at current precision"
-            )
-        step, unit, length = self._decimated()
-        # f = t^val u(t^s)  =>  1/f = t^(-val) u^(-1)(t^s), known mod t^(prec - 2 val)
-        inverse = _inverse_root_digits(self.ctx, unit, 1, length)
-        return _spread(self.ctx, inverse, step, -self.val, self.prec - 2 * self.val)
+        """Multiplicative inverse, known mod t^(prec - 2 val); requires the
+        series to be nonzero mod t^prec."""
+        return self ** -1
 
     def __pow__(self, e: int) -> "LaurentSeries":
         ctx = self.ctx

@@ -1,16 +1,16 @@
 """Exact dense linear algebra over a FieldCtx.
 
-Matrices are lists of rows of element codes.  Elimination is plain
-Gauss-Jordan with deterministic pivoting (first nonzero entry in column
-order, rows scanned top to bottom), so every result is byte-stable.
-Elimination and products run on the field context's code arrays, one
-kernel for every field.  There are two eliminations: ``rref`` gives the
-reduced rows of one matrix, and ``pivot_rows`` takes a stack of small
-matrices as one code array and finds the pivot rows of them all in one
-pass; ``ranks`` counts them, and ``power_ranks`` ranks every power of a
-stack of nilpotent matrices that way.  ``RowEchelon`` serves the tests
-and callers outside the library; of the elementwise sums on Python
-lists, ``mat_add`` also serves ``modrep.average_section``.
+Elimination is plain Gauss-Jordan with deterministic pivoting (first
+nonzero entry in column order, rows scanned top to bottom), so every
+result is byte-stable; it runs on the field context's code arrays, one
+kernel for every field.  ``pivot_rows`` takes a stack of small matrices
+as one code array and finds the pivot rows of them all in one pass;
+``ranks`` counts them, and ``power_ranks`` ranks every power of a stack
+of nilpotent matrices that way.  The other functions take lists of rows
+of codes.  Of those the library calls ``rref``, ``inverse``, ``mat_mul``
+and ``zeros`` only in ``modrep``'s random modules and ``ExactTriple``;
+``rank``, ``identity``, ``mat_add``, ``mat_sub``, ``nullspace`` and
+``RowEchelon`` serve the tests and bench/tracer.py.
 """
 
 from __future__ import annotations

@@ -182,14 +182,10 @@ class GroupTable:
 
     def regular_representation(self) -> dict:
         """Left-regular permutation matrices, a faithful homomorphism."""
-        n = self.order
-        mats = {}
-        for g in self.elements:
-            m = linalg.zeros(n, n)
-            for j, h in enumerate(self.elements):
-                m[self._index[self.compose(g, h)]][j] = 1
-            mats[g] = m
-        return mats
+        # column j of g's matrix is the unit vector of g o h_j
+        units = np.eye(self.order, dtype=np.int64)
+        cols = [[self._index[self.compose(g, h)] for h in self.elements] for g in self.elements]
+        return {g: units[:, at].tolist() for g, at in zip(self.elements, cols)}
 
 
 @dataclass
@@ -197,61 +193,58 @@ class SectionAction:
     """Linear data for averaging: actions on the total and quotient spaces."""
 
     ctx: FieldCtx
-    on_total: Mapping[Hashable, list[list[int]]]
-    on_quotient: Mapping[Hashable, list[list[int]]]
-    projection: list[list[int]]
+    on_total: Mapping[Hashable, list[list[int]] | np.ndarray]
+    on_quotient: Mapping[Hashable, list[list[int]] | np.ndarray]
+    projection: list[list[int]] | np.ndarray
 
 
 def average_section(
     group: GroupTable,
     p_subgroup: Sequence[Hashable],
-    section: list[list[int]],
+    section: list[list[int]] | np.ndarray,
     action: SectionAction,
 ) -> list[list[int]]:
     """Average a P-equivariant section into a G-equivariant one.
 
     Implements s~(x) = (1/m) sum g_i^{-1} s(g_i x) over right-coset
     representatives; requires the index m = [G:P] to be invertible in the
-    field and verifies both the input hypothesis and the output.
+    field and verifies both the input hypothesis and the output.  The
+    matrices may be lists of rows or code arrays; the result is a list.
     """
     ctx = action.ctx
-    dim_c = len(action.projection)
-    dim_b = len(action.projection[0]) if action.projection else 0
     if group.order % len(list(p_subgroup)) != 0:
         raise ValueError("subgroup order does not divide the group order")
     m = group.order // len(list(p_subgroup))
     if m % ctx.p == 0:
         raise ValueError(f"index {m} is not invertible in characteristic {ctx.p}")
-    ident_c = linalg.identity(dim_c)
-    if linalg.mat_mul(ctx, action.projection, section) != ident_c:
+    projection, section = ctx.array(action.projection), ctx.array(section)
+    ident_c = np.eye(len(projection), dtype=ctx.dtype)
+    on_total = {g: ctx.array(a) for g, a in action.on_total.items()}
+    on_quotient = {g: ctx.array(a) for g, a in action.on_quotient.items()}
+
+    def equivariant(s, elements) -> bool:
+        # g s = s g for every g, as one stacked product per side
+        return np.array_equal(ctx.matmul(np.stack([on_total[g] for g in elements]), s),
+                              ctx.matmul(s, np.stack([on_quotient[g] for g in elements])))
+
+    if not np.array_equal(ctx.matmul(projection, section), ident_c):
         raise ValueError("input is not a section of the projection")
-    for h in p_subgroup:
-        lhs = linalg.mat_mul(ctx, action.on_total[h], section)
-        rhs = linalg.mat_mul(ctx, section, action.on_quotient[h])
-        if lhs != rhs:
-            raise ValueError("input section is not P-equivariant")
+    if not equivariant(section, p_subgroup):
+        raise ValueError("input section is not P-equivariant")
     reps = group.right_coset_representatives(p_subgroup)
     if len(reps) != m:
         raise AssertionError("coset count does not match the index")
-    total = linalg.zeros(dim_b, dim_c)
-    for g in reps:
-        g_inv = group.inverse(g)
-        term = linalg.mat_mul(
-            ctx,
-            action.on_total[g_inv],
-            linalg.mat_mul(ctx, section, action.on_quotient[g]),
-        )
-        total = linalg.mat_add(ctx, total, term)
-    inv_m = ctx.inv(ctx.embed(m))
-    averaged = [[ctx.mul(inv_m, x) for x in row] for row in total]
-    if linalg.mat_mul(ctx, action.projection, averaged) != ident_c:
+    # the sum of on_total[g^-1] s on_quotient[g] as one product: the
+    # on_total[g^-1] side by side times the s on_quotient[g] stacked
+    terms = ctx.matmul(section, np.stack([on_quotient[g] for g in reps]))
+    total = ctx.matmul(np.hstack([on_total[group.inverse(g)] for g in reps]),
+                       terms.reshape(-1, terms.shape[-1]))
+    averaged = ctx.mul_array(total, ctx.inv(ctx.embed(m)))
+    if not np.array_equal(ctx.matmul(projection, averaged), ident_c):
         raise AssertionError("averaged map is no longer a section")
-    for g in group.elements:
-        lhs = linalg.mat_mul(ctx, action.on_total[g], averaged)
-        rhs = linalg.mat_mul(ctx, averaged, action.on_quotient[g])
-        if lhs != rhs:
-            raise AssertionError("averaged section is not G-equivariant")
-    return averaged
+    if not equivariant(averaged, group.elements):
+        raise AssertionError("averaged section is not G-equivariant")
+    return averaged.tolist()
 
 
 def random_cyclic_module(ctx, q: int, rng) -> CyclicModule:

@@ -116,6 +116,23 @@ def test_inv_array_matches_inv(ctx):
             ctx.inv_array([2 * ctx.p])
 
 
+@pytest.mark.parametrize("ctx", [F4, F9, F25], ids=repr)
+def test_scalar_ops_match_the_array_kernels(ctx):
+    # every pair of codes; the sums come from matmul's digit-sum route
+    a, b = np.divmod(np.arange(ctx.q * ctx.q), ctx.q)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    sums = ctx.matmul(np.stack([a, b], axis=1)[:, None, :], np.ones((2, 1), dtype=ctx.dtype))
+    assert [ctx.add(x, y) for x, y in pairs] == sums[:, 0, 0].tolist()
+    assert [ctx.sub(x, y) for x, y in pairs] == ctx.sub_array(a, b).tolist()
+    assert [ctx.mul(x, y) for x, y in pairs] == ctx.mul_array(a, b).tolist()
+    codes = np.arange(ctx.q)
+    assert [ctx.neg(x) for x in range(ctx.q)] == ctx.sub_array(0, codes).tolist()
+    assert [ctx.inv(x) for x in range(1, ctx.q)] == ctx.inv_array(codes[1:]).tolist()
+    # scalar ops hand back Python ints, as a tuple table did
+    ops = (ctx.add(2, 3), ctx.sub(2, 3), ctx.neg(3), ctx.mul(2, 3), ctx.inv(3))
+    assert {type(x) for x in ops} == {int}
+
+
 def test_inv_array_without_tables():
     big = FieldCtx((1 << 31) - 1)
     codes = [1, 2, 123456789, big.p - 1]

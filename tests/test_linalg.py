@@ -529,5 +529,7 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
         triple = modrep.random_exact_triple(ctx, q, random.Random(q))
         assert triple.a_dim + triple.c_dim == triple.b.dim
     # no src path on this tour adds matrices, modules form N on code arrays,
-    # and the lattice dimensions are ranks of residue blocks, with no kernel basis
-    assert set(names) - {"mat_add", "mat_sub", "nullspace"} <= set(calls)
+    # and the lattice dimensions are ranks of residue blocks, with no kernel basis;
+    # the basis certificate ranks its stack as a code array, with no list rank
+    assert set(names) - {"rank", "mat_add", "mat_sub", "nullspace"} <= set(calls)
+    assert "rank" not in calls

@@ -10,9 +10,10 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from wildcoh import linalg, modrep
+from wildcoh import char2ex, linalg, modrep
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 
@@ -384,18 +385,55 @@ def _z6_averaging_setup():
     return z6, modrep.SectionAction(F2, double, reg, projection)
 
 
-def test_average_section_fixes_a_p_only_section():
-    z6, action = _z6_averaging_setup()
-    n = z6.order
-    p_sub = [0, 3]
+def _p_only_section(n, p_sub):
     psi = linalg.zeros(n, n)
     for h in p_sub:
         psi[h][h] = 1
-    section = [row[:] for row in psi] + [row[:] for row in linalg.identity(n)]
-    averaged = modrep.average_section(z6, p_sub, section, action)
+    return [row[:] for row in psi] + [row[:] for row in linalg.identity(n)]
+
+
+def test_average_section_fixes_a_p_only_section():
+    z6, action = _z6_averaging_setup()
+    section = _p_only_section(z6.order, [0, 3])
+    averaged = modrep.average_section(z6, [0, 3], section, action)
     # output equivariance and the section property are verified inside;
     # the averaged perturbation must differ from the non-equivariant input
     assert averaged != section
+
+
+def test_average_section_takes_lists_or_code_arrays():
+    z6, action = _z6_averaging_setup()
+    section = _p_only_section(z6.order, [0, 3])
+    as_lists = modrep.average_section(z6, [0, 3], section, action)
+    arrays = modrep.SectionAction(
+        F2,
+        {g: F2.array(m) for g, m in action.on_total.items()},
+        {g: F2.array(m) for g, m in action.on_quotient.items()},
+        F2.array(action.projection),
+    )
+    as_arrays = modrep.average_section(z6, [0, 3], F2.array(section), arrays)
+    assert as_arrays == as_lists
+    assert {type(x) for row in as_arrays for x in row} == {int}
+
+
+@pytest.mark.parametrize("table", [
+    modrep.GroupTable(list(range(6)), lambda a, b: (a + b) % 6),
+    char2ex.group_table(),
+], ids=["Z/6", "order 24"])
+def test_regular_representation_is_a_permutation_homomorphism(table):
+    reg = table.regular_representation()
+    n = table.order
+    for m in reg.values():
+        arr = np.array(m)
+        assert arr.shape == (n, n) and {type(x) for row in m for x in row} == {int}
+        assert set(arr.ravel().tolist()) == {0, 1}
+        assert (arr.sum(axis=0) == 1).all() and (arr.sum(axis=1) == 1).all()
+    # integer products of permutation matrices are exact; the order-24
+    # group is not abelian, so a transposed convention would fail here
+    for g in table.elements:
+        for h in table.elements:
+            assert (np.array(reg[g]) @ np.array(reg[h])).tolist() == reg[table.compose(g, h)]
+    assert len({str(m) for m in reg.values()}) == n  # faithful
 
 
 def test_average_section_identity_case():
