@@ -19,6 +19,7 @@ value blindly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -75,11 +76,12 @@ def compose(g: AutTriple, h: AutTriple) -> AutTriple:
 
 def inverse(g: AutTriple) -> AutTriple:
     inv = AutTriple(F4.mul(g.u, g.u), F4.mul(g.u, g.r), F4.add(g.t, F4.pow(g.r, 3)))
-    if compose(g, inv) != IDENTITY:
+    if group_table().inverse(g) != inv:
         raise RuntimeError(f"inverse formula failed for {g}")
     return inv
 
 
+@lru_cache(maxsize=None)
 def group_table() -> GroupTable:
     return GroupTable(enumerate_group(), compose)
 
@@ -144,12 +146,13 @@ def rep_homomorphism_check(matrix: MatrixFn = rep) -> RepHomomorphismCheck:
     g = (1, 1, w) although g o g is the central involution whose stated
     matrix is a nontrivial Jordan block.  It holds for derham_rep.
     """
-    elements = enumerate_group()
+    table = group_table()
+    elements = table.elements
     mats = F4.array([matrix(g) for g in elements])
     # every product matrix(g) matrix(h) in one call: g along axis 0, h along axis 1
-    products = F4.matmul(mats[:, None], mats[None, :]).tolist()
-    failures = [(g, h) for g, row in zip(elements, products) for h, prod in zip(elements, row)
-                if matrix(compose(g, h)) != prod]
+    products = F4.matmul(mats[:, None], mats[None, :])
+    bad = (products != mats[table.cayley]).any(axis=(2, 3))
+    failures = [(elements[i], elements[j]) for i, j in zip(*bad.nonzero())]  # g-major
     return RepHomomorphismCheck(
         holds=not failures, pairs_checked=len(elements) ** 2, failures=failures
     )
@@ -157,7 +160,7 @@ def rep_homomorphism_check(matrix: MatrixFn = rep) -> RepHomomorphismCheck:
 
 def rep_kernel(matrix: MatrixFn = rep) -> list[AutTriple]:
     """Elements whose matrix (the stated one by default) is the identity."""
-    return [g for g in enumerate_group() if matrix(g) == [[1, 0], [0, 1]]]
+    return [g for g in group_table().elements if matrix(g) == [[1, 0], [0, 1]]]
 
 
 @dataclass
@@ -187,8 +190,7 @@ class IndecomposabilityCertificate:
 
 def indecomposability_certificate(matrix: MatrixFn = rep) -> IndecomposabilityCertificate:
     """Certificate for the matrices given (the stated formula by default)."""
-    elements = enumerate_group()
-    mats = {g: matrix(g) for g in elements}
+    mats = {g: matrix(g) for g in group_table().elements}
     stable = all(m[1][0] == 0 for m in mats.values())
     witnesses = []
     for g, m in mats.items():
@@ -296,9 +298,7 @@ def filtration_report(prec: int = DEFAULT_PREC) -> FiltrationReport:
             break
 
     sylow = [g for g in elements if g.u == 1]
-    order_counts: dict[int, int] = {}
-    for g in sylow:
-        order_counts[table.element_order(g)] = order_counts.get(table.element_order(g), 0) + 1
+    order_counts = Counter(table.element_order(g) for g in sylow)
     is_q8 = len(sylow) == 8 and order_counts == {1: 1, 2: 1, 4: 6}
 
     discrepancies = []

@@ -7,10 +7,10 @@ kernel for every field.  ``pivot_rows`` takes a stack of small matrices
 as one code array and finds the pivot rows of them all in one pass;
 ``ranks`` counts them, and ``power_ranks`` ranks every power of a stack
 of nilpotent matrices that way.  The other functions take lists of rows
-of codes.  Of those the library calls ``rref``, ``inverse``, ``mat_mul``
-and ``zeros`` only in ``modrep``'s random modules and ``ExactTriple``;
-``rank``, ``identity``, ``mat_add``, ``mat_sub``, ``nullspace`` and
-``RowEchelon`` serve the tests and bench/tracer.py.
+of codes.  Of those the library calls ``rref``, ``mat_mul``, ``zeros``
+and ``inverse``, which builds on ``identity``, only in ``modrep``'s
+random modules and ``ExactTriple``; ``rank``, ``mat_add``, ``mat_sub``,
+``nullspace`` and ``RowEchelon`` serve the tests and bench/tracer.py.
 """
 
 from __future__ import annotations

@@ -127,28 +127,39 @@ def invariants_additive(triple: ExactTriple) -> bool:
 
 
 class GroupTable:
-    """Finite group given by an element list and a composition function."""
+    """Finite group given by an element list and a composition function.
+
+    compose is evaluated once per ordered pair, into the Cayley table
+    cayley[i, j] = index of elements[i] o elements[j]; every query reads it.
+    """
 
     def __init__(self, elements: Sequence[Hashable], compose: Callable):
         self.elements = list(elements)
         self.compose = compose
         self._index = {g: i for i, g in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        n = len(self.elements)
+        if len(self._index) != n:
             raise ValueError("duplicate group elements")
-        identity = None
-        for e in self.elements:
-            if all(compose(e, g) == g for g in self.elements):
-                identity = e
-                break
-        if identity is None:
+        cayley = np.array([[self._index.get(compose(g, h), -1) for h in self.elements]
+                           for g in self.elements], dtype=np.int64).reshape(n, n)
+        if (cayley < 0).any():
+            i, j = np.argwhere(cayley < 0)[0]
+            raise ValueError(f"{self.elements[i]} o {self.elements[j]} is not a group element")
+        # (g_i g_j) g_k against g_i (g_j g_k), for every triple at once
+        if not np.array_equal(cayley[cayley], cayley[:, cayley]):
+            raise ValueError("composition is not associative")
+        # a two-sided identity and right inverses make an associative law a group
+        at = np.arange(n)
+        found = np.flatnonzero((cayley == at).all(axis=1) & (cayley.T == at).all(axis=1))
+        if not len(found):
             raise ValueError("no identity element found")
-        self.identity = identity
-        self._inverse = {}
-        for g in self.elements:
-            inv = next((h for h in self.elements if compose(g, h) == identity), None)
-            if inv is None:
-                raise ValueError(f"element {g} has no inverse")
-            self._inverse[g] = inv
+        self.identity = self.elements[found[0]]
+        hits = cayley == found[0]
+        if not hits.any(axis=1).all():
+            raise ValueError(f"element {self.elements[hits.any(axis=1).argmin()]} has no inverse")
+        self._inverse = hits.argmax(axis=1)
+        cayley.flags.writeable = False
+        self.cayley = cayley
 
     @property
     def order(self) -> int:
@@ -158,34 +169,27 @@ class GroupTable:
         return g in self._index
 
     def inverse(self, g):
-        return self._inverse[g]
+        return self.elements[self._inverse[self._index[g]]]
 
     def right_coset_representatives(self, subgroup: Sequence[Hashable]) -> list:
         """One representative per right coset Hg, in element-list order."""
-        sub = list(subgroup)
-        seen = set()
-        reps = []
-        for g in self.elements:
-            coset = frozenset(self.compose(h, g) for h in sub)
-            if coset not in seen:
-                seen.add(coset)
-                reps.append(g)
-        return reps
+        # column g of the subgroup's rows is Hg; sorted, it keys the coset
+        cosets = np.sort(self.cayley[[self._index[h] for h in subgroup]], axis=0)
+        _, first = np.unique(cosets, axis=1, return_index=True)
+        return [self.elements[i] for i in sorted(first)]
 
     def element_order(self, g) -> int:
-        acc = g
+        at = acc = self._index[g]
         k = 1
-        while acc != self.identity:
-            acc = self.compose(acc, g)
-            k += 1
+        while acc != self._index[self.identity]:
+            acc, k = self.cayley[acc, at], k + 1
         return k
 
     def regular_representation(self) -> dict:
         """Left-regular permutation matrices, a faithful homomorphism."""
         # column j of g's matrix is the unit vector of g o h_j
         units = np.eye(self.order, dtype=np.int64)
-        cols = [[self._index[self.compose(g, h)] for h in self.elements] for g in self.elements]
-        return {g: units[:, at].tolist() for g, at in zip(self.elements, cols)}
+        return {g: units[:, row].tolist() for g, row in zip(self.elements, self.cayley)}
 
 
 @dataclass

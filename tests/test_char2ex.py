@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from wildcoh import char2ex, linalg
+from wildcoh import acceptance, char2ex, linalg
 from wildcoh.char2ex import F4, IDENTITY, OMEGA, AutTriple
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
 
@@ -87,6 +87,34 @@ def test_rep_is_not_a_homomorphism():
     assert not check.holds
     assert check.pairs_checked == 576
     assert (g, g) in check.failures
+
+
+@pytest.mark.parametrize("matrix", [char2ex.rep, char2ex.derham_rep], ids=["rep", "derham_rep"])
+def test_rep_homomorphism_failures_match_brute_force(matrix):
+    group = char2ex.enumerate_group()
+    expected = [(g, h) for g in group for h in group
+                if matrix(char2ex.compose(g, h)) != linalg.mat_mul(F4, matrix(g), matrix(h))]
+    check = char2ex.rep_homomorphism_check(matrix)
+    assert check.failures == expected  # the same pairs in the same g-major order
+    assert check.holds == (matrix is char2ex.derham_rep)
+
+
+def test_criterion_7_and_8c_compose_each_pair_once(monkeypatch):
+    calls = []
+    compose = char2ex.compose
+
+    def counting(g, h):
+        calls.append((g, h))
+        return compose(g, h)
+
+    char2ex.group_table.cache_clear()
+    monkeypatch.setattr(char2ex, "compose", counting)
+    try:
+        assert all(r.passed for r in acceptance.criterion_7())
+        assert acceptance._order24_averaging_check()
+    finally:
+        char2ex.group_table.cache_clear()  # drop the table that holds the counter
+    assert len(calls) == len(set(calls)) == 576
 
 
 def test_rep_kernel_is_trivial():

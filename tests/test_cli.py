@@ -188,8 +188,10 @@ def test_unknown_criterion_is_usage_error(capsys):
 # sha256 of the standard output: a changed answer, pivot choice or
 # format changes these
 GOLDEN = {
-    "char2": "afa1e3de870be50ba4c5282111042e24c96d397bd79b6b019bc1dcc9c4a01062",
-    "sweep": "2a70b3844018ae77f5467aeef3c8cb1f60fe027d7cfcc71d63b3e58501ebfe7c",
+    "char2 --format json": "afa1e3de870be50ba4c5282111042e24c96d397bd79b6b019bc1dcc9c4a01062",
+    "sweep --p 3 5 7 13 --n 6 --a 4":
+        "2a70b3844018ae77f5467aeef3c8cb1f60fe027d7cfcc71d63b3e58501ebfe7c",
+    "char2 --format text": "5b136b910c31ce4fc8356795bc3bf39987d3ea604932e48daf204fcc4f54f07d",
     "verify-all": "2099fc72b66a84565fbe16b1a841d70955398c0c27e80083cd2735a741cdab5d",
     "local --p 13 --n 3 --a 5 --format json":
         "6394687217cab1ef463b3f7b0c24567d4709228a97fc8c4465634b6cbb702d28",
@@ -207,11 +209,12 @@ def sha256(text):
 @pytest.mark.parametrize("argv", [
     ("char2", "--format", "json"),
     ("sweep", "--p", "3", "5", "7", "13", "--n", "6", "--a", "4"),
+    ("char2", "--format", "text"),
 ])
 def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert sha256(out) == GOLDEN[argv[0]]
+    assert sha256(out) == GOLDEN[" ".join(argv)]
 
 
 @pytest.mark.parametrize("command", [

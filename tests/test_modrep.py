@@ -8,7 +8,7 @@ and the counterexamples to the other, not the false equivalence.
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -367,6 +367,64 @@ def test_group_table_structure():
     reps = z6.right_coset_representatives([0, 3])
     assert len(reps) == 3
     assert 4 in z6
+
+
+def _compose_s3(g, h):
+    return tuple(g[h[i]] for i in range(3))  # apply h, then g
+
+
+def _brute_right_cosets(elements, compose, subgroup):
+    seen, reps = set(), []
+    for g in elements:
+        coset = frozenset(compose(h, g) for h in subgroup)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(g)
+    return reps
+
+
+_ORDER24 = char2ex.group_table()
+_S3 = modrep.GroupTable(list(permutations(range(3))), _compose_s3)
+
+
+@pytest.mark.parametrize("table, subgroup", [
+    # Hg != gH for H = {id, (0 1)}, so left cosets would give other representatives
+    (_S3, [(0, 1, 2), (1, 0, 2)]),
+    # a Sylow 3-subgroup, which is not normal in the order-24 group
+    (_ORDER24, [char2ex.IDENTITY, char2ex.AutTriple(2, 0, 0), char2ex.AutTriple(3, 0, 0)]),
+], ids=["S3", "order 24"])
+def test_group_table_matches_brute_force(table, subgroup):
+    elements, compose = table.elements, table.compose
+    n = len(elements)
+    assert table.cayley.shape == (n, n) and not table.cayley.flags.writeable
+    for i, g in enumerate(elements):
+        for j, h in enumerate(elements):
+            assert elements[table.cayley[i, j]] == compose(g, h)
+    e = table.identity
+    assert all(compose(e, g) == g == compose(g, e) for g in elements)
+    for g in elements:
+        assert compose(g, table.inverse(g)) == e == compose(table.inverse(g), g)
+        power, k = g, 1
+        while power != e:
+            power, k = compose(power, g), k + 1
+        assert table.element_order(g) == k
+    reps = table.right_coset_representatives(subgroup)
+    assert reps == _brute_right_cosets(elements, compose, subgroup)
+    if table is _S3:  # left cosets gH pick other representatives here
+        assert reps != _brute_right_cosets(elements, lambda a, b: compose(b, a), subgroup)
+
+
+@pytest.mark.parametrize("elements, law, message", [
+    (range(6), lambda a, b: (a + b) % 7, "is not a group element"),
+    (range(6), lambda a, b: (a - b) % 6, "not associative"),
+    (range(6), lambda a, b: 0, "no identity element found"),
+    (range(6), lambda a, b: b, "no identity element found"),  # every element is a left identity
+    (range(6), max, "element 1 has no inverse"),
+    ([0, 1, 0], lambda a, b: (a + b) % 2, "duplicate group elements"),
+], ids=["leaves-the-list", "non-associative", "constant", "right-projection", "max", "duplicates"])
+def test_group_table_rejects_bad_laws(elements, law, message):
+    with pytest.raises(ValueError, match=message):
+        modrep.GroupTable(elements, law)
 
 
 def _z6_averaging_setup():
