@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
 
 from wildcoh import acceptance, ascover, char2ex, cohom, profile
 from wildcoh.gf import is_prime
@@ -49,10 +48,6 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def cmd_local(args) -> int:
     p, n = args.p, args.n
-    if not is_prime(p):
-        raise CliError(f"{p} is not prime")
-    if n < 1 or gcd(n, p) != 1:
-        raise CliError(f"jump {n} must be positive and coprime to p = {p}")
     a = args.a
     w = args.window
     cov = cohom.cached_cover(p, n, w)

@@ -6,11 +6,12 @@ result is byte-stable; it runs on the field context's code arrays, one
 kernel for every field.  ``pivot_rows`` takes a stack of small matrices
 as one code array and finds the pivot rows of them all in one pass;
 ``ranks`` counts them, and ``power_ranks`` ranks every power of a stack
-of nilpotent matrices that way.  The other functions take lists of rows
-of codes.  Of those the library calls ``rref``, ``mat_mul``, ``zeros``
-and ``inverse``, which builds on ``identity``, only in ``modrep``'s
-random modules and ``ExactTriple``; ``rank``, ``mat_add``, ``mat_sub``,
-``nullspace`` and ``RowEchelon`` serve the tests and bench/tracer.py.
+of nilpotent matrices that way.  ``rref`` takes a list of rows of
+codes; the library calls it, in ``modrep``'s random modules and
+``ExactTriple``, to reduce spans and conjugate by a random map.
+``mat_mul``, ``mat_add``, ``mat_sub``, ``nullspace`` and ``RowEchelon``
+have no library caller: they stay for bench/tracer.py, which wraps them
+by name, and for the tests, whose list oracles live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ Vector = list[int]
 # narrowing copy costs about 1 us a call, which the small stacks of most
 # lattice windows do not pay back.
 _TALL_ROWS = 16
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
 
 
 def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
@@ -87,10 +80,6 @@ def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
         ctx.sub_outer(rest, factors, rest[r])
         pivots.append(c)
     return m.tolist(), pivots
-
-
-def rank(ctx: FieldCtx, a: Matrix) -> int:
-    return len(rref(ctx, a)[1])
 
 
 def pivot_rows(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
@@ -190,15 +179,6 @@ def nullspace(ctx: FieldCtx, a: Matrix) -> list[Vector]:
             vec[pc] = neg(red[r][fc])
         basis.append(vec)
     return basis
-
-
-def inverse(ctx: FieldCtx, a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(ctx, aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
 
 
 class RowEchelon:

@@ -261,22 +261,17 @@ def random_cyclic_module(ctx, q: int, rng) -> CyclicModule:
             break
         blocks.append(size)
         dim += size
-    sigma = linalg.zeros(dim, dim)
-    at = 0
-    for size in blocks:
-        for i in range(size):
-            sigma[at + i][at + i] = 1
-            if i + 1 < size:
-                sigma[at + i][at + i + 1] = 1
-        at += size
+    # Jordan blocks: ones on the diagonal and on the superdiagonal but at block ends
+    sigma = np.eye(dim, dtype=ctx.dtype) + np.eye(dim, k=1, dtype=ctx.dtype)
+    ends = np.cumsum(blocks)[:-1]
+    sigma[ends - 1, ends] = 0
     while True:
-        g = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(dim)]
-        try:
-            g_inv = linalg.inverse(ctx, g)
-            break
-        except ValueError:  # singular: draw again
-            pass
-    conj = linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, sigma), g_inv)
+        g = ctx.array([[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(dim)])
+        # [g^T | (g sigma)^T] reduces to [1 | (g sigma g^-1)^T] iff g is invertible
+        red, pivots = linalg.rref(ctx, np.hstack([g.T, ctx.matmul(g, sigma).T]).tolist())
+        if pivots[:dim] == list(range(dim)):
+            break  # else g is singular: draw again
+    conj = [list(col) for col in zip(*(row[dim:] for row in red))]
     return CyclicModule(ctx=ctx, sigma=conj, q=q)
 
 

@@ -69,6 +69,8 @@ def test_local_rejects_jump_divisible_by_p(capsys):
     [
         (("char2", "--prec", "10"), None, "precision below 16"),
         (("local", "--p", "3", "--n", "2", "--window", "2"), None, "window 2 too small"),
+        (("local", "--p", "4", "--n", "1"), None, "4 is not prime"),
+        (("local", "--p", "3", "--n", "0"), None, "jump 0 must be positive and coprime to 3"),
         (("defect",), {}, "missing the key 'p'"),
         (("defect",), {"p": 3, "gY": 0}, "missing the key 'jumps'"),
         (("defect",), {"p": 3, "gY": 0, "jumps": "12"}, "'jumps' must be a list of ints"),
@@ -77,9 +79,9 @@ def test_local_rejects_jump_divisible_by_p(capsys):
         (("defect",), [], "must be a JSON object"),
         (("defect",), {"p": None, "gY": 0, "jumps": []}, "'p' must be an int"),
     ],
-    ids=["char2-low-prec", "local-small-window", "defect-empty-profile", "defect-no-jumps",
-         "defect-jumps-string", "defect-jumps-float", "defect-jumps-int", "defect-list-profile",
-         "defect-null-p"],
+    ids=["char2-low-prec", "local-small-window", "local-not-prime", "local-jump-zero",
+         "defect-empty-profile", "defect-no-jumps", "defect-jumps-string", "defect-jumps-float",
+         "defect-jumps-int", "defect-list-profile", "defect-null-p"],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
     if profile is not None:

@@ -17,6 +17,8 @@ from wildcoh import char2ex, linalg, modrep
 from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 
+import oracles
+
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
 
@@ -76,12 +78,12 @@ def per_power_ranks(mod):
     # the reference rank sequence: one linalg.rank per power of N, the
     # route block_decomposition took before the stacked elimination
     ctx, dim = mod.ctx, mod.dim
-    nil = linalg.mat_sub(ctx, mod.sigma, linalg.identity(dim))
-    ranks = [dim, linalg.rank(ctx, nil) if dim else 0]
+    nil = linalg.mat_sub(ctx, mod.sigma, oracles.identity(dim))
+    ranks = [dim, oracles.rank(ctx, nil) if dim else 0]
     power = nil
     while ranks[-1] and len(ranks) <= mod.q:
         power = linalg.mat_mul(ctx, power, nil)
-        ranks.append(linalg.rank(ctx, power))
+        ranks.append(oracles.rank(ctx, power))
     if ranks[-1]:
         raise ValueError("generator matrix does not have the declared order")
     return ranks
@@ -123,7 +125,7 @@ def frontier_closure_triple(ctx, q, rng, max_dim=10):
             break
         blocks.append(size)
         dim += size
-    sigma = linalg.zeros(dim, dim)
+    sigma = oracles.zeros(dim, dim)
     at = 0
     for size in blocks:
         for i in range(size):
@@ -133,9 +135,9 @@ def frontier_closure_triple(ctx, q, rng, max_dim=10):
         at += size
     while True:
         g = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(dim)]
-        if linalg.rank(ctx, g) == dim:
+        if oracles.rank(ctx, g) == dim:
             break
-    conj = linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, sigma), linalg.inverse(ctx, g))
+    conj = linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, sigma), oracles.inverse(ctx, g))
     gens = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(rng.randint(0, dim))]
     ech = linalg.RowEchelon(ctx, gens)
     frontier = ech.rows()
@@ -156,6 +158,18 @@ def test_krylov_closure_matches_the_frontier_closure():
     assert ours.random() == theirs.random()
 
 
+@pytest.mark.parametrize("ctx, q", TRIPLE_FIELDS, ids=lambda x: repr(x))
+def test_drawn_triples_hold_python_ints(ctx, q):
+    # bench/workloads.py JSON-hashes sigma and the basis of A, which a numpy
+    # integer would crash; equality with Python ints does not catch one
+    rng = random.Random(q * ctx.q)
+    for _ in range(40):
+        triple = modrep.random_exact_triple(ctx, q, rng)
+        for rows in (triple.b.sigma, triple.a_basis):
+            assert type(rows) is list and all(type(row) is list for row in rows)
+            assert all(type(x) is int for row in rows for x in row)
+
+
 def test_exact_triple_keeps_the_row_echelon_rows():
     j3_j1 = CyclicModule(ctx=F3, sigma=[[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                          q=3)
@@ -163,7 +177,7 @@ def test_exact_triple_keeps_the_row_echelon_rows():
         [[2, 2, 0, 0], [1, 0, 0, 0]],  # unreduced
         [[1, 0, 0, 1], [1, 0, 0, 1], [2, 0, 0, 2]],  # duplicated
         [[4, -3, 0, 7], [0, 6, 0, 5]],  # out of range
-        [[0, 0, 0, 0]], [], linalg.identity(4),
+        [[0, 0, 0, 0]], [], oracles.identity(4),
     )
     for a_basis in bases:
         ech = linalg.RowEchelon(F3, a_basis)
@@ -207,13 +221,13 @@ def test_splits_refuses_a_wrong_order():
     message = "generator matrix does not have the declared order"
     with pytest.raises(ValueError, match=message):
         per_power_ranks(j4)
-    for a_basis in ([], [[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]], linalg.identity(4)):
+    for a_basis in ([], [[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]], oracles.identity(4)):
         with pytest.raises(ValueError, match=message):
             modrep.splits(modrep.ExactTriple(b=j4, a_basis=a_basis))
 
 
 def test_block_decomposition_examples():
-    triv = CyclicModule(ctx=F3, sigma=linalg.identity(3), q=3)
+    triv = CyclicModule(ctx=F3, sigma=oracles.identity(3), q=3)
     assert modrep.block_decomposition(triv) == Counter({1: 3})
     for p in (2, 3, 5):
         ctx = FieldCtx(p)
@@ -226,7 +240,7 @@ def test_block_decomposition_of_lattice_window():
     from wildcoh import cohom
 
     win = cohom.cached_cover(3, 2).window(0, -6)
-    sigma = linalg.mat_add(win.ctx, linalg.identity(win.size), win.nil.tolist())
+    sigma = linalg.mat_add(win.ctx, oracles.identity(win.size), win.nil.tolist())
     mod = CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p)
     assert modrep.block_decomposition(mod) == blocks_oracle(sigma, 3, 3)
 
@@ -251,10 +265,10 @@ def test_block_decomposition_conjugation_invariant():
             dim = mod.dim
             while True:
                 g = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-                if linalg.rank(ctx, g) == dim:
+                if oracles.rank(ctx, g) == dim:
                     break
             conj = linalg.mat_mul(
-                ctx, linalg.mat_mul(ctx, g, mod.sigma), linalg.inverse(ctx, g)
+                ctx, linalg.mat_mul(ctx, g, mod.sigma), oracles.inverse(ctx, g)
             )
             twin = CyclicModule(ctx=ctx, sigma=conj, q=q)
             assert modrep.block_decomposition(twin) == modrep.block_decomposition(mod)
@@ -267,7 +281,7 @@ def test_splits_and_additive_worked_cases():
     assert not modrep.invariants_additive(socle)
 
     direct = modrep.ExactTriple(
-        b=CyclicModule(ctx=F3, sigma=linalg.identity(2), q=3), a_basis=[[1, 0]]
+        b=CyclicModule(ctx=F3, sigma=oracles.identity(2), q=3), a_basis=[[1, 0]]
     )
     assert modrep.splits(direct)
     assert modrep.invariants_additive(direct)
@@ -433,21 +447,21 @@ def _z6_averaging_setup():
     n = z6.order
     double = {}
     for g, m in reg.items():
-        blown = linalg.zeros(2 * n, 2 * n)
+        blown = oracles.zeros(2 * n, 2 * n)
         for i in range(n):
             for j in range(n):
                 blown[i][j] = m[i][j]
                 blown[n + i][n + j] = m[i][j]
         double[g] = blown
-    projection = [[0] * n + row for row in linalg.identity(n)]
+    projection = [[0] * n + row for row in oracles.identity(n)]
     return z6, modrep.SectionAction(F2, double, reg, projection)
 
 
 def _p_only_section(n, p_sub):
-    psi = linalg.zeros(n, n)
+    psi = oracles.zeros(n, n)
     for h in p_sub:
         psi[h][h] = 1
-    return [row[:] for row in psi] + [row[:] for row in linalg.identity(n)]
+    return [row[:] for row in psi] + [row[:] for row in oracles.identity(n)]
 
 
 def test_average_section_fixes_a_p_only_section():
@@ -497,14 +511,14 @@ def test_regular_representation_is_a_permutation_homomorphism(table):
 def test_average_section_identity_case():
     z6, action = _z6_averaging_setup()
     n = z6.order
-    honest = linalg.zeros(n, n) + linalg.identity(n)
+    honest = oracles.zeros(n, n) + oracles.identity(n)
     assert modrep.average_section(z6, z6.elements, honest, action) == honest
 
 
 def test_average_section_error_cases():
     z6, action = _z6_averaging_setup()
     n = z6.order
-    honest = linalg.zeros(n, n) + linalg.identity(n)
+    honest = oracles.zeros(n, n) + oracles.identity(n)
     with pytest.raises(ValueError):
         modrep.average_section(z6, [0, 2, 4], honest, action)  # index 2 = 0 in GF(2)
     broken = [row[:] for row in honest]
