@@ -369,8 +369,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         ctx = FieldCtx(p)
         cycle = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
         for r in (1, 2, 3):
-            sigma = np.kron(np.eye(r, dtype=np.int64), cycle).tolist()
-            mod = CyclicModule(ctx=ctx, sigma=sigma, q=p)
+            mod = CyclicModule(ctx=ctx, sigma=np.kron(np.eye(r, dtype=np.int64), cycle), q=p)
             h1 = cohom.periodic_cohomology(mod, 1)
             h2 = cohom.periodic_cohomology(mod, 2)
             if h1 or h2:

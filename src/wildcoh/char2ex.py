@@ -179,14 +179,6 @@ class IndecomposabilityCertificate:
     q8_witnesses: list[AutTriple]
     indecomposable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "first_line_stable": self.first_line_stable,
-            "witnesses": [list(w) for w in self.witnesses],
-            "q8_witnesses": [list(w) for w in self.q8_witnesses],
-            "indecomposable": self.indecomposable,
-        }
-
 
 def indecomposability_certificate(matrix: MatrixFn = rep) -> IndecomposabilityCertificate:
     """Certificate for the matrices given (the stated formula by default)."""

@@ -32,34 +32,39 @@ class CertificateError(RuntimeError):
     """A basis or vanishing certificate failed to verify."""
 
 
-@dataclass
 class CyclicModule:
-    """Finite-dimensional module over a cyclic group of order q = p^e."""
+    """Finite-dimensional module over a cyclic group of order q = p^e.
 
-    ctx: FieldCtx
-    sigma: list[list[int]]
-    q: int
+    The generator is kept once, as the read-only code array ``codes``;
+    ``sigma`` is its list view.  It may be given as a list of rows or as
+    an array; ``[]`` is the 0 x 0 module.
+    """
 
-    def __post_init__(self):
-        p, q = self.ctx.p, self.q
-        while q > 1 and q % p == 0:
-            q //= p
-        if self.q < 2 or q != 1:
-            raise ValueError(f"order {self.q} is not a positive power of {p}")
+    def __init__(self, ctx: FieldCtx, sigma, q: int):
+        e = q
+        while e > 1 and e % ctx.p == 0:
+            e //= ctx.p
+        if q < 2 or e != 1:
+            raise ValueError(f"order {q} is not a positive power of {ctx.p}")
+        codes = ctx.array(sigma)
+        if codes.shape == (0,):
+            codes = codes.reshape(0, 0)
+        if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
+            raise ValueError(f"generator of shape {codes.shape} is not square")
+        codes.flags.writeable = False
+        self.ctx, self.codes, self.q = ctx, codes, q
+
+    @property
+    def sigma(self) -> list[list[int]]:
+        return self.codes.tolist()
 
     @property
     def dim(self) -> int:
-        return len(self.sigma)
+        return len(self.codes)
 
     def nil_codes(self) -> np.ndarray:
         """N = sigma - 1 as a code array, formed on each call: modules are kept in bulk."""
-        ctx, dim = self.ctx, self.dim
-        sigma = np.array(self.sigma, dtype=ctx.dtype).reshape(dim, dim)
-        return ctx.sub_array(sigma, np.eye(dim, dtype=ctx.dtype))
-
-    def validate(self) -> None:
-        """Check sigma^q = 1, i.e. N^q = 0, since q is a power of p."""
-        linalg.power_ranks(self.ctx, self.nil_codes()[None], self.q)
+        return self.ctx.sub_array(self.codes, np.eye(self.dim, dtype=self.ctx.dtype))
 
 
 def periodic_cohomology(mod: CyclicModule, i: int) -> int:

@@ -173,9 +173,19 @@ class FieldCtx:
         """Array of codes, from a code, a list of codes or a list of rows.
 
         Prime-field entries may be any integers; they are reduced mod p.
+        Extension-field entries must be codes: anything outside 0..q-1
+        raises ValueError, since a negative code would index its tables
+        from the end.
         """
         arr = np.array(rows, dtype=self.dtype)
-        return arr % self.p if self.m == 1 else arr
+        if self.m == 1:
+            try:
+                return arr % self.p
+            except TypeError:  # Python-int codes: numpy keeps ragged rows as list entries
+                raise ValueError("entries are not integer codes of equal-length rows") from None
+        if arr.size and not (0 <= arr.min() and arr.max() < self.q):
+            raise ValueError(f"GF({self.q}) codes lie in 0..{self.q - 1}")
+        return arr
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise product, with numpy broadcasting."""

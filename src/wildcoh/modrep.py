@@ -53,9 +53,8 @@ class ExactTriple:
         ctx, dim = self.b.ctx, self.b.dim
         rows, pivots = linalg.rref(ctx, self.a_basis)
         rows = ctx.array(rows[: len(pivots)]).reshape(len(pivots), dim)
-        sigma = np.array(self.b.sigma, dtype=ctx.dtype).reshape(dim, dim)
         # the rows are reduced, so S = sigma(rows) lies in A iff S = S[:, pivots] rows
-        images = ctx.matmul(rows, sigma.T)
+        images = ctx.matmul(rows, self.b.codes.T)
         if ctx.sub_array(images, ctx.matmul(images[:, pivots], rows)).any():
             raise ValueError("subspace is not sigma-stable")
         self._a_rows, self._a_pivots = rows, pivots
@@ -68,14 +67,13 @@ class ExactTriple:
     def c_dim(self) -> int:
         return self.b.dim - self.a_dim
 
-    def _induced(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def _induced(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The matrices that a map x of B keeping A stable induces on A, in
         the echelon basis of A, and on B/A, in the non-pivot coordinates.
 
         Both are linear in x and send 1 to 1, so they serve sigma and N alike.
         """
         ctx, dim = self.b.ctx, self.b.dim
-        x = np.asarray(x, dtype=ctx.dtype).reshape(dim, dim)
         rows, pivots = self._a_rows, self._a_pivots
         free = sorted(set(range(dim)).difference(pivots))
         # the rows are reduced: a vector of A has its coordinates at the pivots
@@ -85,15 +83,15 @@ class ExactTriple:
         return on_a, ctx.sub_array(x[free][:, free], reduced)
 
     def _module(self, sigma: np.ndarray) -> CyclicModule:
-        return CyclicModule(ctx=self.b.ctx, sigma=sigma.tolist(), q=self.b.q)
+        return CyclicModule(ctx=self.b.ctx, sigma=sigma, q=self.b.q)
 
     def a_module(self) -> CyclicModule:
         """Restriction of sigma to A, in the echelon basis of A."""
-        return self._module(self._induced(self.b.sigma)[0])
+        return self._module(self._induced(self.b.codes)[0])
 
     def c_module(self) -> CyclicModule:
         """Induced action on B/A, in the basis of non-pivot coordinates."""
-        return self._module(self._induced(self.b.sigma)[1])
+        return self._module(self._induced(self.b.codes)[1])
 
     def nil_stack(self) -> np.ndarray:
         """N on B, A and C, zero-padded to one (3, dim B, dim B) code array."""
@@ -271,8 +269,7 @@ def random_cyclic_module(ctx, q: int, rng) -> CyclicModule:
         red, pivots = linalg.rref(ctx, np.hstack([g.T, ctx.matmul(g, sigma).T]).tolist())
         if pivots[:dim] == list(range(dim)):
             break  # else g is singular: draw again
-    conj = [list(col) for col in zip(*(row[dim:] for row in red))]
-    return CyclicModule(ctx=ctx, sigma=conj, q=q)
+    return CyclicModule(ctx=ctx, sigma=ctx.array(red)[:, dim:].T, q=q)
 
 
 def random_exact_triple(ctx, q: int, rng) -> ExactTriple:
@@ -286,9 +283,8 @@ def random_exact_triple(ctx, q: int, rng) -> ExactTriple:
     dim = mod.dim
     r = rng.randint(0, dim)
     gens = [[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(r)]
-    sigma_tr = np.array(mod.sigma, dtype=ctx.dtype).T
     krylov = [ctx.array(gens).reshape(r, dim)]
     for _ in range(q - 1):
-        krylov.append(ctx.matmul(krylov[-1], sigma_tr))
+        krylov.append(ctx.matmul(krylov[-1], mod.codes.T))
     rows, pivots = linalg.rref(ctx, np.concatenate(krylov).tolist())
     return ExactTriple(b=mod, a_basis=rows[: len(pivots)])

@@ -208,15 +208,6 @@ class MainTheoremVerdict:
     consistent: bool
     p2_exception: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "defect": self.defect,
-            "weakly_ramified": self.weakly_ramified,
-            "consistent": self.consistent,
-            "p2_exception": self.p2_exception,
-        }
-
 
 def main_theorem_check(prof: RamificationProfile) -> MainTheoremVerdict:
     """For p > 2, defect = 0 iff all jumps <= 1; jumps <= 1 forces defect 0.

@@ -543,7 +543,7 @@ def test_periodic_cohomology_jordan_block():
 
 def test_cyclic_module_validation():
     with pytest.raises(ValueError):
-        CyclicModule(ctx=F3, sigma=[[2]], q=3).validate()  # order 2, not 3
+        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=[[2]], q=3))  # order 2, not 3
     with pytest.raises(ValueError, match="not a positive power of 3"):
         CyclicModule(ctx=F3, sigma=[[1]], q=6)  # refused at construction
     with pytest.raises(ValueError, match="not a positive power of 3"):
@@ -551,11 +551,36 @@ def test_cyclic_module_validation():
     # N is nilpotent for J_4, but N^3 != 0: sigma has order 9, not 3
     j4 = [[1 if j - i in (0, 1) else 0 for j in range(4)] for i in range(4)]
     with pytest.raises(ValueError, match="does not have the declared order"):
-        CyclicModule(ctx=F3, sigma=j4, q=3).validate()
-    CyclicModule(ctx=F3, sigma=j4, q=9).validate()
+        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=3))
+    modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=9))
     win = cohom.cached_cover(3, 2).window(0, -6)
     sigma = linalg.mat_add(win.ctx, oracles.identity(win.size), win.nil.tolist())
-    CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p).validate()
+    modrep.block_decomposition(CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p))
+
+
+def test_cyclic_module_keeps_its_generator_once_as_read_only_codes():
+    for ctx in (F3, FieldCtx(32771)):  # int64 codes and Python-int codes
+        for bad in ([[1, 0], [1]], [[1, 0, 0], [0, 1, 0]], [[[1]]], [1], [[]]):
+            with pytest.raises(ValueError):
+                CyclicModule(ctx=ctx, sigma=bad, q=ctx.p)
+    empty = CyclicModule(ctx=F3, sigma=[], q=3)
+    assert empty.codes.shape == (0, 0) and empty.sigma == [] and empty.dim == 0
+    big, given = FieldCtx(32771), np.array([[1, -1], [0, 1]])
+    cases = ((F3, given, [[1, 2], [0, 1]]), (FieldCtx(2, (1, 1, 1)), [[1, 3], [0, 1]], None),
+             (big, given, [[1, big.p - 1], [0, 1]]))
+    for ctx, sigma, want in cases:
+        mod = CyclicModule(ctx=ctx, sigma=sigma, q=ctx.p)
+        with pytest.raises(ValueError, match="read-only"):
+            mod.codes[0, 0] = 0
+        # the list view holds Python ints, as the benchmark's JSON digest needs
+        assert mod.sigma == mod.codes.tolist() == (want or sigma)
+        assert all(type(x) is int for row in mod.sigma for x in row)
+    # the module keeps a copy: changing the array it was given changes nothing
+    given[0, 0] = 2
+    assert mod.sigma == [[1, big.p - 1], [0, 1]]
+    # out-of-range extension-field codes are refused, not read as other codes
+    with pytest.raises(ValueError, match=r"GF\(4\) codes lie in 0\.\.3"):
+        CyclicModule(ctx=FieldCtx(2, (1, 1, 1)), sigma=[[1, -1], [0, 1]], q=2)
 
 
 def test_closed_form_monotone_sanity():

@@ -139,6 +139,20 @@ def test_inv_array_without_tables():
     assert big.inv_array(codes).tolist() == [big.inv(a) for a in codes]
 
 
+def test_array_reduces_prime_integers_and_refuses_other_extension_codes():
+    assert F5.array([[-1, 7], [5, -12]]).tolist() == [[4, 2], [0, 3]]
+    big = FieldCtx(32771)
+    assert big.array([-1, 32772]).tolist() == [32770, 1]
+    assert F4.array([[0, 3], [1, 2]]).tolist() == [[0, 3], [1, 2]]
+    # a negative code would read the tables from the end: -1 as q - 1
+    for bad in ([[-1, 1], [1, 1]], [[1, 4]], [9]):
+        with pytest.raises(ValueError, match=r"^GF\(4\) codes lie in 0\.\.3$"):
+            F4.array(bad)
+    with pytest.raises(ValueError, match=r"^GF\(9\) codes lie in 0\.\.8$"):
+        F9.inv_array([-8])
+    assert F9.array([]).shape == (0,)
+
+
 def test_context_mismatch_rejected():
     # contexts are equal when characteristic and modulus are
     assert FieldCtx(3) == F3 and hash(FieldCtx(3)) == hash(F3)

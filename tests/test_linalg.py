@@ -70,6 +70,16 @@ def test_rref_pivots_deterministic():
     assert red[0][0] == 1 and red[1][1] == 1
 
 
+def test_rref_refuses_out_of_range_extension_codes():
+    # -1 would index the GF(4) tables as code 3: [[3, 1], [1, 1]] has rank 2,
+    # where -1 read as the integer embedding 1 gives rank 1
+    for bad in ([[-1, 1], [1, 1]], [[4, 1], [1, 1]]):
+        with pytest.raises(ValueError, match=r"^GF\(4\) codes lie in 0\.\.3$"):
+            linalg.rref(F4, bad)
+    # prime fields still reduce any integer mod p
+    assert linalg.rref(F5, [[-1, 1], [1, -1]]) == ([[1, 4], [0, 0]], [0])
+
+
 def test_inverse_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
@@ -521,7 +531,6 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     j3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     mod = cohom.CyclicModule(ctx=FieldCtx(3), sigma=j3, q=3)
     assert modrep.block_decomposition(mod) == Counter({3: 1})
-    mod.validate()
     # J_3 is the free module k[Z/3]: one invariant line, no higher cohomology
     assert [cohom.periodic_cohomology(mod, i) for i in (0, 1, 2)] == [1, 0, 0]
     # J_3 contains J_2 = span(e_0, e_1) with quotient J_1: not split, and the
