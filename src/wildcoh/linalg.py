@@ -6,12 +6,15 @@ result is byte-stable; it runs on the field context's code arrays, one
 kernel for every field.  ``pivot_rows`` takes a stack of small matrices
 as one code array and finds the pivot rows of them all in one pass;
 ``ranks`` counts them, and ``power_ranks`` ranks every power of a stack
-of nilpotent matrices that way.  ``rref`` takes a list of rows of
-codes; the library calls it, in ``modrep``'s random modules and
-``ExactTriple``, to reduce spans and conjugate by a random map.
+of nilpotent matrices that way.  ``echelon`` is the one Gauss-Jordan
+kernel: it reduces a 2-D code array to its reduced row echelon form,
+and ``modrep`` spans every subspace and conjugates every random module
+with it.  ``rref`` is its list form, with no library caller: it stays
+for bench/tracer.py, which wraps it by name and sizes its argument with
+``len()``, and for the tests' list oracles in tests/oracles.py.
 ``mat_mul``, ``mat_add``, ``mat_sub``, ``nullspace`` and ``RowEchelon``
-have no library caller: they stay for bench/tracer.py, which wraps them
-by name, and for the tests, whose list oracles live in tests/oracles.py.
+have no library caller either: they stay for bench/tracer.py and the
+tests alike.
 """
 
 from __future__ import annotations
@@ -55,11 +58,12 @@ def mat_sub(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
     return [[sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column list (deterministic)."""
-    if not a or not a[0]:
-        return [row[:] for row in a], []
-    m = ctx.array(a)
+def echelon(ctx: FieldCtx, codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 2-D code array, and its pivot columns.
+
+    Works on a copy: the argument is never modified.
+    """
+    m = codes.copy()
     rows, cols = m.shape
     pivots: list[int] = []
     for c in range(cols):
@@ -79,7 +83,15 @@ def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
         factors[r] = ctx.sub(1, scale)
         ctx.sub_outer(rest, factors, rest[r])
         pivots.append(c)
-    return m.tolist(), pivots
+    return m, pivots
+
+
+def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
+    """``echelon`` on a list of rows of codes, returning a list of rows."""
+    if not a:
+        return [], []
+    reduced, pivots = echelon(ctx, ctx.array(a))
+    return reduced.tolist(), pivots
 
 
 def pivot_rows(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:

@@ -42,26 +42,40 @@ def block_decomposition(mod: CyclicModule) -> Counter:
     return blocks
 
 
-@dataclass
 class ExactTriple:
-    """Stable subspace A of B with quotient C = B/A, all over one cyclic group."""
+    """Stable subspace A of B with quotient C = B/A, all over one cyclic group.
 
-    b: CyclicModule
-    a_basis: list[list[int]]
+    A is given by spanning rows, as a list of rows or a code array, and
+    reduced once: the triple keeps A's reduced row echelon basis as the
+    read-only code array ``a_codes``, with its pivot columns, and
+    ``a_basis`` is the list view of those rows.  ``[]`` spans A = 0.
+    """
 
-    def __post_init__(self):
-        ctx, dim = self.b.ctx, self.b.dim
-        rows, pivots = linalg.rref(ctx, self.a_basis)
-        rows = ctx.array(rows[: len(pivots)]).reshape(len(pivots), dim)
+    def __init__(self, b: CyclicModule, a_basis):
+        ctx, dim = b.ctx, b.dim
+        spanning = ctx.array(a_basis)
+        if spanning.shape == (0,):
+            spanning = spanning.reshape(0, dim)
+        if spanning.ndim != 2 or spanning.shape[1] != dim:
+            raise ValueError(f"spanning rows of shape {spanning.shape} are not rows of "
+                             f"width dim B = {dim}")
+        reduced, pivots = linalg.echelon(ctx, spanning)
+        # a copy, so that the spanning stack is not kept alive by a view
+        rows = reduced[: len(pivots)].copy()
         # the rows are reduced, so S = sigma(rows) lies in A iff S = S[:, pivots] rows
-        images = ctx.matmul(rows, self.b.codes.T)
+        images = ctx.matmul(rows, b.codes.T)
         if ctx.sub_array(images, ctx.matmul(images[:, pivots], rows)).any():
             raise ValueError("subspace is not sigma-stable")
-        self._a_rows, self._a_pivots = rows, pivots
+        rows.flags.writeable = False
+        self.b, self.a_codes, self.a_pivots = b, rows, pivots
+
+    @property
+    def a_basis(self) -> list[list[int]]:
+        return self.a_codes.tolist()
 
     @property
     def a_dim(self) -> int:
-        return len(self._a_rows)
+        return len(self.a_codes)
 
     @property
     def c_dim(self) -> int:
@@ -74,7 +88,7 @@ class ExactTriple:
         Both are linear in x and send 1 to 1, so they serve sigma and N alike.
         """
         ctx, dim = self.b.ctx, self.b.dim
-        rows, pivots = self._a_rows, self._a_pivots
+        rows, pivots = self.a_codes, self.a_pivots
         free = sorted(set(range(dim)).difference(pivots))
         # the rows are reduced: a vector of A has its coordinates at the pivots
         on_a = ctx.matmul(rows, x.T)[:, pivots].T
@@ -169,6 +183,19 @@ class GroupTable:
     def inverse(self, g):
         return self.elements[self._inverse[self._index[g]]]
 
+    def subgroup_index(self, subgroup: Sequence[Hashable]) -> int:
+        """The index [G:H] of H, given as distinct group elements closed
+        under the law; ValueError if they are not."""
+        at = [self._index.get(h) for h in subgroup]
+        if None in at:
+            raise ValueError(f"{subgroup[at.index(None)]} is not a group element")
+        if len(set(at)) != len(at):
+            raise ValueError("subgroup elements are not distinct")
+        # a nonempty finite subset closed under the law is a subgroup
+        if not at or not np.isin(self.cayley[np.ix_(at, at)], at).all():
+            raise ValueError("subgroup is empty or not closed under the group law")
+        return self.order // len(at)
+
     def right_coset_representatives(self, subgroup: Sequence[Hashable]) -> list:
         """One representative per right coset Hg, in element-list order."""
         # column g of the subgroup's rows is Hg; sorted, it keys the coset
@@ -209,14 +236,13 @@ def average_section(
     """Average a P-equivariant section into a G-equivariant one.
 
     Implements s~(x) = (1/m) sum g_i^{-1} s(g_i x) over right-coset
-    representatives; requires the index m = [G:P] to be invertible in the
-    field and verifies both the input hypothesis and the output.  The
+    representatives; requires P to be a subgroup of G, given as distinct
+    elements, and the index m = [G:P] to be invertible in the field, and
+    verifies both the input hypothesis and the output.  The
     matrices may be lists of rows or code arrays; the result is a list.
     """
     ctx = action.ctx
-    if group.order % len(list(p_subgroup)) != 0:
-        raise ValueError("subgroup order does not divide the group order")
-    m = group.order // len(list(p_subgroup))
+    m = group.subgroup_index(p_subgroup)
     if m % ctx.p == 0:
         raise ValueError(f"index {m} is not invertible in characteristic {ctx.p}")
     projection, section = ctx.array(action.projection), ctx.array(section)
@@ -266,18 +292,19 @@ def random_cyclic_module(ctx, q: int, rng) -> CyclicModule:
     while True:
         g = ctx.array([[rng.randrange(ctx.q) for _ in range(dim)] for _ in range(dim)])
         # [g^T | (g sigma)^T] reduces to [1 | (g sigma g^-1)^T] iff g is invertible
-        red, pivots = linalg.rref(ctx, np.hstack([g.T, ctx.matmul(g, sigma).T]).tolist())
+        red, pivots = linalg.echelon(ctx, np.hstack([g.T, ctx.matmul(g, sigma).T]))
         if pivots[:dim] == list(range(dim)):
             break  # else g is singular: draw again
-    return CyclicModule(ctx=ctx, sigma=ctx.array(red)[:, dim:].T, q=q)
+    return CyclicModule(ctx=ctx, sigma=red[:, dim:].T, q=q)
 
 
 def random_exact_triple(ctx, q: int, rng) -> ExactTriple:
     """Random stable-subspace triple: generators closed under sigma.
 
     The sigma-closure of the generators G is the row space of
-    [G; G sigma^T; ...; G (sigma^T)^(q-1)], since sigma^q = 1; its reduced
-    rows, which are unique, are the basis of A.
+    [G; G sigma^T; ...; G (sigma^T)^(q-1)], since sigma^q = 1; the triple
+    reduces that stack once, and its reduced rows, which are unique, are
+    the basis of A.
     """
     mod = random_cyclic_module(ctx, q, rng)
     dim = mod.dim
@@ -286,5 +313,4 @@ def random_exact_triple(ctx, q: int, rng) -> ExactTriple:
     krylov = [ctx.array(gens).reshape(r, dim)]
     for _ in range(q - 1):
         krylov.append(ctx.matmul(krylov[-1], mod.codes.T))
-    rows, pivots = linalg.rref(ctx, np.concatenate(krylov).tolist())
-    return ExactTriple(b=mod, a_basis=rows[: len(pivots)])
+    return ExactTriple(b=mod, a_basis=np.concatenate(krylov))

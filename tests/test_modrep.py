@@ -9,6 +9,7 @@ and the counterexamples to the other, not the false equivalence.
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -209,7 +210,13 @@ def test_exact_triple_keeps_the_row_echelon_rows():
     for a_basis in bases:
         ech = linalg.RowEchelon(F3, a_basis)
         triple = modrep.ExactTriple(b=j3_j1, a_basis=a_basis)
-        assert triple._a_rows.tolist() == ech.rows() and triple._a_pivots == ech.pivots()
+        assert triple.a_basis == ech.rows() and triple.a_pivots == ech.pivots()
+        # a code array spans the same A, with the same answers
+        twin = modrep.ExactTriple(b=j3_j1, a_basis=np.array(a_basis, dtype=np.int64))
+        assert twin.a_basis == triple.a_basis and twin.a_pivots == triple.a_pivots
+        assert np.array_equal(twin.nil_stack(), triple.nil_stack())
+        assert modrep.splits(twin) == modrep.splits(triple)
+        assert modrep.invariants_additive(twin) == modrep.invariants_additive(triple)
     # span(e_1 + e_3) is not stable: sigma sends it to e_0 + e_1 + e_3
     unstable = [[0, 1, 0, 1], [3, 4, 0, 4]]
     assert not linalg.RowEchelon(F3, unstable).contains([1, 1, 0, 1])
@@ -317,9 +324,12 @@ def test_splits_and_additive_worked_cases():
     assert modrep.splits(degenerate)
     assert modrep.invariants_additive(degenerate)
 
-    empty = modrep.ExactTriple(b=CyclicModule(ctx=F3, sigma=[], q=3), a_basis=[])
-    assert modrep.splits(empty) and modrep.invariants_additive(empty)
-    assert empty.a_module().sigma == empty.c_module().sigma == []
+    zero = CyclicModule(ctx=F3, sigma=[], q=3)
+    for a_basis in ([], np.zeros((0, 0), dtype=np.int64)):
+        empty = modrep.ExactTriple(b=zero, a_basis=a_basis)
+        assert empty.a_codes.shape == (0, 0) and empty.a_basis == [] and empty.a_pivots == []
+        assert modrep.splits(empty) and modrep.invariants_additive(empty)
+        assert empty.a_module().sigma == empty.c_module().sigma == []
 
 
 def test_j2_inside_j3():
@@ -329,6 +339,17 @@ def test_j2_inside_j3():
     assert tri.a_dim == 2 and tri.c_dim == 1
     assert not modrep.invariants_additive(tri)
     assert not modrep.splits(tri)
+
+
+@pytest.mark.parametrize("a_basis", [
+    [[1, 0]], [[0, 0]], [[0, 0, 0, 0]], np.zeros((1, 2), dtype=np.int64), [1, 0, 0], [[]],
+], ids=["short", "short-zero", "long-zero", "short-array", "flat", "empty-row"])
+def test_exact_triple_refuses_rows_of_another_width(a_basis):
+    # a zero row of another width spans nothing, but is still not a vector of B
+    j3 = CyclicModule(ctx=F3, sigma=[[1, 1, 0], [0, 1, 1], [0, 0, 1]], q=3)
+    shape = re.escape(str(np.shape(a_basis)))
+    with pytest.raises(ValueError, match=rf"shape {shape} are not rows of width dim B = 3$"):
+        modrep.ExactTriple(b=j3, a_basis=a_basis)
 
 
 def test_unstable_subspace_rejected():
@@ -557,26 +578,74 @@ def test_average_section_error_cases():
         modrep.average_section(z6, [0, 3], not_section, action)
 
 
-def test_random_triples_are_valid():
-    rng = random.Random(7)
+def test_average_section_refuses_a_subset_that_is_not_a_subgroup():
+    z6, action = _z6_averaging_setup()
+    n = z6.order
+    honest = oracles.zeros(n, n) + oracles.identity(n)
+    for subset, message in (
+        ([0, 1], "subgroup is empty or not closed under the group law"),  # 1 + 1 = 2 is missing
+        ([], "subgroup is empty or not closed under the group law"),
+        ([0, 7], "7 is not a group element"),
+        ([0, 3, 3], "subgroup elements are not distinct"),  # not index 2, nor "not invertible"
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            modrep.average_section(z6, subset, honest, action)
+
+
+def test_random_triples_are_valid(monkeypatch):
+    # each draw runs echelon once per conjugation attempt, on [g^T | (g sigma)^T],
+    # and then once on the Krylov stack that spans A
+    calls, echelon = [], linalg.echelon
+
+    def counted(ctx, codes):
+        reduced, pivots = echelon(ctx, codes)
+        calls.append((codes.shape, pivots))
+        return reduced, pivots
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    rng, retried = random.Random(7), 0
     for q, p in ((3, 3), (8, 2)):
         ctx = FieldCtx(p)
         for _ in range(25):
+            calls.clear()
             tri = modrep.random_exact_triple(ctx, q, rng)
+            dim = tri.b.dim
+            *attempts, (span_shape, span_pivots) = calls
+            assert [shape for shape, _ in attempts] == [(dim, 2 * dim)] * len(attempts)
+            invertible = [pivots[:dim] == list(range(dim)) for _, pivots in attempts]
+            assert invertible == [False] * (len(attempts) - 1) + [True]
+            assert span_shape[1] == dim and span_pivots == tri.a_pivots
+            retried += len(attempts) > 1
             assert tri.a_dim + tri.c_dim == tri.b.dim
             modrep.block_decomposition(tri.a_module())
             modrep.block_decomposition(tri.c_module())
+    assert retried  # a singular g was drawn again at least once
 
 
 def test_an_echelon_basis_is_kept_once():
-    # random_exact_triple passes A's echelon rows: the triple keeps them as they are
+    # A is kept once, as read-only codes copied out of the reduced stack;
+    # a_basis is a fresh list of Python ints on every read
     rng = random.Random(11)
-    for _ in range(10):
-        tri = modrep.random_exact_triple(FieldCtx(3), 9, rng)
-        assert tri._a_rows.tolist() == tri.a_basis
+    drawn = [modrep.random_exact_triple(ctx, q, rng) for ctx, q in TRIPLE_FIELDS for _ in range(4)]
+    # Python-int codes: J_3 over GF(32771), spanned by a code array
+    big = FieldCtx(32771)
+    j3 = CyclicModule(ctx=big, sigma=[[1, 1, 0], [0, 1, 1], [0, 0, 1]], q=32771)
+    wide = modrep.ExactTriple(b=j3, a_basis=big.array([[5, 32770, 0], [3, 2, 0], [8, 1, 0]]))
+    assert wide.a_basis == [[1, 0, 0], [0, 1, 0]] and wide.a_codes.dtype == object
+    for tri in drawn + [wide]:
+        codes = tri.a_codes
+        assert not codes.flags.writeable and codes.base is None and codes.dtype == tri.b.ctx.dtype
+        view = tri.a_basis
+        assert view == codes.tolist() and view is not tri.a_basis
+        assert all(type(x) is int for row in view for x in row)
+        if view:
+            view[0][0] += 1
+            assert tri.a_basis == codes.tolist() != view
+        twin = modrep.ExactTriple(b=tri.b, a_basis=tri.a_basis)
+        assert np.array_equal(twin.a_codes, codes) and twin.a_pivots == tri.a_pivots
     # any other spanning set gets its own echelon rows, and the same answers
     j3 = CyclicModule(ctx=F3, sigma=[[1, 1, 0], [0, 1, 1], [0, 0, 1]], q=3)
     echelon = modrep.ExactTriple(b=j3, a_basis=[[1, 0, 0], [0, 1, 0]])
     spanned = modrep.ExactTriple(b=j3, a_basis=[[1, 1, 0], [2, 0, 0], [1, 0, 0]])
-    assert spanned._a_rows.tolist() == echelon.a_basis
+    assert spanned.a_basis == echelon.a_basis
     assert spanned.nil_stack().tolist() == echelon.nil_stack().tolist()
