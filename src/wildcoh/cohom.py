@@ -257,8 +257,7 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     unit = exps % p != 0
     _check_d_commutes(src, tgt)
     # class_stack's block r holds the exponents lo + r mod n
-    src_ranks = linalg.pivot_rows(ctx, src.class_stack()).sum(axis=1)
-    src_ranks = src_ranks[(np.arange(n) - src.lo) % n]
+    src_ranks = np.array(linalg.ranks(ctx, src.class_stack()))[(np.arange(n) - src.lo) % n]
     # A' = [[N_src on the p | e columns, N_src E^-1 X^T], [0, X^T off the unit
     # rows]], up to the sign of rows.  Its rows are the t^e of the source,
     # then the t^f of the target, from a row whose class and block position
@@ -276,10 +275,10 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     schur[: src.size, x_col:] = ctx.matmul(src.nil, scaled)
     schur[tgt_row:, x_col:] = x_cols
     schur[tgt_row + image[unit], x_col:] = 0
-    schur_pivots = linalg.pivot_rows(ctx, ascover.class_blocks(schur, n, src.lo, p * first_i, p))
+    schur_ranks = linalg.ranks(ctx, ascover.class_blocks(schur, n, src.lo, p * first_i, p))
     units = np.bincount(exps[unit] % n, minlength=n)
     x_powers = np.bincount(p * np.array(js, dtype=np.int64) % n, minlength=n)
-    return units + schur_pivots.sum(axis=1) - src_ranks - x_powers
+    return units + schur_ranks - src_ranks - x_powers
 
 
 def d_image_rank(cov: LocalCover, w: int | None = None) -> int:

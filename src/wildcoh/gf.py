@@ -29,7 +29,12 @@ class NoRootError(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for n < 2**31)."""
+    """Deterministic trial-division primality test for n < 2**31.
+
+    Raises ValueError from 2**31 on, where trial division takes too long.
+    """
+    if n >= 2 ** 31:
+        raise ValueError(f"{n} is too large for the primality test (bound 2**31)")
     if n < 2:
         return False
     if n < 4:

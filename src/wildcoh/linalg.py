@@ -3,14 +3,14 @@
 Elimination is plain Gauss-Jordan with deterministic pivoting (first
 nonzero entry in column order, rows scanned top to bottom), so every
 result is byte-stable; it runs on the field context's code arrays, one
-kernel for every field.  ``pivot_rows`` takes a stack of small matrices
-as one code array and finds the pivot rows of them all in one pass;
-``ranks`` counts them, and ``power_ranks`` ranks every power of a stack
-of nilpotent matrices that way.  ``echelon`` is the one Gauss-Jordan
-kernel: it reduces a 2-D code array to its reduced row echelon form,
-and ``modrep`` spans every subspace and conjugates every random module
-with it.  ``rref`` is its list form, with no library caller: it stays
-for bench/tracer.py, which wraps it by name and sizes its argument with
+kernel for every field.  The array side is two kernels: ``echelon``
+reduces a 2-D code array to its reduced row echelon form, and ``modrep``
+spans every subspace and conjugates every random module with it;
+``ranks`` takes a stack of small matrices as one code array and counts
+the rank of them all in one elimination, and ``power_ranks`` ranks every
+power of a stack of nilpotent matrices with it.  ``rref`` is the list
+form of ``echelon``, with no library caller: it stays for
+bench/tracer.py, which wraps it by name and sizes its argument with
 ``len()``, and for the tests' list oracles in tests/oracles.py.
 ``mat_mul``, ``mat_add``, ``mat_sub``, ``nullspace`` and ``RowEchelon``
 have no library caller either: they stay for bench/tracer.py and the
@@ -28,7 +28,7 @@ from wildcoh.gf import FieldCtx
 Matrix = list[list[int]]
 Vector = list[int]
 
-# The least height at which pivot_rows narrows a prime field's codes and
+# The least height at which ranks narrows a prime field's codes and
 # drops zero top rows.  On class stacks of N the row drop cost 2-4 us more
 # a call at 3-5 rows and was even at 12-20 rows.  It was 18 % faster at 7
 # classes of 30 rows and 21 % faster at 3 classes of 69 rows.  The
@@ -94,15 +94,16 @@ def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
     return reduced.tolist(), pivots
 
 
-def pivot_rows(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
-    """Pivot rows of every matrix of a (B, r, c) code array, in one elimination.
+def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
+    """Rank of every matrix of a (B, r, c) code array, in one elimination.
 
     A fraction-free forward pass: at each column every matrix replaces
     each row by pivot * row - row[0] * pivot_row, where the pivot row is
     its first row nonzero in that column.  This clears the column in
     every row, the pivot row included, so nothing is inverted or moved,
-    and the column is dropped.  Zero rows and columns, such as the
-    padding of smaller matrices in a stack, change no pivot.
+    and the column is dropped.  A matrix whose column has a pivot gains
+    one in rank.  Zero rows and columns, such as the padding of smaller
+    matrices in a stack, change no rank.
 
     Stacks of ``_TALL_ROWS`` rows or more take two shortcuts that cost
     smaller stacks more than they save:
@@ -114,47 +115,26 @@ def pivot_rows(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
       triangular stack, as the class stacks of N are, row j is still
       zero from column j on when column j comes up, since each pivot row
       that updated it lies above it and is zero from its own index on.
-      So every row leaves with its column: the same mask, from about a
+      So every row leaves with its column: the same ranks, from about a
       third fewer updated entries on a square stack.
-
-    Returns the (B, r) mask of the rows that served as a pivot.  A pivot
-    row is zero afterwards, so each row serves at most once and a
-    member's mask sums to its rank.  A pivot below the first k rows only
-    rescales them, so those rows keep the pivots they would have alone:
-    their mask sums to the rank of the top k rows.
     """
     m = np.asarray(stack)
-    rows = m.shape[1]
-    tall = rows >= _TALL_ROWS
+    tall = m.shape[1] >= _TALL_ROWS
     if tall:
         m = m.astype(ctx.narrow_dtype, copy=False)
     batch = np.arange(len(m))
-    # per column, every member's pivot row in m, and the stack row of m's row 0
-    picks, firsts = [], []
-    first = 0  # the stack row that row 0 of m is
+    counts = np.zeros(len(m), dtype=np.int64)
     while np.count_nonzero(m):
         if tall and not m[:, 0].any():
             m = m[:, 1:]
-            first += 1
         lead = m[:, :, 0]
-        pick = (lead != 0).argmax(axis=1)
-        pivot = m[batch, pick]
+        pivot = m[batch, (lead != 0).argmax(axis=1)]
         missing = pivot[:, 0] == 0
-        pick[missing] = rows - first  # a column without a pivot marks row `rows`
-        picks.append(pick)
-        firsts.append(first)
+        counts += ~missing
         # a matrix whose column is zero keeps its rows: scale 1, factors 0
         m = ctx.mul_sub(m[:, :, 1:], (pivot[:, 0] + missing)[:, None, None], lead[:, :, None],
                         pivot[:, None, 1:])
-    mask = np.zeros((len(batch), rows + 1), dtype=bool)
-    if picks:
-        mask[batch, np.array(picks) + np.array(firsts)[:, None]] = True
-    return mask[:, :rows]
-
-
-def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
-    """Rank of every matrix of a (B, r, c) code array: its pivot rows, counted."""
-    return pivot_rows(ctx, stack).sum(axis=1).tolist()
+    return counts.tolist()
 
 
 def power_ranks(ctx: FieldCtx, stack: np.ndarray, q: int) -> np.ndarray:

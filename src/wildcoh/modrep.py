@@ -280,7 +280,7 @@ def random_cyclic_module(ctx, q: int, rng) -> CyclicModule:
     blocks = []
     dim = 0
     while not blocks or (dim < MAX_DIM and rng.random() < 0.6):
-        size = rng.randint(1, q)
+        size = rng.randint(1, min(q, MAX_DIM))
         if dim + size > MAX_DIM:
             break
         blocks.append(size)

@@ -78,10 +78,15 @@ def test_local_rejects_jump_divisible_by_p(capsys):
         (("defect",), {"p": 3, "gY": 0, "jumps": 2}, "'jumps' must be a list of ints"),
         (("defect",), [], "must be a JSON object"),
         (("defect",), {"p": None, "gY": 0, "jumps": []}, "'p' must be an int"),
+        # trial division would run for hours on a 61-bit prime
+        (("defect", "--p", "2305843009213693951", "--gy", "0", "--jumps", "1"), None,
+         "bound 2**31"),
+        (("sweep", "--p", "2305843009213693951", "--n", "1", "--a", "0"), None, "bound 2**31"),
     ],
     ids=["char2-low-prec", "local-small-window", "local-not-prime", "local-jump-zero",
          "defect-empty-profile", "defect-no-jumps", "defect-jumps-string", "defect-jumps-float",
-         "defect-jumps-int", "defect-list-profile", "defect-null-p"],
+         "defect-jumps-int", "defect-list-profile", "defect-null-p", "defect-huge-p",
+         "sweep-huge-p"],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
     if profile is not None:

@@ -180,6 +180,9 @@ def test_prime_test():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert is_prime(2 ** 31 - 1)
+    for n in (2 ** 31, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match=r"bound 2\*\*31"):
+            is_prime(n)
 
 
 def test_element_representation_and_embedding():

@@ -253,7 +253,7 @@ def test_mat_mul_is_associative_and_schoolbook(name, rng, shape):
 
 @contextlib.contextmanager
 def tall_rows(height):
-    """pivot_rows with its tall-stack shortcuts (narrow codes, the row drop)
+    """ranks with its tall-stack shortcuts (narrow codes, the row drop)
     from ``height`` rows on: 1 puts every stack on them, a huge height none."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_TALL_ROWS", height)
@@ -289,26 +289,6 @@ def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
     with tall_rows(1):
         assert linalg.ranks(ctx, stack) == [oracles.rank(ctx, m) for m in members]
     assert stack.tolist() == members  # the stack is left as it was
-
-
-@pytest.mark.parametrize("name", STACK_FIELDS)
-@PROPERTY
-@given(rng=rngs, rows=dims, cols=dims)
-def test_pivot_rows_of_the_top_rows_count_their_rank(name, rng, rows, cols):
-    # rows below the first k only rescale them, so their pivots are rank of
-    # the top k, and a pivot below means the lower rows leave that row space
-    ctx = STACK_FIELDS[name]
-    members = random_stack_members(rng, ctx, rows, cols)
-    mask = linalg.pivot_rows(ctx, np.array(members, dtype=ctx.dtype))
-    with tall_rows(1):
-        assert linalg.pivot_rows(ctx, np.array(members, dtype=ctx.dtype)).tolist() == mask.tolist()
-    assert mask.dtype == bool and mask.shape == (len(members), rows)
-    for member, pivots in zip(members, mask.tolist()):
-        assert sum(pivots) == oracles.rank(ctx, member)
-        for k in range(rows + 1):
-            top = oracles.rank(ctx, member[:k]) if k else 0
-            assert sum(pivots[:k]) == top
-            assert any(pivots[k:]) == (oracles.rank(ctx, member) > top)
 
 
 @pytest.mark.parametrize("name", STACK_FIELDS)
@@ -370,10 +350,10 @@ def test_row_drop_pass_gives_the_general_mask(name, rng, size, batch, upper):
         i = rng.randrange(size)
         members[rng.randrange(batch)][i][rng.randrange(i, size)] = random_code(rng, ctx, True)
     stack = np.array(members, dtype=ctx.dtype)
-    mask = linalg.pivot_rows(ctx, stack).tolist()
+    got = linalg.ranks(ctx, stack)
     with tall_rows(size + 1):
-        assert mask == linalg.pivot_rows(ctx, stack).tolist()
-    assert linalg.ranks(ctx, stack) == [oracles.rank(ctx, m) for m in members]
+        assert got == linalg.ranks(ctx, stack)
+    assert got == [oracles.rank(ctx, m) for m in members]
     assert stack.tolist() == members
 
 
@@ -398,9 +378,9 @@ def test_row_drop_pass_gives_the_general_mask_on_class_stacks(p, n):
         for a, lo in ((0, -w), (n + 1, -1 - w), (-3, -3 - w), (n + 4, n + 4 - w)):
             stack = cov.window(a, lo).class_stack()
             with tall_rows(1):
-                mask = linalg.pivot_rows(cov.ctx, stack).tolist()
+                got = linalg.ranks(cov.ctx, stack)
             with tall_rows(stack.shape[1] + 1):
-                assert mask == linalg.pivot_rows(cov.ctx, stack).tolist()
+                assert got == linalg.ranks(cov.ctx, stack)
 
 
 @pytest.mark.parametrize("name", FIELDS)

@@ -622,6 +622,18 @@ def test_random_triples_are_valid(monkeypatch):
     assert retried  # a singular g was drawn again at least once
 
 
+@pytest.mark.parametrize("q, p", [(11, 11), (13, 13), (16, 2), (25, 5), (27, 3)])
+def test_groups_above_the_dimension_bound_draw_valid_triples(q, p):
+    # a Jordan block may be as large as q, but no block drawn exceeds MAX_DIM
+    ctx = FieldCtx(p)
+    for seed in range(200):
+        tri = modrep.random_exact_triple(ctx, q, random.Random(seed))
+        assert 1 <= tri.b.dim <= modrep.MAX_DIM
+        assert tri.a_dim + tri.c_dim == tri.b.dim
+        for mod in (tri.b, tri.a_module(), tri.c_module()):
+            modrep.block_decomposition(mod)
+
+
 def test_an_echelon_basis_is_kept_once():
     # A is kept once, as read-only codes copied out of the reduced stack;
     # a_basis is a fresh list of Python ints on every read
