@@ -201,7 +201,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         check = ascover.invariant_differential_check(cov)
         if not check.ok:
             failures.append((p, n, "; ".join(check.failures)))
-        cov.window(1, 1 - (n + p + 1)).verify_order()
+        cov.window(1, 1 - ascover.least_window(p, n)).verify_order()
     return [
         CheckResult(
             "6",

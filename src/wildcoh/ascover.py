@@ -11,7 +11,7 @@ principal root branch (constant term 1), so a cover is canonical for
 modulo t^a, the finite model every cohomology computation runs on.  Window
 entries are binomial coefficients read from the closed forms of sigma(t)^e
 and x^j; the series sigma_t and x_t are the independent route to the same
-digits.
+digits, each built by Newton iteration the first time something reads it.
 """
 
 from __future__ import annotations
@@ -95,6 +95,11 @@ def class_blocks(mat: np.ndarray, n: int, row_first: int, col_first: int,
     return blocks
 
 
+def least_window(p: int, n: int) -> int:
+    """The least window size any lattice computation for (p, n) may use, n + p + 1."""
+    return n + p + 1
+
+
 def recommended_precision(p: int, n: int, w: int | None = None) -> int:
     """Precision making every window/cohomology run for (p, n) safe.
 
@@ -103,42 +108,50 @@ def recommended_precision(p: int, n: int, w: int | None = None) -> int:
     x-expansion identity, with guard digits on top.
     """
     if w is None:
-        w = n + p + 1
+        w = least_window(p, n)
     return max(n * p + p + 1, w + 2 * p + n + 2, p + n * (p - 1) + 2) + _GUARD
 
 
 def build(p: int, n: int, prec: int) -> "LocalCover":
     """Construct the canonical local cover for jump n in characteristic p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1 or gcd(n, p) != 1:
-        raise ValueError(f"jump {n} must be positive and coprime to {p}")
-    if prec <= n * p + p:
-        raise ValueError(f"precision {prec} too small; need > {n * p + p}")
-    ctx = FieldCtx(p)
-    one = LaurentSeries.one(ctx, prec)
-    t_n = LaurentSeries.monomial(ctx, n, prec)
-    sigma_t = (one + t_n).nth_root(-n).shift(1)
-    t_big = LaurentSeries.monomial(ctx, n * (p - 1), prec)
-    x_t = (one - t_big).nth_root(-n).shift(p)
-    return LocalCover(p=p, n=n, prec=prec, ctx=ctx, sigma_t=sigma_t, x_t=x_t)
+    return LocalCover(p=p, n=n, prec=prec)
 
 
 @dataclass
 class LocalCover:
-    """Normal-form data of one wild point; immutable after build."""
+    """Normal-form data of one wild point; immutable after build, series built on first read."""
 
     p: int
     n: int
     prec: int
-    ctx: FieldCtx
-    sigma_t: LaurentSeries
-    x_t: LaurentSeries
-    # caches derived from the fields above; never passed in, never compared
+    # FieldCtx(p) and caches derived from the fields above; never passed in, never compared
+    ctx: FieldCtx = field(init=False, compare=False)
     _sigma_blocks: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # cohom.d_image_rank by window size, stored once the widened window agrees
     _d_ranks: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if self.n < 1 or gcd(self.n, self.p) != 1:
+            raise ValueError(f"jump {self.n} must be positive and coprime to {self.p}")
+        if self.prec <= self.n * self.p + self.p:
+            raise ValueError(f"precision {self.prec} too small; need > {self.n * self.p + self.p}")
+        self.ctx = FieldCtx(self.p)
+
+    @cached_property
+    def sigma_t(self) -> LaurentSeries:
+        """sigma(t) = t / (1 + t^n)^(1/n) mod t^(prec+1), by Newton iteration."""
+        one, t_n = (LaurentSeries.monomial(self.ctx, e, self.prec) for e in (0, self.n))
+        return (one + t_n).nth_root(-self.n).shift(1)
+
+    @cached_property
+    def x_t(self) -> LaurentSeries:
+        """x = t^p / (1 - t^(n(p-1)))^(1/n) mod t^(prec+p), by Newton iteration."""
+        one, t_big = (LaurentSeries.monomial(self.ctx, e, self.prec)
+                      for e in (0, self.n * (self.p - 1)))
+        return (one - t_big).nth_root(-self.n).shift(self.p)
 
     def binomials(self, exps: Sequence[int], count: int) -> np.ndarray:
         """B[r, k] = binom(-exps[r]/n, k) mod p for 0 <= k < count, by Lucas's theorem.

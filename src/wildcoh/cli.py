@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     except (cohom.StabilizationError, cohom.CertificateError, ascover.NormalFormError) as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

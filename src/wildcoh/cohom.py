@@ -133,12 +133,10 @@ def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
 
 def _window_size(cov: LocalCover, w: int | None) -> int:
     """The window size to use: w, or by default the least allowed, n + p + 1."""
-    least = cov.n + cov.p + 1
-    if w is None:
-        return least
-    if w < least:
+    least = ascover.least_window(cov.p, cov.n)
+    if w is not None and w < least:
         raise ValueError(f"window {w} too small; need at least n + p + 1 = {least}")
-    return w
+    return least if w is None else w
 
 
 def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClassSet:

@@ -1,8 +1,10 @@
 """Local normal form: defining identities, windows, invariant parameter."""
 
+import dataclasses
 import hashlib
 import json
 import random
+import re
 from math import comb
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wildcoh import ascover, linalg
+from wildcoh import ascover, cohom, linalg
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries
 
@@ -80,8 +82,10 @@ def test_x_correction_valuation():
 
 
 def with_x(cov, x_t):
-    return ascover.LocalCover(p=cov.p, n=cov.n, prec=cov.prec, ctx=cov.ctx,
-                              sigma_t=cov.sigma_t, x_t=x_t)
+    """A fresh cover of the same (p, n, prec) whose x_t reads as x_t."""
+    out = ascover.LocalCover(p=cov.p, n=cov.n, prec=cov.prec)
+    out.x_t = x_t
+    return out
 
 
 def test_verify_normal_form_reads_the_head_of_x():
@@ -277,9 +281,9 @@ def corrupted(cov, exp):
     """The cover with 1 added to the coefficient of t^exp in sigma(t)."""
     coeffs = list(cov.sigma_t.coeffs)
     coeffs[exp - 1] = (coeffs[exp - 1] + 1) % cov.p
-    bad_sigma = LaurentSeries(cov.ctx, 1, coeffs, cov.sigma_t.prec)
-    return ascover.LocalCover(p=cov.p, n=cov.n, prec=cov.prec, ctx=cov.ctx,
-                              sigma_t=bad_sigma, x_t=cov.x_t)
+    bad = ascover.LocalCover(p=cov.p, n=cov.n, prec=cov.prec)
+    bad.sigma_t = LaurentSeries(cov.ctx, 1, coeffs, cov.sigma_t.prec)
+    return bad
 
 
 # sigma(t) has odd exponents only for n = 2: t^11 keeps that shape, t^12 breaks it
@@ -491,6 +495,10 @@ ORACLE_SERIES_PINS = {
         "f9fe1b43e2fb32eda7a6e61ac92a1d30841078032aed11701f0481962c0085ef",
         "687b9b57e21363831f598359eda755ba4958a89a71082f453df0db15d2fc9afb",
     ),
+    (101, 40): (
+        "efc4a2e7125227ee70042a22f3fce65debb2b5e7aa4533b2c51f1222bad91606",
+        "29f942164e97e5cd3828b90b3654e6fa21819297b701b3880d8232407ee67cc2",
+    ),
 }
 
 
@@ -502,3 +510,25 @@ def series_sha256(s):
 def test_oracle_series_match_golden_pins(p, n):
     cov = cover(p, n)
     assert (series_sha256(cov.sigma_t), series_sha256(cov.x_t)) == ORACLE_SERIES_PINS[p, n]
+
+
+def test_cover_is_its_p_n_prec():
+    assert [f.name for f in dataclasses.fields(ascover.LocalCover) if f.init] == ["p", "n", "prec"]
+    for (p, n, prec), message in (((4, 1, 50), "4 is not prime"),
+                                  ((3, 3, 50), "jump 3 must be positive and coprime to 3"),
+                                  ((3, 2, 9), "precision 9 too small; need > 9")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ascover.LocalCover(p=p, n=n, prec=prec)
+    cov = cover(3, 2)
+    with pytest.raises(TypeError):
+        ascover.LocalCover(p=3, n=2, prec=cov.prec, sigma_t=cov.sigma_t)
+
+
+def test_lattice_route_leaves_the_series_unbuilt():
+    cov = ascover.build(13, 6, ascover.recommended_precision(13, 6))
+    cohom.h1_lattice(cov, 0)
+    cohom.d_image_rank(cov)
+    cohom.h1_basis_certificate(cov, 0)
+    assert "sigma_t" not in vars(cov) and "x_t" not in vars(cov)
+    ascover.verify_normal_form(cov)
+    assert "sigma_t" in vars(cov) and "x_t" in vars(cov)

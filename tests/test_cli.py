@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from wildcoh import cli, cohom
+from wildcoh import char2ex, cli, cohom
 from wildcoh.profile import RamificationProfile
 
 
@@ -97,6 +97,22 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, 
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("target, name, argv", [
+    (cohom, "cached_cover", ("local", "--p", "3", "--n", "1", "--window", "200000")),
+    (char2ex, "filtration_report", ("char2", "--prec", "100000")),
+], ids=["local-huge-window", "char2-huge-prec"])
+def test_out_of_memory_is_an_error_not_a_traceback(capsys, monkeypatch, target, name, argv):
+    # a real allocation of that size could be granted by an overcommitting host, then killed
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(target, name, out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: Unable to allocate 298. GiB for an array\n"
 
 
 def test_defect_superelliptic(capsys):
