@@ -25,7 +25,8 @@ import numpy as np
 
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx, is_prime
-from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, power_digits, support_step
+from wildcoh.laurent import (InsufficientPrecisionError, LaurentSeries, power_digits, spread,
+                             support_step)
 
 _GUARD = 8
 
@@ -183,9 +184,7 @@ class LocalCover:
         """sigma(t)**i from the closed form, to the precision prec + i of sigma_t**i."""
         n = self.n
         row = self.binomials([i], -(-self.prec // n))[0]  # the terms t^(i + nk) below prec + i
-        digits = np.zeros((len(row) - 1) * n + 1, dtype=self.ctx.dtype)
-        digits[::n] = row
-        return LaurentSeries(self.ctx, i, digits, self.prec + i)
+        return spread(self.ctx, row, n, i, self.prec + i)
 
     @cached_property
     def _sigma_step(self) -> int:
@@ -224,7 +223,7 @@ class LocalCover:
             for s in range(1, rows):
                 # v^(r + s m) = v^(r + (s-1) m) * v^m, both read from their diagonal on
                 row = block[s, s:]
-                row[:] = ctx.convolve(block[s - 1, s - 1 : -1], unit_m[: len(row)], len(row))
+                row[:] = ctx.convolve(block[s - 1, s - 1 : -1], unit_m, len(row))
             self._sigma_blocks[r] = block
         return block
 
@@ -276,7 +275,8 @@ class LocalCover:
         # pj >= lo puts every digit the window reads there.
         digits = table[size:]
         digits[:, 1::2] = -digits[:, 1::2] % p
-        at = p * np.arange(js.start, js.stop)[:, None] - lo + n * (p - 1) * np.arange(depth)
+        # p * js.start - lo lies in 0..p-1: small positions however far the window is from t^0
+        at = p * np.arange(len(js))[:, None] + (p * js.start - lo) + n * (p - 1) * np.arange(depth)
         rows, ks = np.nonzero(at < size)
         x_image = np.zeros((len(js), size), dtype=self.ctx.dtype)
         x_image[rows, at[rows, ks]] = digits[rows, ks]

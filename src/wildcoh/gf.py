@@ -244,8 +244,12 @@ class FieldCtx:
         return self._sum(prod, prod.ndim - 2)
 
     def convolve(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-        """The first ``length`` coefficients of the product of two nonempty
-        1-D arrays read as polynomials (fewer if the product is shorter)."""
+        """The first ``length`` coefficients of the product of two 1-D code
+        arrays read as polynomials, each cut to ``length`` first: fewer if the
+        product is shorter, none if ``length <= 0`` or either array is empty."""
+        if length <= 0 or not len(a) or not len(b):
+            return np.zeros(0, dtype=self.dtype)
+        a, b = a[:length], b[:length]
         if self.m == 1:  # np.convolve's own route, without its Python wrapper
             return np.correlate(a, b[::-1], "full")[:length] % self.p
         # shift row i of the product table right by i, then sum the rows

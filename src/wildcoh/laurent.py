@@ -7,11 +7,12 @@ never fabricate digits; the first and last stored digits are nonzero, and
 the series 0 mod t**prec stores none.  Digits are field codes (see
 wildcoh.gf) and every operation is one array kernel of the field on them;
 dense storage is deliberate, every window this library needs stays within
-a few thousand terms.  Inverses, powers and roots of a unit u(t) = v(t^s),
-with s the gcd of the exponents carrying a digit, are computed on the
-digits of v and spread back.  One Newton iteration, for v^(-1/n), serves
-them all: n = 1 is the inverse, and a negative root index reads v^(-1/n)
-off directly.
+a few thousand terms.  Products are ``FieldCtx.convolve``; inverses, powers
+and roots of a unit u(t) = v(t^s), with s the gcd of the exponents carrying
+a digit, are computed on the digits of v and spread back by ``spread``.  One
+Newton iteration, for v^(-1/n), serves them all: n = 1 is the inverse, a
+negative root index reads v^(-1/n) off directly, and a positive one inverts
+that root.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ class InsufficientPrecisionError(ValueError):
     """An operation needs more stored digits than the series carries."""
 
 
-def _convolve(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    """The first ``out_len`` digits of a * b for code arrays a and b."""
-    if out_len <= 0 or len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=ctx.dtype)
-    return ctx.convolve(a[:out_len], b[:out_len], out_len)
-
-
 def power_digits(ctx: FieldCtx, a: np.ndarray, e: int, length: int) -> np.ndarray:
     """The first ``length`` digits of a**e for e >= 0, by square and multiply on code arrays."""
     if e == 0:
@@ -43,11 +37,11 @@ def power_digits(ctx: FieldCtx, a: np.ndarray, e: int, length: int) -> np.ndarra
     base = a[:length]
     while True:
         if e & 1:
-            acc = base if acc is None else _convolve(ctx, acc, base, length)
+            acc = base if acc is None else ctx.convolve(acc, base, length)
         e >>= 1
         if not e:
             return acc
-        base = _convolve(ctx, base, base, length)
+        base = ctx.convolve(base, base, length)
 
 
 def _inverse_root_digits(ctx: FieldCtx, u: np.ndarray, n: int, length: int) -> np.ndarray:
@@ -64,14 +58,14 @@ def _inverse_root_digits(ctx: FieldCtx, u: np.ndarray, n: int, length: int) -> n
     k = 1
     while k < length:
         k2 = min(2 * k, length)
-        err = _convolve(ctx, u[:k2], power_digits(ctx, h[:k], n, k2), k2)[k:]
-        corr = _convolve(ctx, h[:k], err, k2 - k)
+        err = ctx.convolve(u, power_digits(ctx, h[:k], n, k2), k2)[k:]
+        corr = ctx.convolve(h[:k], err, k2 - k)
         h[k : k + len(corr)] = ctx.mul_array(neg_n_inv, corr)
         k = k2
     return h
 
 
-def _spread(ctx: FieldCtx, digits: np.ndarray, step: int, val: int, prec: int) -> "LaurentSeries":
+def spread(ctx: FieldCtx, digits: np.ndarray, step: int, val: int, prec: int) -> "LaurentSeries":
     """t^val d(t^step) mod t^prec for the digits d of a unit, known to the
     ceil((prec - val) / step) digits that this reads."""
     out = np.zeros(prec - val, dtype=ctx.dtype)
@@ -93,8 +87,10 @@ class LaurentSeries:
     __slots__ = ("ctx", "val", "digits", "prec")
 
     def __init__(self, ctx: FieldCtx, val: int, coeffs: Sequence[int] | np.ndarray, prec: int):
-        # a private copy of the digits below t^prec, from the first nonzero to the last
-        digits = np.array(coeffs[: max(0, prec - val)], dtype=ctx.dtype)
+        # a private copy of the digits below t^prec, from the first nonzero to the last;
+        # a caller's list or tuple enters through ctx.array, a kernel's code array is copied
+        cut = coeffs[: max(0, prec - val)]
+        digits = np.array(cut, dtype=ctx.dtype) if isinstance(cut, np.ndarray) else ctx.array(cut)
         if len(digits) and not (digits[0] and digits[-1]):
             nonzero = digits.nonzero()[0]
             lead, end = (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
@@ -240,7 +236,7 @@ class LaurentSeries:
             return LaurentSeries.zero(self.ctx, min(self.prec + v2, other.prec + v1))
         val = self.val + other.val
         prec = min(self.prec + other.val, other.prec + self.val)
-        out = _convolve(self.ctx, self.digits, other.digits, prec - val)
+        out = self.ctx.convolve(self.digits, other.digits, prec - val)
         return LaurentSeries(self.ctx, val, out, prec)
 
     def _decimated(self) -> tuple[int, np.ndarray, int]:
@@ -270,7 +266,7 @@ class LaurentSeries:
         if e < 0:
             unit = _inverse_root_digits(ctx, unit, 1, length)
         digits = power_digits(ctx, unit, abs(e), length)
-        return _spread(ctx, digits, step, e * self.val, rel + e * self.val)
+        return spread(ctx, digits, step, e * self.val, rel + e * self.val)
 
     def derivative(self) -> "LaurentSeries":
         """Term-wise d/dt; absolute precision drops by one."""
@@ -308,10 +304,10 @@ class LaurentSeries:
     def nth_root(self, n: int) -> "LaurentSeries":
         """Deterministic n-th root by inverse-root Newton on the decimated unit.
 
-        n != 0 and gcd(n, p) = 1; a negative n gives the inverse of the
-        |n|-th root with no inversion.  The branch is fixed by gf's
-        enumeration-order root of the leading coefficient together with the
-        unit-part root normalized to constant term 1.
+        n != 0 and gcd(n, p) = 1.  A negative n gives the inverse of the
+        |n|-th root with no inversion, and a positive n inverts that.  The
+        branch is fixed by gf's enumeration-order root of the leading
+        coefficient together with the unit-part root normalized to constant term 1.
         """
         ctx = self.ctx
         if n == 0:
@@ -325,22 +321,16 @@ class LaurentSeries:
             raise ValueError("n-th root of a series that is 0 mod t^prec")
         if self.val % m != 0:
             raise ValueError(f"valuation {self.val} not divisible by root index {n}")
+        if n > 0:
+            return self.nth_root(-n).invert()
         lead = int(self.digits[0])
-        lead_root = ctx.nth_root(lead, m)  # may raise NoRootError
+        lead_inv_root = ctx.inv(ctx.nth_root(lead, m))  # lead^(-1/m); may raise NoRootError
         step, unit, length = self._decimated()
         w = ctx.mul_array(ctx.inv(lead), unit)  # constant term 1
-        unit_root = _inverse_root_digits(ctx, w, m, length)  # w^(-1/m)
-        if n > 0:
-            unit_root = _inverse_root_digits(ctx, unit_root, 1, length)
-        else:
-            lead_root = ctx.inv(lead_root)
-        unit_root = ctx.mul_array(lead_root, unit_root)
-        root = _spread(ctx, unit_root, step, self.val // n, self.prec - self.val + self.val // n)
-        if n > 0:
-            verified = (root ** n).agrees(self)
-        else:  # for units root^(-m) = self iff root^m self = 1, which needs no inversion
-            product = root ** m * self
-            verified = product.agrees(LaurentSeries.one(ctx, product.prec))
-        if not verified:
+        unit_root = ctx.mul_array(lead_inv_root, _inverse_root_digits(ctx, w, m, length))
+        root = spread(ctx, unit_root, step, self.val // n, self.prec - self.val + self.val // n)
+        # for units root^(-m) = self iff root^m self = 1, which needs no inversion
+        product = root ** m * self
+        if not product.agrees(LaurentSeries.one(ctx, product.prec)):
             raise ArithmeticError("Newton n-th root failed to verify")
         return root

@@ -44,8 +44,8 @@ def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
         return []
     if not b:
         return [[] for _ in a]
-    # codes in, reduced codes out: the inputs need no reduction
-    return ctx.matmul(np.array(a, dtype=ctx.dtype), np.array(b, dtype=ctx.dtype)).tolist()
+    # ctx.array reduces prime-field entries and refuses extension-field codes outside 0..q-1
+    return ctx.matmul(ctx.array(a), ctx.array(b)).tolist()
 
 
 def mat_add(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
@@ -178,7 +178,7 @@ class RowEchelon:
 
     Rows are kept normalized (leading coefficient 1) and fully reduced
     against each other; pivot choice is the leftmost nonzero coordinate.
-    The library itself spans with ``rref``; this scalar route stays as the
+    The library itself spans with ``echelon``; this scalar route stays as the
     tests' independent reference for it.
     """
 

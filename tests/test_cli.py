@@ -185,6 +185,20 @@ def test_sweep_csv_schema_and_negative_range(capsys):
     assert code2 == 0 and out2 == out
 
 
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (101, 7)])
+@pytest.mark.parametrize("a", [10**19, 10**30, -10**30, -2**63])
+def test_windows_far_from_t0_match_the_closed_forms(capsys, p, n, a):
+    # windows whose exponents leave int64: x^j's digits are placed relative
+    # to the window's first power of x, not to t^0
+    args = ("--p", str(p), "--n", str(n), "--a", str(a))
+    code, out, _ = run_cli(capsys, "local", *args, "--format", "json")
+    assert code == 0 and json.loads(out)["match"] is True
+    code, out, _ = run_cli(capsys, "sweep", *args)
+    header, row = out.strip().splitlines()
+    assert code == 0 and header == cli.CSV_HEADER
+    assert row.startswith(f"{p},{n},{a},") and row.endswith(",true")
+
+
 def test_verify_all_subset_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--criteria", "3,9")
     assert code == 0

@@ -11,6 +11,8 @@ import pytest
 from wildcoh.gf import FieldCtx, NoRootError, is_prime
 from wildcoh.laurent import LaurentSeries
 
+import oracles
+
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
 F4 = FieldCtx(2, (1, 1, 1))
@@ -151,6 +153,27 @@ def test_array_reduces_prime_integers_and_refuses_other_extension_codes():
     with pytest.raises(ValueError, match=r"^GF\(9\) codes lie in 0\.\.8$"):
         F9.inv_array([-8])
     assert F9.array([]).shape == (0,)
+
+
+@pytest.mark.parametrize("ctx", [F3, FieldCtx(101), F4, F9, FieldCtx(32771)], ids=repr)
+def test_convolve_cuts_its_inputs_to_the_length(ctx):
+    # an empty input or a length <= 0 gives no digits; otherwise the first
+    # length digits of the schoolbook product, inputs longer than it included
+    rng = random.Random(ctx.q)
+
+    def codes(k):
+        return ctx.array([rng.randrange(ctx.q) for _ in range(k)])
+
+    for a, b, length in [(codes(0), codes(3), 2), (codes(3), codes(0), 2),
+                         (codes(0), codes(0), 1), (codes(3), codes(2), 0), (codes(3), codes(2), -4)]:
+        out = ctx.convolve(a, b, length)
+        assert out.shape == (0,) and out.dtype == ctx.dtype
+    for _ in range(20):
+        a, b = codes(rng.randint(1, 12)), codes(rng.randint(1, 12))
+        product = oracles.schoolbook_product(ctx, a.tolist(), b.tolist())
+        for length in (1, 2, min(len(a), len(b)), len(product) - 1, len(product) + 3):
+            if length > 0:
+                assert ctx.convolve(a, b, length).tolist() == product[:length]
 
 
 def test_context_mismatch_rejected():

@@ -5,10 +5,14 @@ the test itself: re-multiplication for inverses and roots, the Leibniz
 identity for derivatives, and homomorphy for substitution.
 """
 
+import hashlib
+import inspect
 import json
 import random
+import re
 from functools import reduce
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from hypothesis import strategies as st
 from wildcoh import laurent
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, support_step
+
+import oracles
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -186,20 +192,6 @@ def test_double_inversion_roundtrip():
             assert f.invert().invert().agrees(f)
 
 
-def recurrence_inverse(f):
-    """1/f by the term-by-term recurrence u h = 1, solved for h_k in turn."""
-    ctx, u = f.ctx, f.coeffs
-    length = f.prec - f.val
-    inv0 = ctx.inv(u[0])
-    out = [inv0] + [0] * (length - 1)
-    for k in range(1, length):
-        acc = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            acc = ctx.add(acc, ctx.mul(u[j], out[k - j]))
-        out[k] = ctx.neg(ctx.mul(inv0, acc))
-    return LaurentSeries(ctx, -f.val, out, f.prec - 2 * f.val)
-
-
 def test_newton_inverse_matches_recurrence():
     rng = random.Random(2024)
     for ctx in (F3, F101, F4, F9):
@@ -208,42 +200,8 @@ def test_newton_inverse_matches_recurrence():
                 f = random_series(ctx, rng, prec)
                 if f.is_zero:
                     continue
-                got, want = f.invert(), recurrence_inverse(f)
+                got, want = f.invert(), oracles.recurrence_inverse(f)
                 assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
-
-
-def schoolbook_mul(f, g):
-    """f * g by the schoolbook product on the scalar field operations."""
-    prec = min(f.prec + g.val, g.prec + f.val)
-    return LaurentSeries(f.ctx, f.val + g.val, schoolbook_product(f.ctx, f.coeffs, g.coeffs), prec)
-
-
-def schoolbook_pow(f, e):
-    """f ** e by repeated schoolbook products (of the recurrence inverse if e < 0)."""
-    if e == 0:
-        return LaurentSeries.one(f.ctx, f.prec - f.val)
-    base = f if e > 0 else recurrence_inverse(f)
-    acc = base
-    for _ in range(abs(e) - 1):
-        acc = schoolbook_mul(acc, base)
-    return acc
-
-
-def dense_newton_root(f, n):
-    """The n-th root by dense Newton, h <- h - (h^n - w) / (n h^(n-1)), on every
-    digit, with schoolbook powers and products and the recurrence inverse."""
-    ctx = f.ctx
-    rel = f.prec - f.val
-    w = LaurentSeries(ctx, 0, f.coeffs, rel).scale(ctx.inv(f.coeffs[0]))
-    n_inv = ctx.inv(ctx.embed(n))
-    h, k = LaurentSeries.one(ctx, 1), 1
-    while k < rel:
-        k = min(2 * k, rel)
-        h_k = LaurentSeries(ctx, 0, h.coeffs, k)
-        delta = schoolbook_pow(h_k, n) - w.truncate(k)
-        corr = schoolbook_mul(delta, recurrence_inverse(schoolbook_pow(h_k, n - 1)))
-        h = h_k - corr.scale(n_inv)
-    return h.scale(ctx.nth_root(f.coeffs[0], n)).shift(f.val // n)
 
 
 def stepped_series(ctx, rng, step, val, rel, constant_only=False):
@@ -277,19 +235,19 @@ def stepped_draws(seed, count):
 
 def test_stepped_invert_matches_recurrence():
     for _, _, f in stepped_draws(70, 4):
-        assert same_series(f.invert(), recurrence_inverse(f))
+        assert same_series(f.invert(), oracles.recurrence_inverse(f))
     # the step is the gcd of the exponents, not the first one: 1 + t^4 + t^6
     f = series(F3, {0: 1, 4: 1, 6: 1}, 23)
-    assert same_series(f.invert(), recurrence_inverse(f))
+    assert same_series(f.invert(), oracles.recurrence_inverse(f))
 
 
 def test_stepped_pow_matches_schoolbook_products():
     for _, _, f in stepped_draws(71, 3):
         for e in (-3, -1, 2, 5):
-            assert same_series(f ** e, schoolbook_pow(f, e))
+            assert same_series(f ** e, oracles.schoolbook_pow(f, e))
     f = series(F3, {0: 1, 4: 1, 6: 1}, 23)
     for e in (-3, -1, 2, 5):
-        assert same_series(f ** e, schoolbook_pow(f, e))
+        assert same_series(f ** e, oracles.schoolbook_pow(f, e))
 
 
 def test_stepped_nth_root_matches_dense_newton():
@@ -302,13 +260,14 @@ def test_stepped_nth_root_matches_dense_newton():
             lead = ctx.pow(rng.randrange(1, ctx.q), n)
             val = n * rng.randint(-1, 1)
             g = LaurentSeries(ctx, val, (lead,) + f.coeffs[1:], val + f.prec - f.val)
-            assert same_series(g.nth_root(n), dense_newton_root(g, n))
+            assert same_series(g.nth_root(n), oracles.dense_newton_root(g, n))
     f = series(F3, {0: 1, 4: 1, 6: 1}, 23)
-    assert same_series(f.nth_root(2), dense_newton_root(f, 2))
+    assert same_series(f.nth_root(2), oracles.dense_newton_root(f, 2))
 
 
 def test_negative_root_index_is_the_inverted_root():
-    # reference: the |n|-th root, then its inverse; stepped and dense units
+    # reference: the dense Newton |n|-th root, then its recurrence inverse;
+    # stepped and dense units
     rng = random.Random(73)
     leads = set()
     draws = [d for d in stepped_draws(73, 2) if d[0] is not F101]
@@ -322,9 +281,62 @@ def test_negative_root_index_is_the_inverted_root():
             lead = ctx.pow(rng.randrange(1, ctx.q), n)
             val = n * rng.randint(-2, 1)
             g = LaurentSeries(ctx, val, (lead,) + f.coeffs[1:], val + f.prec - f.val)
-            assert same_series(g.nth_root(-n), g.nth_root(n).invert())
+            assert same_series(g.nth_root(-n),
+                               oracles.recurrence_inverse(oracles.dense_newton_root(g, n)))
             leads.add((lead, val < 0))
     assert any(lead != 1 for lead, _ in leads) and any(neg for _, neg in leads)
+
+
+ROOT_PIN_FIELDS = (F3, F5, F7, F101, F4, F9, FieldCtx(32771))
+
+
+def positive_root_draws(seed, count):
+    """(series, n), n >= 1, per field and step 1-3: valuations of both signs,
+    leading digits with and without an n-th root, indices that p divides,
+    valuations that n does not divide, and now and then the zero series."""
+    rng = random.Random(seed)
+    for ctx in ROOT_PIN_FIELDS:
+        for step in (1, 2, 3):
+            for _ in range(count):
+                n = rng.randint(1, 7)
+                val = n * rng.randint(-3, 3) if rng.random() < 0.8 else rng.randint(-7, 7)
+                rel = step * rng.randint(1, 6) + rng.randint(0, step - 1)
+                coeffs = [0] * rel
+                if rng.random() >= 0.05:
+                    coeffs[0] = rng.randrange(1, ctx.q)
+                    for i in range(step, rel, step):
+                        coeffs[i] = rng.randrange(ctx.q)
+                yield LaurentSeries(ctx, val, coeffs, val + rel), n
+
+
+def root_outcome(f, n):
+    try:
+        r = f.nth_root(n)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps([r.val, list(r.coeffs), r.prec])
+
+
+def test_positive_roots_match_the_pinned_route():
+    # every root and every error message, pinned while positive indices ran
+    # a Newton route of their own (the root, then a second inversion)
+    outcomes = [root_outcome(f, n) for f, n in positive_root_draws(29, 50)]
+    kinds = {o.split(":")[0] for o in outcomes if not o.startswith("[")}
+    assert len(outcomes) == 1050 and kinds == {"NoRootError", "ValueError"}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "bc15d0ad1b54b1163f1837dbf10889b78c27acf41f96471740ec83fe4ab672e6"
+
+
+def test_caller_digits_enter_as_field_codes():
+    # a list or tuple goes through FieldCtx.array: prime-field integers are
+    # reduced mod p, extension-field codes outside 0..q-1 are refused
+    s = LaurentSeries.from_terms(F5, {0: 5, 1: 1}, 4)
+    assert (s.val, s.coeffs, repr(s)) == (1, (1,), "t + O(t^4)")
+    assert LaurentSeries(F5, 0, [7, 1], 4).agrees(series(F5, {0: 2, 1: 1}, 4))
+    assert LaurentSeries.monomial(F5, 0, 4, -1) == LaurentSeries.monomial(F5, 0, 4, 4)
+    for digits in ([-1], [4], [-1, 1], (1, 4)):
+        with pytest.raises(ValueError, match=r"^GF\(4\) codes lie in 0\.\.3$"):
+            LaurentSeries(F4, 0, digits, 4)
 
 
 def test_constructor_keeps_its_invariants():
@@ -455,15 +467,6 @@ KERNEL_FIELDS = {
 }
 
 
-def schoolbook_product(ctx, a, b):
-    """Coefficients of the polynomial product, on the scalar field operations."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return out
-
-
 def random_nonzero_series(ctx, rng):
     """Leading coefficient nonzero; one code in five from the top codes,
     where int64 products of the large primes would overflow."""
@@ -482,7 +485,7 @@ def test_product_matches_schoolbook_convolution(name, rng):
     f, g = random_nonzero_series(ctx, rng), random_nonzero_series(ctx, rng)
     val = f.val + g.val
     prec = min(f.prec + g.val, g.prec + f.val)
-    expected = LaurentSeries(ctx, val, schoolbook_product(ctx, f.coeffs, g.coeffs), prec)
+    expected = LaurentSeries(ctx, val, oracles.schoolbook_product(ctx, f.coeffs, g.coeffs), prec)
     product = f * g
     assert (product.val, product.coeffs, product.prec) == (
         expected.val, expected.coeffs, expected.prec)
@@ -618,3 +621,31 @@ def test_series_digits_are_read_only_and_private():
     # a series built from another's digits owns a copy of them
     b = LaurentSeries(F5, 0, a.digits, 6)
     assert b.digits is not a.digits and not np.shares_memory(b.digits, a.digits)
+
+
+def test_every_public_field_and_series_name_serves_src_or_the_tracer():
+    # one kernel per operation: each public FieldCtx method, and each public
+    # function or class of laurent, has a caller in another module of the
+    # package, or bench/tracer.py wraps it by name
+    root = Path(__file__).resolve().parents[1]
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in (root / "src" / "wildcoh").glob("*.py")}
+    tracer = (root / "bench" / "tracer.py").read_text(encoding="utf-8")
+
+    def outside(module):
+        return "".join(text for name, text in texts.items() if name != module)
+
+    methods = [name for name, obj in vars(FieldCtx).items()
+               if not name.startswith("_") and inspect.isfunction(obj)]
+    traced = re.findall(r'"(\w+)"', re.search(r"SCALAR_OPS = \(([^)]*)\)", tracer)[1])
+    # the library names a field context ctx, or F4 in char2ex
+    unused = [f"FieldCtx.{name}" for name in methods
+              if not re.search(rf"\b(?:ctx|F4)\.{name}\b", outside("gf.py")) and name not in traced]
+    public = [name for name, obj in vars(laurent).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == laurent.__name__]
+    assert "convolve" in methods and "sub_outer" in methods and "spread" in public
+    unused += [name for name in public
+               if not re.search(rf"\b{name}\b", outside("laurent.py"))
+               and not re.search(rf'\blaurent(\.{name}\b|, "{name}")', tracer)]
+    assert unused == []

@@ -251,6 +251,15 @@ def test_mat_mul_is_associative_and_schoolbook(name, rng, shape):
     assert linalg.mat_mul(ctx, ab, c) == linalg.mat_mul(ctx, a, linalg.mat_mul(ctx, b, c))
 
 
+def test_mat_mul_reads_its_entries_as_field_codes():
+    # prime-field integers are reduced; extension-field codes outside 0..q-1,
+    # which would index the tables from the end, are refused
+    assert linalg.mat_mul(F5, [[-1, 7]], [[2], [5]]) == [[3]]
+    for a, b in (([[-1]], [[1]]), ([[1]], [[4]])):
+        with pytest.raises(ValueError, match=r"^GF\(4\) codes lie in 0\.\.3$"):
+            linalg.mat_mul(F4, a, b)
+
+
 @contextlib.contextmanager
 def tall_rows(height):
     """ranks with its tall-stack shortcuts (narrow codes, the row drop)
@@ -514,7 +523,7 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     names = ("rref", "nullspace", "mat_mul", "mat_add", "mat_sub")
     for name in names:
         monkeypatch.setattr(linalg, name, guard(name, getattr(linalg, name)))
-    # the library spans with rref: RowEchelon is the tests' reference only
+    # the library spans with echelon: RowEchelon is the tests' reference only
     for name in ("add", "reduce"):
         monkeypatch.setattr(linalg.RowEchelon, name, unused(name))
     cov = cohom.cached_cover(3, 2)
