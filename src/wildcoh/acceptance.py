@@ -398,11 +398,11 @@ ALL_CRITERIA = {
 
 
 def run(ids: list[str] | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the selected criteria (all by default) and return their results."""
+    """Run the selected criteria (all by default); an unknown or repeated id raises first."""
     selected = ids if ids is not None else list(ALL_CRITERIA)
-    results = []
-    for cid in selected:
+    for i, cid in enumerate(selected):
         if cid not in ALL_CRITERIA:
             raise ValueError(f"unknown criterion {cid!r}")
-        results.extend(ALL_CRITERIA[cid](seed))
-    return results
+        if cid in selected[:i]:
+            raise ValueError(f"criterion {cid} is selected twice")
+    return [result for cid in selected for result in ALL_CRITERIA[cid](seed)]

@@ -101,16 +101,15 @@ def least_window(p: int, n: int) -> int:
     return n + p + 1
 
 
-def recommended_precision(p: int, n: int, w: int | None = None) -> int:
+def recommended_precision(p: int, n: int) -> int:
     """Precision making every window/cohomology run for (p, n) safe.
 
-    Covers windows of size up to w + p (the stabilization re-run), the
-    shifted-window construction used for the differential map, and the
-    x-expansion identity, with guard digits on top.
+    Covers the least window n + p + 1 widened by p (the stabilization
+    re-run), the shifted-window construction used for the differential
+    map, and the cover's own floor n p + p + 1, which also bounds the
+    x-expansion identity's p + n(p-1) + 2, with guard digits on top.
     """
-    if w is None:
-        w = least_window(p, n)
-    return max(n * p + p + 1, w + 2 * p + n + 2, p + n * (p - 1) + 2) + _GUARD
+    return max(n * p + p + 1, least_window(p, n) + 2 * p + n + 2) + _GUARD
 
 
 def build(p: int, n: int, prec: int) -> "LocalCover":
@@ -129,8 +128,8 @@ class LocalCover:
     ctx: FieldCtx = field(init=False, compare=False)
     _sigma_blocks: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # cohom.d_image_rank by window size, stored once the widened window agrees
-    _d_ranks: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # cohom.d_image_rank, stored once the widened window agrees
+    _d_rank: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):

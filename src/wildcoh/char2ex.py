@@ -270,17 +270,18 @@ class FiltrationReport:
         }
 
 
-def filtration_report(prec: int = DEFAULT_PREC) -> FiltrationReport:
+def filtration_report() -> FiltrationReport:
     """Sizes of the higher ramification groups at infinity, with flags.
 
     G_i consists of the identity together with every g whose g(t) - t has
     order at least i + 1; the report compares the computed orders with
     the claimed uniform value 2 on the u = 1 subgroup and records any
-    divergence instead of silently adopting either side.
+    divergence instead of silently adopting either side.  The orders are
+    read at DEFAULT_PREC; check 7d re-reads the involution's at 48.
     """
     table = group_table()
     elements = table.elements
-    orders = {g: ramification_order(g, prec) for g in elements if g != IDENTITY}
+    orders = {g: ramification_order(g) for g in elements if g != IDENTITY}
     max_order = max(orders.values())
     filtration = []
     for i in range(0, max_order + 1):

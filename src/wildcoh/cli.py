@@ -49,11 +49,10 @@ def _emit(payload: dict, fmt: str) -> None:
 def cmd_local(args) -> int:
     p, n = args.p, args.n
     a = args.a
-    w = args.window
-    cov = cohom.cached_cover(p, n, w)
-    cert = cohom.h1_basis_certificate(cov, a, w)  # runs h1_lattice once
+    cov = cohom.cached_cover(p, n)
+    cert = cohom.h1_basis_certificate(cov, a)  # runs h1_lattice once
     closed = cohom.h1_closed_form(p, n, a)
-    d_rank = cohom.d_image_rank(cov, w)
+    d_rank = cohom.d_image_rank(cov)
     d_closed = cohom.d_image_closed_form(p, n)
     match = cert.dim == closed and d_rank == d_closed
     payload = {
@@ -103,7 +102,7 @@ def cmd_defect(args) -> int:
 
 
 def cmd_char2(args) -> int:
-    report = char2ex.filtration_report(args.prec)
+    report = char2ex.filtration_report()
     payload = report.to_dict()
     _emit(payload, args.format)
     return 0
@@ -129,6 +128,8 @@ def cmd_sweep(args) -> int:
                 rows.append(
                     f"{p},{n},{a},{h1},{closed},{d_rank},{d_closed},{str(match).lower()}"
                 )
+    if not rows:  # every --a range holds a value, so no pair (p, n) was kept
+        raise CliError("no pair (p, n) to sweep: every n is below 1 or divisible by p")
     print(CSV_HEADER)
     for row in rows:
         print(row)
@@ -136,7 +137,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    ids = args.criteria.split(",") if args.criteria else None
+    ids = args.criteria.split(",") if args.criteria is not None else None
     results = acceptance.run(ids, seed=args.seed)
     for result in results:
         print(result.line())
@@ -153,7 +154,6 @@ def build_parser() -> _Parser:
     local.add_argument("--p", type=int, required=True)
     local.add_argument("--n", type=int, required=True)
     local.add_argument("--a", type=int, default=0)
-    local.add_argument("--window", type=int, default=None)
     local.add_argument("--format", choices=("text", "json"), default="text")
     local.set_defaults(func=cmd_local)
 
@@ -167,7 +167,6 @@ def build_parser() -> _Parser:
     defect.set_defaults(func=cmd_defect)
 
     char2 = sub.add_parser("char2", help="characteristic-2 counterexample report")
-    char2.add_argument("--prec", type=int, default=char2ex.DEFAULT_PREC)
     char2.add_argument("--format", choices=("text", "json"), default="json")
     char2.set_defaults(func=cmd_char2)
 
@@ -187,7 +186,7 @@ def build_parser() -> _Parser:
 
 def _mend_negative_ranges(argv: list[str]) -> list[str]:
     """Let '--a -3..12' parse: merge a value starting with '-' into its flag."""
-    value_flags = {"--a", "--n", "--p", "--gy", "--window", "--prec", "--seed"}
+    value_flags = {"--a", "--n", "--p", "--gy", "--seed"}
     out = []
     skip = False
     for i, token in enumerate(argv):

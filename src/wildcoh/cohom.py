@@ -142,8 +142,9 @@ def _window_size(cov: LocalCover, w: int | None) -> int:
 def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClassSet:
     """H^1 of the lattice t^a B as ker(sigma-1)/im(invariant field), in a window.
 
-    The dimension is recomputed with the window widened by p; disagreement
-    raises StabilizationError rather than returning an unreliable value.
+    The window has the least size n + p + 1 unless w asks for more (only
+    bench/tests passes w, through a wrapper).  The dimension is recomputed
+    with the window widened by p; disagreement raises StabilizationError.
     """
     w = _window_size(cov, w)
     model = _lattice_model(cov, a, w)
@@ -166,13 +167,13 @@ class BasisCertificate:
     dim: int
 
 
-def h1_basis_certificate(cov: LocalCover, a: int, w: int | None = None) -> BasisCertificate:
+def h1_basis_certificate(cov: LocalCover, a: int) -> BasisCertificate:
     """Certify that {[t^i] : a-n <= i <= a-1, p does not divide i} is a basis.
 
     Also certifies [t^i] = 0 for p | i in the same range by exhibiting the
     truncation of x^(i/p) that agrees with t^i through degree a-1.
     """
-    classes = h1_lattice(cov, a, w)
+    classes = h1_lattice(cov, a)
     win = classes.window
     p, n, lo = cov.p, cov.n, win.lo
     exponents = [i for i in range(a - n, a) if i % p != 0]
@@ -279,19 +280,18 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     return units + schur_ranks - src_ranks - x_powers
 
 
-def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
+def d_image_rank(cov: LocalCover) -> int:
     """Rank of the differential H^1(G, B) -> H^1(G, B dt) by linear algebra.
 
     B dt is modeled as the a = n+1 lattice via h dt -> t^(n+1) h; the map
     sends h in ker N to t^(n+1) h', read modulo the target's x-image.
-    Stabilization against the widened window is enforced as in h1_lattice.
-    The rank is computed once per (cover, window), with every check, and
-    lives on the cover: later calls read it back, a raise stores nothing,
-    and a rebuilt cover computes it again.
+    The window has the least size n + p + 1, re-run widened by p as in
+    h1_lattice.  The rank is computed once per cover, with every check,
+    and lives on the cover: later calls read it back, a raise stores
+    nothing, and a rebuilt cover computes it again.
     """
-    w = _window_size(cov, w)
-    rank = cov._d_ranks.get(w)
-    if rank is None:
+    if cov._d_rank is None:
+        w = ascover.least_window(cov.p, cov.n)
         first = int(_d_rank_classes(cov, w).sum())
         second = int(_d_rank_classes(cov, w + cov.p).sum())
         if first != second:
@@ -299,14 +299,15 @@ def d_image_rank(cov: LocalCover, w: int | None = None) -> int:
                 f"d-image window did not stabilize: rank {first} at W={w}, "
                 f"{second} at W={w + cov.p}"
             )
-        rank = cov._d_ranks[w] = first
-    return rank
+        cov._d_rank = first
+    return cov._d_rank
 
 
 @lru_cache(maxsize=64)
-def cached_cover(p: int, n: int, w: int | None = None) -> LocalCover:
+def cached_cover(p: int, n: int) -> LocalCover:
     """Shared cover at the recommended precision for grid sweeps.
 
-    Bounded, because w comes from the user; a verify-all run needs 27 covers.
+    Bounded, because the pairs (p, n) come from sweep's ranges; a
+    verify-all run needs 27 covers.
     """
-    return ascover.build(p, n, ascover.recommended_precision(p, n, w))
+    return ascover.build(p, n, ascover.recommended_precision(p, n))

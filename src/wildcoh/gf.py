@@ -162,14 +162,21 @@ class FieldCtx:
         """First code c (in enumeration order 0,1,2,...) with c**n == a.
 
         Requires gcd(n, p) == 1; raises NoRootError when no root exists.
+        The units are cyclic of order q - 1: for a unit a and g = gcd(n, q - 1),
+        c -> c^n permutes them when g = 1, so a has one root, and otherwise
+        a has a root iff a^((q-1)/g) = 1.  Zero and unreduced integers are scanned.
         """
         if n < 1:
             raise ValueError("root index must be positive")
         if gcd(n, self.p) != 1:
             raise ValueError(f"root index {n} not coprime to characteristic {self.p}")
-        for c in range(self.q):
-            if self.pow(c, n) == a:
-                return c
+        unit, g = 0 < a < self.q, gcd(n, self.q - 1)
+        if unit and g == 1:
+            return self.pow(a, pow(n, -1, self.q - 1))
+        if not unit or self.pow(a, (self.q - 1) // g) == 1:
+            for c in range(self.q):
+                if self.pow(c, n) == a:
+                    return c
         raise NoRootError(f"no {n}-th root of code {a} in {self!r}")
 
     # -- array arithmetic (numpy arrays of codes, dtype self.dtype) --------

@@ -234,7 +234,7 @@ def main_theorem_check(prof: RamificationProfile) -> MainTheoremVerdict:
 def defect_by_linear_algebra(prof: RamificationProfile) -> int:
     """Defect as the sum of per-point differential-image ranks (no formulas).
 
-    Each rank is computed once per (cover, window) and lives on the shared
+    Each rank is computed once per cover and lives on the shared
     cover, so branch points with one jump share one computation.
     """
     return sum(cohom.d_image_rank(cohom.cached_cover(prof.p, n)) for n in prof.jumps)

@@ -35,6 +35,11 @@ def inverse(ctx: FieldCtx, a: Matrix) -> Matrix:
     return [row[n:] for row in red[:n]]
 
 
+def enumerated_root(ctx: FieldCtx, a: int, n: int) -> int | None:
+    """First code c in 0, 1, 2, ... with c**n == a, trying every code; None when none is."""
+    return next((c for c in range(ctx.q) if ctx.pow(c, n) == a), None)
+
+
 def schoolbook_product(ctx, a, b):
     """Coefficients of the polynomial product, on the scalar field operations;
     zero terms are skipped, so sparse series stay cheap."""

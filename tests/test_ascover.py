@@ -21,8 +21,8 @@ import oracles
 GRID = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 8) if n % p != 0]
 
 
-def cover(p, n, w=None):
-    return ascover.build(p, n, ascover.recommended_precision(p, n, w))
+def cover(p, n):
+    return ascover.build(p, n, ascover.recommended_precision(p, n))
 
 
 def transpose(a):
@@ -523,6 +523,14 @@ def test_cover_is_its_p_n_prec():
     cov = cover(3, 2)
     with pytest.raises(TypeError):
         ascover.LocalCover(p=3, n=2, prec=cov.prec, sigma_t=cov.sigma_t)
+
+
+def test_recommended_precision_keeps_its_value_at_the_least_window():
+    # the window term at w = n + p + 1, and p + n(p-1) + 2, which never exceeds n p + p + 1
+    for p in range(2, 400):
+        for n in range(1, 400):
+            want = max(n * p + p + 1, 3 * p + 2 * n + 3, p + n * (p - 1) + 2) + 8
+            assert ascover.recommended_precision(p, n) == want, (p, n)
 
 
 def test_lattice_route_leaves_the_series_unbuilt():

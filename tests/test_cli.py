@@ -1,12 +1,18 @@
 """Command-line interface: formats, exit codes, round trips."""
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from wildcoh import char2ex, cli, cohom
 from wildcoh.profile import RamificationProfile
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -47,7 +53,7 @@ def test_local_computes_h1_once(capsys, monkeypatch):
     monkeypatch.setattr(cohom, "h1_lattice", counting)
     code, out, _ = run_cli(capsys, "local", "--p", "3", "--n", "2", "--format", "json")
     assert code == 0 and json.loads(out)["h1_lattice"] == 2
-    assert calls == [(0, None)]  # the basis certificate's own run
+    assert calls == [(0,)]  # the basis certificate's own run
 
 
 def test_local_weakly_ramified_note(capsys):
@@ -67,8 +73,6 @@ def test_local_rejects_jump_divisible_by_p(capsys):
 @pytest.mark.parametrize(
     "argv, profile, message",
     [
-        (("char2", "--prec", "10"), None, "precision below 16"),
-        (("local", "--p", "3", "--n", "2", "--window", "2"), None, "window 2 too small"),
         (("local", "--p", "4", "--n", "1"), None, "4 is not prime"),
         (("local", "--p", "3", "--n", "0"), None, "jump 0 must be positive and coprime to 3"),
         (("defect",), {}, "missing the key 'p'"),
@@ -82,11 +86,13 @@ def test_local_rejects_jump_divisible_by_p(capsys):
         (("defect", "--p", "2305843009213693951", "--gy", "0", "--jumps", "1"), None,
          "bound 2**31"),
         (("sweep", "--p", "2305843009213693951", "--n", "1", "--a", "0"), None, "bound 2**31"),
+        (("sweep", "--p", "3", "--n", "3", "--a", "0"), None, "no pair (p, n) to sweep"),
+        (("sweep", "--p", "3", "--n", "-2", "--a", "0"), None, "no pair (p, n) to sweep"),
     ],
-    ids=["char2-low-prec", "local-small-window", "local-not-prime", "local-jump-zero",
+    ids=["local-not-prime", "local-jump-zero",
          "defect-empty-profile", "defect-no-jumps", "defect-jumps-string", "defect-jumps-float",
          "defect-jumps-int", "defect-list-profile", "defect-null-p", "defect-huge-p",
-         "sweep-huge-p"],
+         "sweep-huge-p", "sweep-n-divisible-by-p", "sweep-n-negative"],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
     if profile is not None:
@@ -99,10 +105,22 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, 
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("local", "--p", "3", "--n", "2", "--window", "6"), "--window 6"),
+    (("char2", "--prec", "32"), "--prec 32"),
+], ids=["local-window", "char2-prec"])
+def test_derived_window_and_precision_are_not_options(capsys, argv, flag):
+    # local's window is n + p + 1 and char2's precision DEFAULT_PREC, both derived
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: unrecognized arguments: {flag}" in err
+
+
 @pytest.mark.parametrize("target, name, argv", [
-    (cohom, "cached_cover", ("local", "--p", "3", "--n", "1", "--window", "200000")),
-    (char2ex, "filtration_report", ("char2", "--prec", "100000")),
-], ids=["local-huge-window", "char2-huge-prec"])
+    (cohom, "cached_cover", ("local", "--p", "3", "--n", "200000")),
+    (char2ex, "filtration_report", ("char2",)),
+], ids=["local-huge-window", "char2-out-of-memory"])
 def test_out_of_memory_is_an_error_not_a_traceback(capsys, monkeypatch, target, name, argv):
     # a real allocation of that size could be granted by an overcommitting host, then killed
     def out_of_memory(*args):
@@ -185,6 +203,13 @@ def test_sweep_csv_schema_and_negative_range(capsys):
     assert code2 == 0 and out2 == out
 
 
+def test_sweep_keeps_the_pairs_that_remain(capsys):
+    # n = 3 is divisible by 3 but prime to 5: only the 5,3 rows are printed
+    code, out, _ = run_cli(capsys, "sweep", "--p", "3", "5", "--n", "3", "--a", "0..1")
+    assert code == 0
+    assert out == cli.CSV_HEADER + "\n5,3,0,3,3,2,2,true\n5,3,1,2,2,2,2,true\n"
+
+
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (101, 7)])
 @pytest.mark.parametrize("a", [10**19, 10**30, -10**30, -2**63])
 def test_windows_far_from_t0_match_the_closed_forms(capsys, p, n, a):
@@ -214,6 +239,18 @@ def test_verify_all_reports_documented_failures(capsys):
     lines = out.strip().splitlines()
     assert any(line.startswith("FAIL criterion 8b") for line in lines)
     assert sum(1 for line in lines if line.startswith("PASS")) == 2
+
+
+@pytest.mark.parametrize("criteria, message", [
+    ("", "unknown criterion ''"),
+    ("3,", "unknown criterion ''"),
+    ("3,3", "criterion 3 is selected twice"),
+], ids=["empty", "trailing-comma", "repeated"])
+def test_empty_or_repeated_criteria_are_usage_errors(capsys, criteria, message):
+    code, out, err = run_cli(capsys, "verify-all", "--criteria", criteria)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_criterion_is_usage_error(capsys):
@@ -272,3 +309,16 @@ def test_verify_all_output_is_byte_identical(acceptance_results):
     lines = [r.line() for r in acceptance_results]
     lines.append(f"{passed}/{len(acceptance_results)} checks passed")
     assert sha256("\n".join(lines) + "\n") == GOLDEN["verify-all"]
+
+
+def test_readme_shows_every_cli_option_and_no_other():
+    # the options on the README's `wildcoh S ...` lines, comments cut, against S's parser
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    readme = README.read_text(encoding="utf-8").splitlines()
+    for name, sub in subparsers.choices.items():
+        shown = {option for line in readme if re.match(rf"wildcoh {name}( |$)", line)
+                 for option in re.findall(r"--[a-z][a-z-]*", line.split("#")[0])}
+        options = {option for action in sub._actions for option in action.option_strings
+                   if option.startswith("--")} - {"--help"}
+        assert shown == options, name

@@ -193,15 +193,13 @@ def test_window_size_precondition():
     cov = cohom.cached_cover(3, 2)
     with pytest.raises(ValueError):
         cohom.h1_lattice(cov, 0, w=3)
-    with pytest.raises(ValueError):
-        cohom.d_image_rank(cov, w=2)
 
 
 @pytest.fixture
 def fresh_covers():
     """A cold cover cache before and after a test that corrupts or counts window builds.
 
-    A cover keeps its d-ranks: a shared cover would answer from them
+    A cover keeps its d-rank: a shared cover would answer from it
     without building a window, and one that stored a rank from corrupted
     windows must not serve a later test.
     """
@@ -415,18 +413,15 @@ def built_windows(monkeypatch):
     return built
 
 
-def test_d_rank_is_computed_once_per_cover_and_window(fresh_covers, built_windows):
+def test_d_rank_is_computed_once_per_cover(fresh_covers, built_windows):
     cov = cohom.cached_cover(3, 2)
+    assert cov._d_rank is None
     assert cohom.d_image_rank(cov) == 1
     assert len(built_windows) == 4  # source and target, at w and at w + p
     built_windows.clear()
     assert cohom.d_image_rank(cov) == 1
-    assert cohom.d_image_rank(cov, w=6) == 1  # the default window n + p + 1
     assert built_windows == []
-    # another window computes again and is kept beside the first
-    assert cohom.d_image_rank(cov, w=7) == 1
-    assert len(built_windows) == 4
-    assert cov._d_ranks == {6: 1, 7: 1}
+    assert cov._d_rank == 1
 
 
 def test_a_raised_d_rank_stores_nothing(patch_x_image):
@@ -441,7 +436,7 @@ def test_a_raised_d_rank_stores_nothing(patch_x_image):
         with pytest.raises(cohom.StabilizationError,
                            match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
             cohom.d_image_rank(cov)
-    assert cov._d_ranks == {}
+    assert cov._d_rank is None
 
 
 def test_a_cleared_cover_cache_computes_the_d_rank_again(fresh_covers, built_windows):
@@ -450,7 +445,7 @@ def test_a_cleared_cover_cache_computes_the_d_rank_again(fresh_covers, built_win
     cohom.cached_cover.cache_clear()
     built_windows.clear()
     again = cohom.cached_cover(5, 3)
-    assert again is not first and again._d_ranks == {}
+    assert again is not first and again._d_rank is None
     assert cohom.d_image_rank(again) == rank == cohom.d_image_closed_form(5, 3)
     assert len(built_windows) == 4
 
@@ -626,10 +621,12 @@ def test_lattice_matches_closed_forms_beyond_the_grid(p, n, data):
 
 
 def test_cover_cache_is_bounded():
-    # the window is user input: 72 distinct ones must not grow the cache past 64
+    # (p, n) come from sweep's ranges: 72 distinct pairs must not grow the cache past 64
     cache = cohom.cached_cover
-    for w in range(1, 73):
-        cache(3, 1, w)
+    jumps = [n for n in range(1, 109) if n % 3 != 0]
+    assert len(jumps) == 72
+    for n in jumps:
+        cache(3, n)
     info = cache.cache_info()
     assert info.maxsize == 64
     assert info.currsize <= info.maxsize

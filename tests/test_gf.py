@@ -92,6 +92,26 @@ def test_nth_root_roundtrip():
                 assert ctx.pow(root, n) == a
 
 
+def test_nth_root_matches_the_enumeration():
+    # GF(2) makes the inverse exponent 0 mod q - 1 = 1, which must not turn 0 into 1
+    fields = (F2, F3, F5, F7, FieldCtx(13), FieldCtx(101), F4, FieldCtx(2, (1, 1, 0, 1)), F9)
+    cases = 0
+    for ctx in fields:
+        # prime fields take any integer and reduce it; extension fields take codes only
+        codes = range(-2, ctx.q + 3) if ctx.m == 1 else range(ctx.q)
+        for n in range(1, 25):
+            if n % ctx.p == 0:
+                continue
+            for a in codes:
+                try:
+                    root = ctx.nth_root(a, n)
+                except NoRootError:
+                    root = None
+                assert root == oracles.enumerated_root(ctx, a, n), (ctx, a, n)
+                cases += 1
+    assert cases == 3910
+
+
 def test_inverse_roundtrip_and_zero_division():
     for ctx in ALL_CTX:
         with pytest.raises(ZeroDivisionError):
