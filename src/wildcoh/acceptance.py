@@ -300,8 +300,8 @@ def _order24_averaging_check() -> bool:
     # P-equivariant but not G-equivariant: project onto the P-coset of the identity
     psi = np.diag([int(h in sylow) for h in table.elements])
     section = np.vstack([psi, ident])
-    action = modrep.SectionAction(F4, on_total, regular, projection)
-    averaged = modrep.average_section(table, sylow, section, action)
+    averaged = modrep.average_section(table, sylow, section, ctx=F4, on_total=on_total,
+                                      on_quotient=regular, projection=projection)
     return len(averaged) == 2 * table.order
 
 

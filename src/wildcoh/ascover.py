@@ -343,9 +343,6 @@ class LatticeWindow:
 
 @dataclass
 class NormalFormReport:
-    p: int
-    n: int
-    prec: int
     checked: list[str]
 
 
@@ -384,16 +381,13 @@ def verify_normal_form(cov: LocalCover) -> NormalFormReport:
         raise NormalFormError("first correction of x is not (1/n) t^(p + n(p-1))")
     checked.append("x = t^p + (1/n) t^(p+n(p-1)) + ...")
 
-    return NormalFormReport(p=p, n=n, prec=cov.prec, checked=checked)
+    return NormalFormReport(checked=checked)
 
 
 @dataclass
 class DifferentialCheck:
     ok: bool
     failures: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def invariant_differential_check(cov: LocalCover) -> DifferentialCheck:

@@ -16,8 +16,7 @@ group, whenever the index is invertible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -177,9 +176,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g) -> bool:
-        return g in self._index
-
     def inverse(self, g):
         return self.elements[self._inverse[self._index[g]]]
 
@@ -217,38 +213,33 @@ class GroupTable:
         return {g: units[:, row].tolist() for g, row in zip(self.elements, self.cayley)}
 
 
-@dataclass
-class SectionAction:
-    """Linear data for averaging: actions on the total and quotient spaces."""
-
-    ctx: FieldCtx
-    on_total: Mapping[Hashable, list[list[int]] | np.ndarray]
-    on_quotient: Mapping[Hashable, list[list[int]] | np.ndarray]
-    projection: list[list[int]] | np.ndarray
-
-
 def average_section(
     group: GroupTable,
     p_subgroup: Sequence[Hashable],
     section: list[list[int]] | np.ndarray,
-    action: SectionAction,
+    *,
+    ctx: FieldCtx,
+    on_total: dict,
+    on_quotient: dict,
+    projection: list[list[int]] | np.ndarray,
 ) -> list[list[int]]:
     """Average a P-equivariant section into a G-equivariant one.
 
     Implements s~(x) = (1/m) sum g_i^{-1} s(g_i x) over right-coset
     representatives; requires P to be a subgroup of G, given as distinct
     elements, and the index m = [G:P] to be invertible in the field, and
-    verifies both the input hypothesis and the output.  The
-    matrices may be lists of rows or code arrays; the result is a list.
+    verifies both the input hypothesis and the output.  on_total and
+    on_quotient map each group element to its action on the total and
+    the quotient space.  The matrices may be lists of rows or code
+    arrays; the result is a list.
     """
-    ctx = action.ctx
     m = group.subgroup_index(p_subgroup)
     if m % ctx.p == 0:
         raise ValueError(f"index {m} is not invertible in characteristic {ctx.p}")
-    projection, section = ctx.array(action.projection), ctx.array(section)
+    projection, section = ctx.array(projection), ctx.array(section)
     ident_c = np.eye(len(projection), dtype=ctx.dtype)
-    on_total = {g: ctx.array(a) for g, a in action.on_total.items()}
-    on_quotient = {g: ctx.array(a) for g, a in action.on_quotient.items()}
+    on_total = {g: ctx.array(a) for g, a in on_total.items()}
+    on_quotient = {g: ctx.array(a) for g, a in on_quotient.items()}
 
     def equivariant(s, elements) -> bool:
         # g s = s g for every g, as one stacked product per side

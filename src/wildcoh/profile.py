@@ -49,9 +49,6 @@ class RamificationProfile:
     def to_dict(self) -> dict:
         return {"p": self.p, "gY": self.g_y, "jumps": list(self.jumps)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RamificationProfile":
         """Read {"p": int, "gY": int, "jumps": [int, ...]}; ValueError names a bad key."""
@@ -188,8 +185,6 @@ def superelliptic(m: int, d: int, p: int) -> RamificationProfile:
         raise ValueError(f"exponent {m} must be positive and coprime to {p}")
     delta = gcd(m, d)
     jump = m // delta
-    if gcd(jump, p) != 1:
-        raise ValueError(f"jump {jump} is divisible by the characteristic {p}")
     # genus of y^m = f(x) from tame Riemann-Hurwitz over the projective line
     numerator = (m - 1) * (d - 1) + 1 - delta
     if numerator % 2 != 0:
@@ -202,7 +197,6 @@ def superelliptic(m: int, d: int, p: int) -> RamificationProfile:
 class MainTheoremVerdict:
     """Outcome of checking defect = 0 against weak ramification."""
 
-    p: int
     defect: int
     weakly_ramified: bool
     consistent: bool
@@ -223,7 +217,6 @@ def main_theorem_check(prof: RamificationProfile) -> MainTheoremVerdict:
         consistent = not weak or d == 0
     p2_exception = prof.p == 2 and d == 0 and not weak
     return MainTheoremVerdict(
-        p=prof.p,
         defect=d,
         weakly_ramified=weak,
         consistent=consistent,

@@ -103,7 +103,7 @@ def test_verify_normal_form_reads_the_head_of_x():
 
 def test_invariant_differential_examples():
     for p, n in ((3, 1), (5, 2), (2, 3)):
-        assert ascover.invariant_differential_check(cover(p, n))
+        assert ascover.invariant_differential_check(cover(p, n)).ok
 
 
 def test_sigma_fixes_z_shift_exactly():

@@ -168,7 +168,7 @@ def test_defect_char2_exception_flag(capsys):
 def test_defect_profile_file_round_trip(tmp_path, capsys):
     prof = RamificationProfile(5, 1, (2, 3))
     path = tmp_path / "profile.json"
-    path.write_text(prof.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(prof.to_dict(), sort_keys=True), encoding="utf-8")
     code, out, _ = run_cli(capsys, "defect", "--profile", str(path), "--format", "json")
     assert code == 0
     payload = json.loads(out)

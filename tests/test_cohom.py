@@ -1,6 +1,7 @@
 """Group cohomology: closed forms, the lattice model, the differential map."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ def test_d_image_closed_form_values():
     assert cohom.d_image_closed_form(2, 3) == 0
     for p in (2, 3, 5, 7):
         assert cohom.d_image_closed_form(p, 1) == 0
+
+
+@pytest.mark.parametrize("p, n", [(3, -2), (3, -1), (3, 0), (3, 6), (4, 1), (1, 1), (9, 2)])
+def test_closed_forms_refuse_what_a_cover_refuses(p, n):
+    # a nonpositive or non-coprime jump, or a composite p, has no cover, so
+    # the closed forms give it no number (d_image_closed_form(3, -2) was -1)
+    with pytest.raises(ValueError) as refused:
+        ascover.LocalCover(p, n, 1000)
+    message = f"^{re.escape(str(refused.value))}$"
+    with pytest.raises(ValueError, match=message):
+        cohom.h1_closed_form(p, n, 0)
+    with pytest.raises(ValueError, match=message):
+        cohom.d_image_closed_form(p, n)
 
 
 def test_h1_lattice_matches_closed_form_small_grid():

@@ -6,13 +6,10 @@ identity for derivatives, and homomorphy for substitution.
 """
 
 import hashlib
-import inspect
 import json
 import random
-import re
 from functools import reduce
 from math import gcd
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,31 +618,3 @@ def test_series_digits_are_read_only_and_private():
     # a series built from another's digits owns a copy of them
     b = LaurentSeries(F5, 0, a.digits, 6)
     assert b.digits is not a.digits and not np.shares_memory(b.digits, a.digits)
-
-
-def test_every_public_field_and_series_name_serves_src_or_the_tracer():
-    # one kernel per operation: each public FieldCtx method, and each public
-    # function or class of laurent, has a caller in another module of the
-    # package, or bench/tracer.py wraps it by name
-    root = Path(__file__).resolve().parents[1]
-    texts = {path.name: path.read_text(encoding="utf-8")
-             for path in (root / "src" / "wildcoh").glob("*.py")}
-    tracer = (root / "bench" / "tracer.py").read_text(encoding="utf-8")
-
-    def outside(module):
-        return "".join(text for name, text in texts.items() if name != module)
-
-    methods = [name for name, obj in vars(FieldCtx).items()
-               if not name.startswith("_") and inspect.isfunction(obj)]
-    traced = re.findall(r'"(\w+)"', re.search(r"SCALAR_OPS = \(([^)]*)\)", tracer)[1])
-    # the library names a field context ctx, or F4 in char2ex
-    unused = [f"FieldCtx.{name}" for name in methods
-              if not re.search(rf"\b(?:ctx|F4)\.{name}\b", outside("gf.py")) and name not in traced]
-    public = [name for name, obj in vars(laurent).items()
-              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-              and obj.__module__ == laurent.__name__]
-    assert "convolve" in methods and "sub_outer" in methods and "spread" in public
-    unused += [name for name in public
-               if not re.search(rf"\b{name}\b", outside("laurent.py"))
-               and not re.search(rf'\blaurent(\.{name}\b|, "{name}")', tracer)]
-    assert unused == []

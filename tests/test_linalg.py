@@ -9,11 +9,8 @@ that tests/oracles.py builds on rref, against sympy.
 """
 
 import contextlib
-import inspect
 import random
-import re
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,21 +546,3 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     # conjugation reduce code arrays by echelon, modules form N on code
     # arrays and the lattice dimensions are ranks of residue blocks
     assert not calls
-
-
-def test_every_public_linalg_name_serves_src_or_the_tracer():
-    # no API layer that nothing uses: each public function or class of
-    # linalg has a caller elsewhere in the package, or bench/tracer.py
-    # wraps it by name (a list helper the tests alone need lives in oracles)
-    root = Path(__file__).resolve().parents[1]
-    src = "".join(path.read_text(encoding="utf-8")
-                  for path in (root / "src" / "wildcoh").glob("*.py") if path.name != "linalg.py")
-    tracer = (root / "bench" / "tracer.py").read_text(encoding="utf-8")
-    public = [name for name, obj in vars(linalg).items()
-              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-              and obj.__module__ == linalg.__name__]
-    assert "rref" in public and "RowEchelon" in public
-    unused = [name for name in public
-              if not re.search(rf"\blinalg\.{name}\b", src)
-              and not re.search(rf'\blinalg(\.{name}\b|, "{name}")', tracer)]
-    assert unused == []

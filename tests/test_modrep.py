@@ -428,7 +428,7 @@ def test_group_table_structure():
     assert z6.element_order(3) == 2
     reps = z6.right_coset_representatives([0, 3])
     assert len(reps) == 3
-    assert 4 in z6
+    assert 4 in z6.elements
 
 
 def _compose_s3(g, h):
@@ -502,7 +502,7 @@ def _z6_averaging_setup():
                 blown[n + i][n + j] = m[i][j]
         double[g] = blown
     projection = [[0] * n + row for row in oracles.identity(n)]
-    return z6, modrep.SectionAction(F2, double, reg, projection)
+    return z6, dict(ctx=F2, on_total=double, on_quotient=reg, projection=projection)
 
 
 def _p_only_section(n, p_sub):
@@ -515,7 +515,7 @@ def _p_only_section(n, p_sub):
 def test_average_section_fixes_a_p_only_section():
     z6, action = _z6_averaging_setup()
     section = _p_only_section(z6.order, [0, 3])
-    averaged = modrep.average_section(z6, [0, 3], section, action)
+    averaged = modrep.average_section(z6, [0, 3], section, **action)
     # output equivariance and the section property are verified inside;
     # the averaged perturbation must differ from the non-equivariant input
     assert averaged != section
@@ -524,14 +524,13 @@ def test_average_section_fixes_a_p_only_section():
 def test_average_section_takes_lists_or_code_arrays():
     z6, action = _z6_averaging_setup()
     section = _p_only_section(z6.order, [0, 3])
-    as_lists = modrep.average_section(z6, [0, 3], section, action)
-    arrays = modrep.SectionAction(
-        F2,
-        {g: F2.array(m) for g, m in action.on_total.items()},
-        {g: F2.array(m) for g, m in action.on_quotient.items()},
-        F2.array(action.projection),
+    as_lists = modrep.average_section(z6, [0, 3], section, **action)
+    as_arrays = modrep.average_section(
+        z6, [0, 3], F2.array(section), ctx=F2,
+        on_total={g: F2.array(m) for g, m in action["on_total"].items()},
+        on_quotient={g: F2.array(m) for g, m in action["on_quotient"].items()},
+        projection=F2.array(action["projection"]),
     )
-    as_arrays = modrep.average_section(z6, [0, 3], F2.array(section), arrays)
     assert as_arrays == as_lists
     assert {type(x) for row in as_arrays for x in row} == {int}
 
@@ -560,7 +559,7 @@ def test_average_section_identity_case():
     z6, action = _z6_averaging_setup()
     n = z6.order
     honest = oracles.zeros(n, n) + oracles.identity(n)
-    assert modrep.average_section(z6, z6.elements, honest, action) == honest
+    assert modrep.average_section(z6, z6.elements, honest, **action) == honest
 
 
 def test_average_section_error_cases():
@@ -568,14 +567,14 @@ def test_average_section_error_cases():
     n = z6.order
     honest = oracles.zeros(n, n) + oracles.identity(n)
     with pytest.raises(ValueError):
-        modrep.average_section(z6, [0, 2, 4], honest, action)  # index 2 = 0 in GF(2)
+        modrep.average_section(z6, [0, 2, 4], honest, **action)  # index 2 = 0 in GF(2)
     broken = [row[:] for row in honest]
     broken[0][0] = 1  # perturb so it is no longer P-equivariant
     with pytest.raises(ValueError):
-        modrep.average_section(z6, [0, 3], broken, action)
+        modrep.average_section(z6, [0, 3], broken, **action)
     not_section = [[0] * n for _ in range(2 * n)]
     with pytest.raises(ValueError):
-        modrep.average_section(z6, [0, 3], not_section, action)
+        modrep.average_section(z6, [0, 3], not_section, **action)
 
 
 def test_average_section_refuses_a_subset_that_is_not_a_subgroup():
@@ -589,7 +588,7 @@ def test_average_section_refuses_a_subset_that_is_not_a_subgroup():
         ([0, 3, 3], "subgroup elements are not distinct"),  # not index 2, nor "not invertible"
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            modrep.average_section(z6, subset, honest, action)
+            modrep.average_section(z6, subset, honest, **action)
 
 
 def test_random_triples_are_valid(monkeypatch):
