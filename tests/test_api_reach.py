@@ -2,9 +2,9 @@
 
 Every public module-level function or class of wildcoh is used by code
 in src/ outside its own definition, or is named in bench/ (which wraps and
-calls the package by name).  The field, series and linear-algebra
-layers keep their stricter rules, and names deleted for want of a
-caller stay deleted.
+calls the package by name), and names deleted for want of a caller stay
+deleted.  The field, series and linear-algebra layers keep their stricter
+rules here too; tests/test_laurent.py and tests/test_linalg.py run them.
 """
 
 import dataclasses
@@ -51,18 +51,25 @@ def _public(module):
             and obj.__module__ == module.__name__]
 
 
-def test_every_public_name_serves_src_or_bench():
+def _sources():
+    """(code of each src module but __init__, all of bench/, bench/tracer.py)."""
     # a re-export in __init__.py is not a use
     texts = {path.stem: path.read_text(encoding="utf-8")
              for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
     bench = "".join(path.read_text(encoding="utf-8") for path in (ROOT / "bench").rglob("*.py"))
     tracer = (ROOT / "bench" / "tracer.py").read_text(encoding="utf-8")
+    return texts, bench, tracer
 
-    def outside(stem):
-        return "".join(text for name, text in texts.items() if name != stem)
 
-    # a use in src/ is code, not a comment or a docstring; bench/tracer.py
-    # names what it wraps in strings
+def _outside(texts, stem):
+    return "".join(text for name, text in texts.items() if name != stem)
+
+
+def unreached_modules():
+    """Public functions and classes used nowhere in src/ outside their own
+    definition and not named in bench/."""
+    texts, bench, _ = _sources()
+    # a use in src/ is code, not a comment or a docstring
     names = {stem: _names(text) for stem, text in texts.items()}
     unused = []
     for stem in texts:
@@ -74,30 +81,47 @@ def test_every_public_name_serves_src_or_bench():
                                 if not first <= line < first + len(lines)}
             if name not in used and not re.search(rf"\b{name}\b", bench):
                 unused.append(f"{stem}.{name}")
+    return unused
 
-    # one kernel per operation: each public FieldCtx method has a caller in
-    # another module, which names a field context ctx (or F4 in char2ex), or
-    # bench/tracer.py wraps it by name
+
+def unreached_field_and_series():
+    """Public FieldCtx methods and laurent names with no caller in another
+    module of the package that bench/tracer.py does not wrap by name."""
+    texts, _, tracer = _sources()
+    # one kernel per operation: the library names a field context ctx (or
+    # F4 in char2ex); the tracer names what it wraps in strings
     methods = [name for name, obj in vars(FieldCtx).items()
                if not name.startswith("_") and inspect.isfunction(obj)]
     traced = re.findall(r'"(\w+)"', re.search(r"SCALAR_OPS = \(([^)]*)\)", tracer)[1])
-    unused += [f"FieldCtx.{name}" for name in methods
-               if not re.search(rf"\b(?:ctx|F4)\.{name}\b", outside("gf")) and name not in traced]
-    # the series and linear-algebra layers have a caller in another module
-    # of the package, or the tracer wraps them by name (a list helper the
-    # tests alone need lives in tests/oracles.py)
-    series, matrices = _public(laurent), _public(linalg)
+    series = _public(laurent)
     assert "convolve" in methods and "sub_outer" in methods and "spread" in series
+    unused = [f"FieldCtx.{name}" for name in methods
+              if not re.search(rf"\b(?:ctx|F4)\.{name}\b", _outside(texts, "gf"))
+              and name not in traced]
+    return unused + [f"laurent.{name}" for name in series
+                     if not re.search(rf"\b{name}\b", _outside(texts, "laurent"))
+                     and not re.search(rf'\blaurent(\.{name}\b|, "{name}")', tracer)]
+
+
+def unreached_linalg():
+    """Public linalg names that no other module of the package calls as
+    linalg.<name> and bench/tracer.py does not wrap by name (a list helper
+    the tests alone need lives in tests/oracles.py)."""
+    texts, _, tracer = _sources()
+    matrices = _public(linalg)
     assert "rref" in matrices and "RowEchelon" in matrices
-    unused += [f"laurent.{name}" for name in series
-               if not re.search(rf"\b{name}\b", outside("laurent"))
-               and not re.search(rf'\blaurent(\.{name}\b|, "{name}")', tracer)]
-    unused += [f"linalg.{name}" for name in matrices
-               if not re.search(rf"\blinalg\.{name}\b", outside("linalg"))
-               and not re.search(rf'\blinalg(\.{name}\b|, "{name}")', tracer)]
-    assert unused == []
+    return [f"linalg.{name}" for name in matrices
+            if not re.search(rf"\blinalg\.{name}\b", _outside(texts, "linalg"))
+            and not re.search(rf'\blinalg(\.{name}\b|, "{name}")', tracer)]
+
+
+def test_every_public_name_serves_src_or_bench():
+    # the field, series and linear-algebra rules run under their own
+    # names in tests/test_laurent.py and tests/test_linalg.py
+    assert unreached_modules() == []
 
     # what was deleted for want of a caller does not grow back
+    texts, _, _ = _sources()
     assert [name for owner, name in REMOVED if name in vars(owner)] == []
     assert [cls.__name__ for cls, gone in REMOVED_FIELDS
             if gone & {field.name for field in dataclasses.fields(cls)}] == []

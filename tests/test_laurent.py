@@ -21,6 +21,7 @@ from wildcoh.gf import FieldCtx
 from wildcoh.laurent import InsufficientPrecisionError, LaurentSeries, support_step
 
 import oracles
+import test_api_reach
 
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
@@ -618,3 +619,10 @@ def test_series_digits_are_read_only_and_private():
     # a series built from another's digits owns a copy of them
     b = LaurentSeries(F5, 0, a.digits, 6)
     assert b.digits is not a.digits and not np.shares_memory(b.digits, a.digits)
+
+
+def test_every_public_field_and_series_name_serves_src_or_the_tracer():
+    # one kernel per operation: each public FieldCtx method, and each public
+    # function or class of laurent, has a caller in another module of the
+    # package, or bench/tracer.py wraps it by name
+    assert test_api_reach.unreached_field_and_series() == []

@@ -21,6 +21,7 @@ from wildcoh import cohom, linalg, modrep
 from wildcoh.gf import FieldCtx
 
 import oracles
+import test_api_reach
 
 F4 = FieldCtx(2, (1, 1, 1))
 F5 = FieldCtx(5)
@@ -546,3 +547,9 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     # conjugation reduce code arrays by echelon, modules form N on code
     # arrays and the lattice dimensions are ranks of residue blocks
     assert not calls
+
+
+def test_every_public_linalg_name_serves_src_or_the_tracer():
+    # no API layer that nothing uses: each public function or class of
+    # linalg has a caller elsewhere in the package, or bench/tracer.py wraps it
+    assert test_api_reach.unreached_linalg() == []
