@@ -96,6 +96,14 @@ def class_blocks(mat: np.ndarray, n: int, row_first: int, col_first: int,
     return blocks
 
 
+def check_jump(p: int, n: int) -> None:
+    """Refuse a pair (p, n) that is no wild jump: p prime, n >= 1 and prime to p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1 or gcd(n, p) != 1:
+        raise ValueError(f"jump {n} must be positive and coprime to {p}")
+
+
 def least_window(p: int, n: int) -> int:
     """The least window size any lattice computation for (p, n) may use, n + p + 1."""
     return n + p + 1
@@ -132,10 +140,7 @@ class LocalCover:
     _d_rank: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1 or gcd(self.n, self.p) != 1:
-            raise ValueError(f"jump {self.n} must be positive and coprime to {self.p}")
+        check_jump(self.p, self.n)
         if self.prec <= self.n * self.p + self.p:
             raise ValueError(f"precision {self.prec} too small; need > {self.n * self.p + self.p}")
         self.ctx = FieldCtx(self.p)

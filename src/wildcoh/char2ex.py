@@ -71,13 +71,6 @@ def compose(g: AutTriple, h: AutTriple) -> AutTriple:
     return AutTriple(u, r, t)
 
 
-def inverse(g: AutTriple) -> AutTriple:
-    inv = AutTriple(F4.mul(g.u, g.u), F4.mul(g.u, g.r), F4.add(g.t, F4.pow(g.r, 3)))
-    if group_table().inverse(g) != inv:
-        raise RuntimeError(f"inverse formula failed for {g}")
-    return inv
-
-
 @lru_cache(maxsize=None)
 def group_table() -> GroupTable:
     return GroupTable(enumerate_group(), compose)
@@ -134,7 +127,7 @@ class RepHomomorphismCheck:
     failures: list[tuple[AutTriple, AutTriple]]
 
 
-def rep_homomorphism_check(matrix: MatrixFn = rep) -> RepHomomorphismCheck:
+def rep_homomorphism_check(matrix: MatrixFn) -> RepHomomorphismCheck:
     """Exhaustively test matrix(g o h) = matrix(g) matrix(h) over all pairs.
 
     The check fails for the stated formula rep: on the u = 1 subgroup its
@@ -155,8 +148,8 @@ def rep_homomorphism_check(matrix: MatrixFn = rep) -> RepHomomorphismCheck:
     )
 
 
-def rep_kernel(matrix: MatrixFn = rep) -> list[AutTriple]:
-    """Elements whose matrix (the stated one by default) is the identity."""
+def rep_kernel(matrix: MatrixFn) -> list[AutTriple]:
+    """Elements whose matrix is the identity."""
     return [g for g in group_table().elements if matrix(g) == [[1, 0], [0, 1]]]
 
 
@@ -177,8 +170,8 @@ class IndecomposabilityCertificate:
     indecomposable: bool
 
 
-def indecomposability_certificate(matrix: MatrixFn = rep) -> IndecomposabilityCertificate:
-    """Certificate for the matrices given (the stated formula by default)."""
+def indecomposability_certificate(matrix: MatrixFn) -> IndecomposabilityCertificate:
+    """Certificate for the matrices given."""
     mats = {g: matrix(g) for g in group_table().elements}
     stable = all(m[1][0] == 0 for m in mats.values())
     witnesses = []
@@ -304,7 +297,7 @@ def filtration_report() -> FiltrationReport:
             "claimed G_2 = 0; computed G_2 = {id} + "
             + ", ".join(str(tuple(g)) for g in sorted(depth2))
         )
-    hom = rep_homomorphism_check()
+    hom = rep_homomorphism_check(rep)
     if not hom.holds:
         g_bad, h_bad = hom.failures[0]
         discrepancies.append(

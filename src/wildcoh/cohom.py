@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from wildcoh import ascover, linalg
 from wildcoh.ascover import LatticeWindow, LocalCover
-from wildcoh.gf import FieldCtx, is_prime
+from wildcoh.gf import FieldCtx
 
 
 class StabilizationError(RuntimeError):
@@ -88,19 +87,13 @@ def periodic_cohomology(mod: CyclicModule, i: int) -> int:
 
 def h1_closed_form(p: int, n: int, a: int) -> int:
     """n - floor((a-1)/p) + floor((a-1-n)/p); floors toward minus infinity."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1 or gcd(n, p) != 1:
-        raise ValueError(f"jump {n} must be positive and coprime to {p}")
+    ascover.check_jump(p, n)
     return n - (a - 1) // p + (a - 1 - n) // p
 
 
 def d_image_closed_form(p: int, n: int) -> int:
     """floor((n+1)(p-1)/p) - 1 - floor((n-1)/p)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1 or gcd(n, p) != 1:
-        raise ValueError(f"jump {n} must be positive and coprime to {p}")
+    ascover.check_jump(p, n)
     return ((n + 1) * (p - 1)) // p - 1 - (n - 1) // p
 
 
@@ -135,6 +128,16 @@ def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
     return CohomologyClassSet(window=win, dim=fixed - len(_x_image(win)))
 
 
+def _widened(kind: str, noun: str, run, count, w: int, p: int):
+    """run(w), once count agrees on it and on the re-run run(w + p); else
+    StabilizationError names the kind of window and the noun of its count."""
+    model, wide = run(w), run(w + p)
+    if count(model) != count(wide):
+        raise StabilizationError(f"{kind} window did not stabilize: {noun} {count(model)} "
+                                 f"at W={w}, {count(wide)} at W={w + p}")
+    return model
+
+
 def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClassSet:
     """H^1 of the lattice t^a B as ker(sigma-1)/im(invariant field), in a window.
 
@@ -147,14 +150,8 @@ def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClass
         w = least
     elif w < least:
         raise ValueError(f"window {w} too small; need at least n + p + 1 = {least}")
-    model = _lattice_model(cov, a, w)
-    wide = _lattice_model(cov, a, w + cov.p)
-    if model.dim != wide.dim:
-        raise StabilizationError(
-            f"h1 window did not stabilize: dim {model.dim} at W={w}, "
-            f"{wide.dim} at W={w + cov.p}"
-        )
-    return model
+    return _widened("h1", "dim", lambda width: _lattice_model(cov, a, width),
+                    lambda model: model.dim, w, cov.p)
 
 
 @dataclass
@@ -285,15 +282,8 @@ def d_image_rank(cov: LocalCover) -> int:
     nothing, and a rebuilt cover computes it again.
     """
     if cov._d_rank is None:
-        w = ascover.least_window(cov.p, cov.n)
-        first = int(_d_rank_classes(cov, w).sum())
-        second = int(_d_rank_classes(cov, w + cov.p).sum())
-        if first != second:
-            raise StabilizationError(
-                f"d-image window did not stabilize: rank {first} at W={w}, "
-                f"{second} at W={w + cov.p}"
-            )
-        cov._d_rank = first
+        cov._d_rank = _widened("d-image", "rank", lambda w: int(_d_rank_classes(cov, w).sum()),
+                               int, ascover.least_window(cov.p, cov.n), cov.p)
     return cov._d_rank
 
 

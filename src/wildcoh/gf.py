@@ -236,8 +236,6 @@ class FieldCtx:
 
     def _sum(self, a: np.ndarray, axis: int) -> np.ndarray:
         # extension fields add base-p digits, then re-encode
-        if self.m == 1:
-            return a.sum(axis) % self.p
         if self.p == 2:  # digits add mod 2, so codes add by exclusive or
             return np.bitwise_xor.reduce(a, axis)
         return self._digit_array[a].sum(axis) % self.p @ self._weights

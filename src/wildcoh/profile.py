@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from wildcoh import cohom
+from wildcoh import ascover, cohom
 from wildcoh.gf import FieldCtx, is_prime
 
 
@@ -39,8 +39,7 @@ class RamificationProfile:
             raise ValueError("quotient genus must be nonnegative")
         object.__setattr__(self, "jumps", tuple(self.jumps))
         for n in self.jumps:
-            if n < 1 or gcd(n, self.p) != 1:
-                raise ValueError(f"jump {n} must be positive and coprime to {self.p}")
+            ascover.check_jump(self.p, n)
 
     @property
     def is_free(self) -> bool:
@@ -110,8 +109,6 @@ def r_prime_degree(prof: RamificationProfile) -> int:
 def genus_upstairs(prof: RamificationProfile) -> int:
     """Genus of the cover from Riemann-Hurwitz with conductor (n+1)(p-1)."""
     rhs = prof.p * (2 * prof.g_y - 2) + sum((n + 1) * (prof.p - 1) for n in prof.jumps)
-    if rhs % 2 != 0:
-        raise ValueError("inconsistent profile: Riemann-Hurwitz total is odd")
     g_x = rhs // 2 + 1
     if g_x < 0:
         raise ValueError("inconsistent profile: negative upstairs genus")
@@ -186,10 +183,7 @@ def superelliptic(m: int, d: int, p: int) -> RamificationProfile:
     delta = gcd(m, d)
     jump = m // delta
     # genus of y^m = f(x) from tame Riemann-Hurwitz over the projective line
-    numerator = (m - 1) * (d - 1) + 1 - delta
-    if numerator % 2 != 0:
-        raise ValueError("non-integral quotient genus")
-    g_y = numerator // 2
+    g_y = ((m - 1) * (d - 1) + 1 - delta) // 2
     return RamificationProfile(p=p, g_y=g_y, jumps=(jump,) * delta)
 
 

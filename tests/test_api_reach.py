@@ -15,7 +15,7 @@ import re
 import tokenize
 from pathlib import Path
 
-from wildcoh import ascover, cohom, laurent, linalg, modrep, profile
+from wildcoh import ascover, char2ex, cohom, laurent, linalg, modrep, profile
 from wildcoh.gf import FieldCtx
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +28,7 @@ REMOVED = [
     (ascover.DifferentialCheck, "__bool__"),
     (profile.RamificationProfile, "to_json"),
     (cohom, "_window_size"),
+    (char2ex, "inverse"),
 ]
 # dataclass fields that only echoed the call's arguments
 REMOVED_FIELDS = [
@@ -36,13 +37,28 @@ REMOVED_FIELDS = [
     (profile.MainTheoremVerdict, {"p"}),
 ]
 # messages of checks that an earlier check on the same data implies
-UNREACHABLE = ["composition left", "sigma-fixed in the window", "divisible by the characteristic"]
+UNREACHABLE = ["composition left", "sigma-fixed in the window", "divisible by the characteristic",
+               "total is odd", "non-integral quotient genus"]
 
 
 def _names(text):
-    """(identifier, line) for the code of Python source, without its comments and strings."""
-    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
-    return [(tok.string, tok.start[0]) for tok in tokens if tok.type == tokenize.NAME]
+    """(identifier, line) for the code of Python source, without its comments and strings.
+
+    The name a def or a class statement binds is no use of it, and an
+    attribute .name is kept with what precedes its dot, as "x.name": it
+    uses a module's function only when x is that module.
+    """
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+    tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+              if tok.type not in layout]
+    names = []
+    for i, tok in enumerate(tokens):
+        prev = tokens[i - 1].string if i else ""
+        if tok.type != tokenize.NAME or prev in ("def", "class"):
+            continue
+        name = f"{tokens[i - 2].string}.{tok.string}" if prev == "." else tok.string
+        names.append((name, tok.start[0]))
+    return names
 
 
 def _public(module):
@@ -79,7 +95,7 @@ def unreached_modules():
             lines, first = inspect.getsourcelines(getattr(module, name))
             used = elsewhere | {found for found, line in names[stem]
                                 if not first <= line < first + len(lines)}
-            if name not in used and not re.search(rf"\b{name}\b", bench):
+            if not used & {name, f"{stem}.{name}"} and not re.search(rf"\b{name}\b", bench):
                 unused.append(f"{stem}.{name}")
     return unused
 

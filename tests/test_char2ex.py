@@ -22,12 +22,13 @@ OMEGA2 = 3
 
 def conjugacy_classes():
     elements = char2ex.enumerate_group()
+    inverse = char2ex.group_table().inverse
     remaining = set(elements)
     classes = []
     for g in elements:
         if g not in remaining:
             continue
-        cls = {char2ex.compose(char2ex.compose(h, g), char2ex.inverse(h)) for h in elements}
+        cls = {char2ex.compose(char2ex.compose(h, g), inverse(h)) for h in elements}
         classes.append(sorted(cls))
         remaining -= cls
     return classes
@@ -61,9 +62,19 @@ def test_closure_and_group_axioms():
         assert char2ex.compose(char2ex.compose(g, h), k) == char2ex.compose(
             g, char2ex.compose(h, k)
         )
+    table = char2ex.group_table()
     for g in group:
-        assert char2ex.compose(g, char2ex.inverse(g)) == IDENTITY
-        assert char2ex.compose(char2ex.inverse(g), g) == IDENTITY
+        assert char2ex.compose(g, table.inverse(g)) == IDENTITY
+        assert char2ex.compose(table.inverse(g), g) == IDENTITY
+
+
+def test_inverse_closed_form():
+    # g^-1 = (u^2, u r, t + r^3), the inverse derham_rep's docstring derives from
+    table = char2ex.group_table()
+    for g in table.elements:
+        closed = AutTriple(F4.mul(g.u, g.u), F4.mul(g.u, g.r), F4.add(g.t, F4.pow(g.r, 3)))
+        assert table.inverse(g) == closed, g
+    assert len(table.elements) == 24
 
 
 def test_rep_matrices():
@@ -85,7 +96,7 @@ def test_rep_is_not_a_homomorphism():
     assert linalg.mat_mul(F4, char2ex.rep(g), char2ex.rep(g)) == oracles.identity(2)
     assert char2ex.rep(AutTriple(1, 0, 1)) != oracles.identity(2)
 
-    check = char2ex.rep_homomorphism_check()
+    check = char2ex.rep_homomorphism_check(char2ex.rep)
     assert not check.holds
     assert check.pairs_checked == 576
     assert (g, g) in check.failures
@@ -120,7 +131,7 @@ def test_criterion_7_and_8c_compose_each_pair_once(monkeypatch):
 
 
 def test_rep_kernel_is_trivial():
-    assert char2ex.rep_kernel() == [IDENTITY]
+    assert char2ex.rep_kernel(char2ex.rep) == [IDENTITY]
 
 
 def _pullback_matrix_by_series(g, x, y):
@@ -171,7 +182,7 @@ def test_derham_rep_matches_series_oracle():
     group = char2ex.enumerate_group()
     pullback = {g: _pullback_matrix_by_series(g, x, y) for g in group}
     # g_* = (g^-1)^* is the action whose closed form derham_rep states
-    series_rep = {g: pullback[char2ex.inverse(g)] for g in group}
+    series_rep = {g: pullback[char2ex.group_table().inverse(g)] for g in group}
     for g in group:
         assert series_rep[g] == char2ex.derham_rep(g), g
     kernel = [g for g in group if series_rep[g] == oracles.identity(2)]
@@ -181,7 +192,7 @@ def test_derham_rep_matches_series_oracle():
 
 
 def test_indecomposability_certificate():
-    cert = char2ex.indecomposability_certificate()
+    cert = char2ex.indecomposability_certificate(char2ex.rep)
     assert cert.first_line_stable
     assert cert.indecomposable
     assert AutTriple(1, 0, 1) in cert.witnesses

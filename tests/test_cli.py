@@ -88,11 +88,16 @@ def test_local_rejects_jump_divisible_by_p(capsys):
         (("sweep", "--p", "2305843009213693951", "--n", "1", "--a", "0"), None, "bound 2**31"),
         (("sweep", "--p", "3", "--n", "3", "--a", "0"), None, "no pair (p, n) to sweep"),
         (("sweep", "--p", "3", "--n", "-2", "--a", "0"), None, "no pair (p, n) to sweep"),
+        (("sweep", "--p", "4", "--n", "1..3", "--a", "0"), None, "4 is not prime"),
+        (("sweep", "--p", "3", "--n", "1", "--a", "5..3"), None, "empty range"),
+        (("defect", "--superelliptic", "3", "2"), None, "--superelliptic requires --p"),
+        (("defect", "--superelliptic", "3", "2", "--p", "4"), None, "4 is not prime"),
     ],
     ids=["local-not-prime", "local-jump-zero",
          "defect-empty-profile", "defect-no-jumps", "defect-jumps-string", "defect-jumps-float",
          "defect-jumps-int", "defect-list-profile", "defect-null-p", "defect-huge-p",
-         "sweep-huge-p", "sweep-n-divisible-by-p", "sweep-n-negative"],
+         "sweep-huge-p", "sweep-n-divisible-by-p", "sweep-n-negative", "sweep-not-prime",
+         "sweep-empty-a-range", "defect-superelliptic-no-p", "defect-superelliptic-not-prime"],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
     if profile is not None:
@@ -103,6 +108,17 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, 
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_verification_mismatch_exits_2(capsys, monkeypatch):
+    def unstable(cov):
+        raise cohom.StabilizationError("planted")
+
+    monkeypatch.setattr(cohom, "d_image_rank", unstable)
+    code, out, err = run_cli(capsys, "local", "--p", "3", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "verification mismatch: planted\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,6 +1,8 @@
 """Global profiles: defect, R', genus, dimension routes, serialization."""
 
+import itertools
 import json
+from math import gcd
 
 import pytest
 
@@ -18,7 +20,7 @@ def rh_genus_oracle(p, g_y, jumps):
 def tame_rh_oracle(m, d):
     # genus of y^m = f(x), f separable of degree d: degree-m cover of the line,
     # totally ramified over the d roots, gcd(m, d) points over infinity
-    delta = __import__("math").gcd(m, d)
+    delta = gcd(m, d)
     total = -2 * m + d * (m - 1) + (m - delta)
     assert total % 2 == 0
     return total // 2 + 1
@@ -44,6 +46,22 @@ def test_genus_upstairs():
     with pytest.raises(ValueError):
         # free action of Z/3 on a genus-0 quotient is impossible
         profile.genus_upstairs(RamificationProfile(3, 0, ()))
+
+
+def test_genus_totals_are_even():
+    # why genus_upstairs and superelliptic halve with no parity check: for odd
+    # p every (n+1)(p-1) is even, and for p = 2 every jump is odd; the oracle
+    # asserts the Riemann-Hurwitz total even, and p(2 gY - 2) is even for any gY
+    for p in (2, 3, 5, 7, 11, 13):
+        jumps = [n for n in range(1, 13) if gcd(n, p) == 1]
+        for k in range(4):
+            for chosen in itertools.combinations_with_replacement(jumps, k):
+                prof = RamificationProfile(p, 1, chosen)
+                assert profile.genus_upstairs(prof) == rh_genus_oracle(p, 1, chosen)
+    # (m-1)(d-1) + 1 - gcd(m, d) over the four parity cases of m and d
+    for m in range(1, 31):
+        for d in range(1, 31):
+            assert ((m - 1) * (d - 1) + 1 - gcd(m, d)) % 2 == 0, (m, d)
 
 
 def test_dims_worked_cases():
