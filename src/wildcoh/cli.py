@@ -73,10 +73,19 @@ def cmd_local(args) -> int:
 
 
 def _profile_from_args(args) -> profile.RamificationProfile:
-    if args.profile:
+    # the three sources are exclusive: none may silently override another
+    given = [flag for flag, value in (("--superelliptic", args.superelliptic), ("--p", args.p),
+                                      ("--gy", args.gy), ("--jumps", args.jumps))
+             if value is not None]
+    if args.profile is not None:
+        if given:
+            raise CliError(f"--profile cannot be combined with {' '.join(given)}")
         with open(args.profile, "r", encoding="utf-8") as handle:
             return profile.RamificationProfile.from_json(handle.read())
     if args.superelliptic:
+        clash = [flag for flag in given if flag in ("--gy", "--jumps")]
+        if clash:
+            raise CliError(f"--superelliptic cannot be combined with {' '.join(clash)}")
         if args.p is None:
             raise CliError("--superelliptic requires --p")
         m, d = args.superelliptic
@@ -89,16 +98,15 @@ def _profile_from_args(args) -> profile.RamificationProfile:
 def cmd_defect(args) -> int:
     prof = _profile_from_args(args)
     report = profile.dims(prof)
-    verdict = profile.main_theorem_check(prof)
     cross = profile.defect_by_linear_algebra(prof)
-    payload = dict(report.to_dict())
+    payload = report.to_dict()
     payload["profile"] = prof.to_dict()
     payload["defect_by_linear_algebra"] = cross
     payload["cross_check"] = cross == report.defect
-    payload["main_theorem_consistent"] = verdict.consistent
-    payload["p2_exception"] = verdict.p2_exception
+    payload["main_theorem_consistent"] = report.main_theorem_consistent
+    payload["p2_exception"] = report.p2_exception
     _emit(payload, args.format)
-    return 0 if payload["cross_check"] and verdict.consistent else 2
+    return 0 if payload["cross_check"] and report.main_theorem_consistent else 2
 
 
 def cmd_char2(args) -> int:

@@ -263,14 +263,6 @@ class FieldCtx:
         skew[:, : len(b)] = self._mul_array[a[:, None], b[None, :]]
         return self._sum(skew.ravel()[: la * width].reshape(la, width)[:, :length], 0)
 
-    def sub_outer(self, m: np.ndarray, f: np.ndarray, row: np.ndarray) -> None:
-        """In place m -= outer(f, row), with a single reduction."""
-        if self.m == 1:
-            m -= f[:, None] * row
-            m %= self.p
-        else:
-            m[...] = self._sub_array[m, self._mul_array[f[:, None], row[None, :]]]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FieldCtx)

@@ -81,7 +81,7 @@ def echelon(ctx: FieldCtx, codes: np.ndarray) -> tuple[np.ndarray, list[int]]:
         scale = ctx.inv(int(rest[r, 0]))
         factors = ctx.mul_array(rest[:, 0], scale)
         factors[r] = ctx.sub(1, scale)
-        ctx.sub_outer(rest, factors, rest[r])
+        rest[...] = ctx.mul_sub(rest, 1, factors[:, None], rest[r])
         pivots.append(c)
     return m, pivots
 

@@ -56,6 +56,9 @@ class RamificationProfile:
         for key in ("p", "gY", "jumps"):
             if key not in data:
                 raise ValueError(f"profile is missing the key {key!r}")
+        for key in data:
+            if key not in ("p", "gY", "jumps"):
+                raise ValueError(f"profile has an unknown key {key!r}")
         p, g_y, jumps = data["p"], data["gY"], data["jumps"]
         for key, value in (("p", p), ("gY", g_y)):
             if not _is_int(value):
@@ -71,7 +74,8 @@ class RamificationProfile:
 
 @dataclass
 class DefectReport:
-    """All derived dimensions of one profile; serializes flat."""
+    """All derived dimensions of one profile and the main-theorem verdict;
+    the dimensions serialize flat."""
 
     defect: int
     deg_r_prime: int
@@ -80,6 +84,8 @@ class DefectReport:
     h1_o_inv: int
     h1_dr_inv: int
     weakly_ramified: bool
+    main_theorem_consistent: bool
+    p2_exception: bool
 
     def to_dict(self) -> dict:
         return {
@@ -157,6 +163,10 @@ def dims(prof: RamificationProfile) -> DefectReport:
     if h1_dr_route_b != h0_route_b + h1_o_route_b - d:
         raise AssertionError("h1_dR route disagrees with h0 + h1_O - defect")
 
+    # the main theorem: for p > 2, defect 0 iff every jump is <= 1; for
+    # p = 2 the defect vanishes at every odd jump, an exception flagged
+    # rather than counted as an inconsistency
+    weak = all(n <= 1 for n in prof.jumps)
     return DefectReport(
         defect=d,
         deg_r_prime=deg_rp,
@@ -164,7 +174,9 @@ def dims(prof: RamificationProfile) -> DefectReport:
         h0_omega_inv=h0_route_a,
         h1_o_inv=h1_o_route_b,
         h1_dr_inv=h1_dr_route_b,
-        weakly_ramified=all(n <= 1 for n in prof.jumps),
+        weakly_ramified=weak,
+        main_theorem_consistent=(d == 0) == weak if p > 2 else not weak or d == 0,
+        p2_exception=p == 2 and d == 0 and not weak,
     )
 
 
@@ -185,37 +197,6 @@ def superelliptic(m: int, d: int, p: int) -> RamificationProfile:
     # genus of y^m = f(x) from tame Riemann-Hurwitz over the projective line
     g_y = ((m - 1) * (d - 1) + 1 - delta) // 2
     return RamificationProfile(p=p, g_y=g_y, jumps=(jump,) * delta)
-
-
-@dataclass
-class MainTheoremVerdict:
-    """Outcome of checking defect = 0 against weak ramification."""
-
-    defect: int
-    weakly_ramified: bool
-    consistent: bool
-    p2_exception: bool
-
-
-def main_theorem_check(prof: RamificationProfile) -> MainTheoremVerdict:
-    """For p > 2, defect = 0 iff all jumps <= 1; jumps <= 1 forces defect 0.
-
-    For p = 2 the defect vanishes for every odd jump; the verdict flags
-    that exception instead of treating it as an inconsistency.
-    """
-    d = defect(prof)
-    weak = all(n <= 1 for n in prof.jumps)
-    if prof.p > 2:
-        consistent = (d == 0) == weak
-    else:
-        consistent = not weak or d == 0
-    p2_exception = prof.p == 2 and d == 0 and not weak
-    return MainTheoremVerdict(
-        defect=d,
-        weakly_ramified=weak,
-        consistent=consistent,
-        p2_exception=p2_exception,
-    )
 
 
 def defect_by_linear_algebra(prof: RamificationProfile) -> int:

@@ -29,12 +29,14 @@ REMOVED = [
     (profile.RamificationProfile, "to_json"),
     (cohom, "_window_size"),
     (char2ex, "inverse"),
+    (profile, "main_theorem_check"),
+    (profile, "MainTheoremVerdict"),
+    (FieldCtx, "sub_outer"),
 ]
 # dataclass fields that only echoed the call's arguments
 REMOVED_FIELDS = [
     (ascover.NormalFormReport, {"p", "n", "prec"}),
     (cohom.BasisCertificate, {"a"}),
-    (profile.MainTheoremVerdict, {"p"}),
 ]
 # messages of checks that an earlier check on the same data implies
 UNREACHABLE = ["composition left", "sigma-fixed in the window", "divisible by the characteristic",
@@ -110,7 +112,7 @@ def unreached_field_and_series():
                if not name.startswith("_") and inspect.isfunction(obj)]
     traced = re.findall(r'"(\w+)"', re.search(r"SCALAR_OPS = \(([^)]*)\)", tracer)[1])
     series = _public(laurent)
-    assert "convolve" in methods and "sub_outer" in methods and "spread" in series
+    assert "convolve" in methods and "mul_sub" in methods and "spread" in series
     unused = [f"FieldCtx.{name}" for name in methods
               if not re.search(rf"\b(?:ctx|F4)\.{name}\b", _outside(texts, "gf"))
               and name not in traced]

@@ -92,12 +92,19 @@ def test_local_rejects_jump_divisible_by_p(capsys):
         (("sweep", "--p", "3", "--n", "1", "--a", "5..3"), None, "empty range"),
         (("defect", "--superelliptic", "3", "2"), None, "--superelliptic requires --p"),
         (("defect", "--superelliptic", "3", "2", "--p", "4"), None, "4 is not prime"),
+        (("defect",), {"p": 3, "gY": 1, "jumps": [], "jmps": [2]},
+         "profile has an unknown key 'jmps'"),
+        (("defect", "--p", "7"), {"p": 3, "gY": 1, "jumps": [2]},
+         "--profile cannot be combined with --p"),
+        (("defect", "--superelliptic", "3", "2", "--p", "5", "--gy", "7"), None,
+         "--superelliptic cannot be combined with --gy"),
     ],
     ids=["local-not-prime", "local-jump-zero",
          "defect-empty-profile", "defect-no-jumps", "defect-jumps-string", "defect-jumps-float",
          "defect-jumps-int", "defect-list-profile", "defect-null-p", "defect-huge-p",
          "sweep-huge-p", "sweep-n-divisible-by-p", "sweep-n-negative", "sweep-not-prime",
-         "sweep-empty-a-range", "defect-superelliptic-no-p", "defect-superelliptic-not-prime"],
+         "sweep-empty-a-range", "defect-superelliptic-no-p", "defect-superelliptic-not-prime",
+         "defect-unknown-key", "defect-profile-and-p", "defect-superelliptic-and-gy"],
 )
 def test_bad_input_is_an_error_not_a_traceback(tmp_path, capsys, argv, profile, message):
     if profile is not None:

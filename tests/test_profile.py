@@ -107,15 +107,37 @@ def test_superelliptic_profiles():
 
 
 def test_main_theorem_check():
-    strong = profile.main_theorem_check(RamificationProfile(3, 0, (2,)))
-    assert strong.defect == 1 and not strong.weakly_ramified and strong.consistent
+    strong = profile.dims(RamificationProfile(3, 0, (2,)))
+    assert strong.defect == 1 and not strong.weakly_ramified
+    assert strong.main_theorem_consistent and not strong.p2_exception
 
-    weak = profile.main_theorem_check(RamificationProfile(5, 0, (1, 1)))
-    assert weak.defect == 0 and weak.weakly_ramified and weak.consistent
+    weak = profile.dims(RamificationProfile(5, 0, (1, 1)))
+    assert weak.defect == 0 and weak.weakly_ramified
+    assert weak.main_theorem_consistent and not weak.p2_exception
 
-    char2 = profile.main_theorem_check(RamificationProfile(2, 0, (3,)))
+    char2 = profile.dims(RamificationProfile(2, 0, (3,)))
     assert char2.defect == 0 and not char2.weakly_ramified
-    assert char2.consistent and char2.p2_exception
+    assert char2.main_theorem_consistent and char2.p2_exception
+
+
+def test_main_theorem_verdict_over_a_profile_grid():
+    # every valid profile with p <= 29, gY <= 2 and up to two jumps <= 24:
+    # the verdict holds, so `defect` exits 2 only on the linear-algebra
+    # cross-check, and the p = 2 exception is exactly p = 2 with a jump > 1
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        jumps = [n for n in range(1, 25) if n % p]
+        for g_y, k in itertools.product(range(3), range(3)):
+            for chosen in itertools.combinations_with_replacement(jumps, k):
+                prof = RamificationProfile(p, g_y, chosen)
+                try:
+                    report = profile.dims(prof)
+                except ValueError:  # negative upstairs genus
+                    continue
+                assert report.main_theorem_consistent, prof
+                assert report.p2_exception == (p == 2 and any(n > 1 for n in chosen)), prof
+                checked += 1
+    assert checked == 7577
 
 
 def test_defect_matches_linear_algebra():
