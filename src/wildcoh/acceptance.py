@@ -26,8 +26,8 @@ import numpy as np
 
 from wildcoh import ascover, char2ex, cohom, modrep, profile
 from wildcoh.char2ex import F4, OMEGA, AutTriple
-from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
+from wildcoh.modrep import CyclicModule
 
 DEFAULT_SEED = 287
 
@@ -370,8 +370,8 @@ def criterion_9(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         cycle = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
         for r in (1, 2, 3):
             mod = CyclicModule(ctx=ctx, sigma=np.kron(np.eye(r, dtype=np.int64), cycle), q=p)
-            h1 = cohom.periodic_cohomology(mod, 1)
-            h2 = cohom.periodic_cohomology(mod, 2)
+            h1 = modrep.periodic_cohomology(mod, 1)
+            h2 = modrep.periodic_cohomology(mod, 2)
             if h1 or h2:
                 bad.append((p, r, h1, h2))
     return [

@@ -1,14 +1,12 @@
-"""Group cohomology of Z/p-modules, two ways.
+"""Local group cohomology of a wild Z/p-cover: closed forms and the lattice route.
 
-For an explicit matrix module the periodic description of cyclic-group
-cohomology (H^1 = ker N / im(sigma - 1), H^2 = ker(sigma - 1) / im N)
-reduces everything to exact rank computations.  For the local modules of
-a wild cover, H^1 is realized as the cokernel of the invariants of the
-full Laurent field mapping into the invariants of a quotient lattice:
-inside a window [lo, a) this is ker(sigma - 1) modulo the span of the
-truncated powers of the invariant parameter x.  Every lattice dimension
-is recomputed with the window widened by p and must agree, so precision
-failures surface as errors instead of wrong numbers.
+For the local modules of a wild cover, H^1 is realized as the cokernel
+of the invariants of the full Laurent field mapping into the invariants
+of a quotient lattice: inside a window [lo, a) this is ker(sigma - 1)
+modulo the span of the truncated powers of the invariant parameter x.
+Every lattice dimension is recomputed with the window widened by p and
+must agree, so precision failures surface as errors instead of wrong
+numbers.  The cohomology of explicit matrix modules lives in modrep.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 
 from wildcoh import ascover, linalg
 from wildcoh.ascover import LatticeWindow, LocalCover
-from wildcoh.gf import FieldCtx
 
 
 class StabilizationError(RuntimeError):
@@ -29,60 +26,6 @@ class StabilizationError(RuntimeError):
 
 class CertificateError(RuntimeError):
     """A basis or vanishing certificate failed to verify."""
-
-
-class CyclicModule:
-    """Finite-dimensional module over a cyclic group of order q = p^e.
-
-    The generator is kept once, as the read-only code array ``codes``;
-    ``sigma`` is its list view.  It may be given as a list of rows or as
-    an array; ``[]`` is the 0 x 0 module.
-    """
-
-    def __init__(self, ctx: FieldCtx, sigma, q: int):
-        e = q
-        while e > 1 and e % ctx.p == 0:
-            e //= ctx.p
-        if q < 2 or e != 1:
-            raise ValueError(f"order {q} is not a positive power of {ctx.p}")
-        codes = ctx.array(sigma)
-        if codes.shape == (0,):
-            codes = codes.reshape(0, 0)
-        if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
-            raise ValueError(f"generator of shape {codes.shape} is not square")
-        codes.flags.writeable = False
-        self.ctx, self.codes, self.q = ctx, codes, q
-
-    @property
-    def sigma(self) -> list[list[int]]:
-        return self.codes.tolist()
-
-    @property
-    def dim(self) -> int:
-        return len(self.codes)
-
-    def nil_codes(self) -> np.ndarray:
-        """N = sigma - 1 as a code array, formed on each call: modules are kept in bulk."""
-        return self.ctx.sub_array(self.codes, np.eye(self.dim, dtype=self.ctx.dtype))
-
-
-def periodic_cohomology(mod: CyclicModule, i: int) -> int:
-    """dim H^i for i in {0, 1, 2} via the periodic complex of a cyclic group.
-
-    In characteristic p the norm 1 + sigma + ... + sigma^(q-1) is
-    (sigma - 1)^(q-1), since q is a power of p.
-    """
-    if i not in (0, 1, 2):
-        raise ValueError("periodicity makes only i in {0, 1, 2} meaningful")
-    # row j - 1 is rank N^j, and the rows stop at the first N^j = 0
-    ranks = linalg.power_ranks(mod.ctx, mod.nil_codes()[None], mod.q)[:, 0].tolist()
-    rank_nil = ranks[0]
-    rank_norm = ranks[mod.q - 2] if mod.q - 2 < len(ranks) else 0
-    if i == 0:
-        return mod.dim - rank_nil
-    if i == 1:
-        return (mod.dim - rank_norm) - rank_nil
-    return (mod.dim - rank_nil) - rank_norm
 
 
 def h1_closed_form(p: int, n: int, a: int) -> int:

@@ -1,8 +1,9 @@
-"""Modular representation utilities for cyclic p-groups and their covers.
+"""Modules over cyclic p-groups: block types, cohomology, splitting, averaging.
 
 Modules over k[Z/q] (q a power of the characteristic) decompose into
 Jordan blocks J_i = k[x]/(x-1)^i; the block multiset is read off the rank
-sequence of powers of sigma - 1.  An exact sequence of such modules
+sequence of powers of sigma - 1, and the periodic cohomology of the
+module is read off the block multiset.  An exact sequence of such modules
 splits iff the block multiset of the middle term is the disjoint union of
 the outer ones.  Right-exactness of the fixed-vector functor is a
 necessary consequence of splitting but, despite a claim in circulation,
@@ -10,7 +11,8 @@ not a sufficient one (tests/test_modrep.py exhibits non-split sequences
 with right-exact invariants); both criteria are implemented so the gap
 is testable.  The Maschke averaging construction upgrades a section that
 is equivariant for a p-Sylow subgroup to one equivariant for the whole
-group, whenever the index is invertible.
+group, whenever the index is invertible.  The layer needs only the field
+and linear algebra: nothing here knows of covers or lattices.
 """
 
 from __future__ import annotations
@@ -21,10 +23,44 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from wildcoh import linalg
-from wildcoh.cohom import CyclicModule
 from wildcoh.gf import FieldCtx
 
 MAX_DIM = 10  # dimension bound of the random modules drawn for criterion 8
+
+
+class CyclicModule:
+    """Finite-dimensional module over a cyclic group of order q = p^e.
+
+    The generator is kept once, as the read-only code array ``codes``;
+    ``sigma`` is its list view.  It may be given as a list of rows or as
+    an array; ``[]`` is the 0 x 0 module.
+    """
+
+    def __init__(self, ctx: FieldCtx, sigma, q: int):
+        e = q
+        while e > 1 and e % ctx.p == 0:
+            e //= ctx.p
+        if q < 2 or e != 1:
+            raise ValueError(f"order {q} is not a positive power of {ctx.p}")
+        codes = ctx.array(sigma)
+        if codes.shape == (0,):
+            codes = codes.reshape(0, 0)
+        if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
+            raise ValueError(f"generator of shape {codes.shape} is not square")
+        codes.flags.writeable = False
+        self.ctx, self.codes, self.q = ctx, codes, q
+
+    @property
+    def sigma(self) -> list[list[int]]:
+        return self.codes.tolist()
+
+    @property
+    def dim(self) -> int:
+        return len(self.codes)
+
+    def nil_codes(self) -> np.ndarray:
+        """N = sigma - 1 as a code array, formed on each call: modules are kept in bulk."""
+        return self.ctx.sub_array(self.codes, np.eye(self.dim, dtype=self.ctx.dtype))
 
 
 def block_decomposition(mod: CyclicModule) -> Counter:
@@ -39,6 +75,21 @@ def block_decomposition(mod: CyclicModule) -> Counter:
         if count:
             blocks[j] = count
     return blocks
+
+
+def periodic_cohomology(mod: CyclicModule, i: int) -> int:
+    """dim H^i for i in {0, 1, 2}, read off the Jordan blocks of the generator.
+
+    H^0 = ker N has one line per block.  In characteristic p the norm
+    1 + sigma + ... + sigma^(q-1) is N^(q-1), since q is a power of p: it
+    vanishes on a block of size below q and has rank 1 on a free block J_q.
+    So H^1 = ker norm / im N and H^2 = ker N / im norm both count the
+    blocks of size below q.
+    """
+    if i not in (0, 1, 2):
+        raise ValueError("periodicity makes only i in {0, 1, 2} meaningful")
+    blocks = block_decomposition(mod)
+    return sum(count for size, count in blocks.items() if i == 0 or size < mod.q)
 
 
 class ExactTriple:
@@ -146,7 +197,6 @@ class GroupTable:
 
     def __init__(self, elements: Sequence[Hashable], compose: Callable):
         self.elements = list(elements)
-        self.compose = compose
         self._index = {g: i for i, g in enumerate(self.elements)}
         n = len(self.elements)
         if len(self._index) != n:
@@ -227,8 +277,9 @@ def average_section(
 
     Implements s~(x) = (1/m) sum g_i^{-1} s(g_i x) over right-coset
     representatives; requires P to be a subgroup of G, given as distinct
-    elements, and the index m = [G:P] to be invertible in the field, and
-    verifies both the input hypothesis and the output.  on_total and
+    elements, and the index m = [G:P] to be invertible in the field.  It
+    verifies that the projection is G-equivariant, the input hypothesis
+    and the output, and raises ValueError on bad input.  on_total and
     on_quotient map each group element to its action on the total and
     the quotient space.  The matrices may be lists of rows or code
     arrays; the result is a list.
@@ -241,18 +292,18 @@ def average_section(
     on_total = {g: ctx.array(a) for g, a in on_total.items()}
     on_quotient = {g: ctx.array(a) for g, a in on_quotient.items()}
 
-    def equivariant(s, elements) -> bool:
-        # g s = s g for every g, as one stacked product per side
-        return np.array_equal(ctx.matmul(np.stack([on_total[g] for g in elements]), s),
-                              ctx.matmul(s, np.stack([on_quotient[g] for g in elements])))
+    def intertwines(f, source, target, elements) -> bool:
+        # target[g] f = f source[g] for every g, as one stacked product per side
+        return np.array_equal(ctx.matmul(np.stack([target[g] for g in elements]), f),
+                              ctx.matmul(f, np.stack([source[g] for g in elements])))
 
+    if not intertwines(projection, on_total, on_quotient, group.elements):
+        raise ValueError("projection is not G-equivariant")
     if not np.array_equal(ctx.matmul(projection, section), ident_c):
         raise ValueError("input is not a section of the projection")
-    if not equivariant(section, p_subgroup):
+    if not intertwines(section, on_quotient, on_total, p_subgroup):
         raise ValueError("input section is not P-equivariant")
     reps = group.right_coset_representatives(p_subgroup)
-    if len(reps) != m:
-        raise AssertionError("coset count does not match the index")
     # the sum of on_total[g^-1] s on_quotient[g] as one product: the
     # on_total[g^-1] side by side times the s on_quotient[g] stacked
     terms = ctx.matmul(section, np.stack([on_quotient[g] for g in reps]))
@@ -261,7 +312,7 @@ def average_section(
     averaged = ctx.mul_array(total, ctx.inv(ctx.embed(m)))
     if not np.array_equal(ctx.matmul(projection, averaged), ident_c):
         raise AssertionError("averaged map is no longer a section")
-    if not equivariant(averaged, group.elements):
+    if not intertwines(averaged, on_quotient, on_total, group.elements):
         raise AssertionError("averaged section is not G-equivariant")
     return averaged.tolist()
 

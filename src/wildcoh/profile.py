@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from wildcoh import ascover, cohom
+from wildcoh import ascover, cohom, modrep
 from wildcoh.gf import FieldCtx, is_prime
 
 
@@ -123,8 +123,8 @@ def genus_upstairs(prof: RamificationProfile) -> int:
 
 def _h1_trivial_module_dim(p: int) -> int:
     # dim H^1(Z/p, k) computed, not assumed: trivial one-dimensional module
-    mod = cohom.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
-    return cohom.periodic_cohomology(mod, 1)
+    mod = modrep.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
+    return modrep.periodic_cohomology(mod, 1)
 
 
 def dims(prof: RamificationProfile) -> DefectReport:

@@ -1,6 +1,5 @@
 """Group cohomology: closed forms, the lattice model, the differential map."""
 
-import random
 import re
 
 import numpy as np
@@ -8,14 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wildcoh import acceptance, ascover, cohom, linalg, modrep, profile
-from wildcoh.cohom import CyclicModule
-from wildcoh.gf import FieldCtx
+from wildcoh import acceptance, ascover, cohom, linalg, profile
 from wildcoh.laurent import InsufficientPrecisionError
 
 import oracles
-
-F3 = FieldCtx(3)
 
 
 def unit_vector(win, exp):
@@ -492,104 +487,6 @@ def test_covers_compare_equal_with_filled_caches():
     assert cohom.d_image_rank(b) == 1
     assert a == b
     assert a != ascover.build(3, 2, 41)
-
-
-def test_periodic_cohomology_trivial_module():
-    for p in (2, 3, 5, 7):
-        mod = CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
-        assert [cohom.periodic_cohomology(mod, i) for i in (0, 1, 2)] == [1, 1, 1]
-
-
-def test_periodic_cohomology_free_module():
-    for p in (2, 3, 5, 7):
-        ctx = FieldCtx(p)
-        cycle = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
-        mod = CyclicModule(ctx=ctx, sigma=cycle, q=p)
-        assert cohom.periodic_cohomology(mod, 0) == 1
-        assert cohom.periodic_cohomology(mod, 1) == 0
-        assert cohom.periodic_cohomology(mod, 2) == 0
-
-
-def explicit_norm(mod):
-    # oracle: the norm 1 + sigma + ... + sigma^(q-1) as a sum of powers
-    ctx = mod.ctx
-    norm = oracles.zeros(mod.dim, mod.dim)
-    power = oracles.identity(mod.dim)
-    for _ in range(mod.q):
-        norm = linalg.mat_add(ctx, norm, power)
-        power = linalg.mat_mul(ctx, power, mod.sigma)
-    return norm
-
-
-@pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (2, 4), (5, 5), (2, 8), (3, 9)])
-def test_periodic_cohomology_against_the_explicit_norm(p, q):
-    ctx = FieldCtx(p)
-    rng = random.Random(100 * q + p)
-    for _ in range(12):
-        mod = modrep.random_cyclic_module(ctx, q, rng)
-        dim = mod.dim
-        aug = linalg.mat_sub(ctx, mod.sigma, oracles.identity(dim))
-        norm = explicit_norm(mod)
-        power = oracles.identity(dim)
-        for _ in range(q - 1):
-            power = linalg.mat_mul(ctx, power, aug)
-        assert norm == power
-        ker_aug = dim - oracles.rank(ctx, aug)
-        want = [ker_aug, dim - oracles.rank(ctx, norm) - oracles.rank(ctx, aug),
-                ker_aug - oracles.rank(ctx, norm)]
-        assert [cohom.periodic_cohomology(mod, i) for i in (0, 1, 2)] == want
-
-
-def test_periodic_cohomology_jordan_block():
-    mod = CyclicModule(ctx=F3, sigma=[[1, 1], [0, 1]], q=3)
-    assert cohom.periodic_cohomology(mod, 0) == 1
-    assert cohom.periodic_cohomology(mod, 1) == 1
-    # norm = (sigma - 1)^2 vanishes on a size-2 block, so H^2 = ker(sigma-1)
-    assert cohom.periodic_cohomology(mod, 2) == 1
-    with pytest.raises(ValueError):
-        cohom.periodic_cohomology(mod, 3)
-
-
-def test_cyclic_module_validation():
-    with pytest.raises(ValueError):
-        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=[[2]], q=3))  # order 2, not 3
-    with pytest.raises(ValueError, match="not a positive power of 3"):
-        CyclicModule(ctx=F3, sigma=[[1]], q=6)  # refused at construction
-    with pytest.raises(ValueError, match="not a positive power of 3"):
-        CyclicModule(ctx=F3, sigma=[[1]], q=1)
-    # N is nilpotent for J_4, but N^3 != 0: sigma has order 9, not 3
-    j4 = [[1 if j - i in (0, 1) else 0 for j in range(4)] for i in range(4)]
-    with pytest.raises(ValueError, match="does not have the declared order"):
-        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=3))
-    modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=9))
-    win = cohom.cached_cover(3, 2).window(0, -6)
-    sigma = linalg.mat_add(win.ctx, oracles.identity(win.size), win.nil.tolist())
-    modrep.block_decomposition(CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p))
-
-
-def test_cyclic_module_keeps_its_generator_once_as_read_only_codes():
-    for ctx in (F3, FieldCtx(32771)):  # int64 codes and Python-int codes
-        for bad in ([[1, 0], [1]], [[1, 0, 0], [0, 1, 0]], [[[1]]], [1], [[]]):
-            with pytest.raises(ValueError):
-                CyclicModule(ctx=ctx, sigma=bad, q=ctx.p)
-    empty = CyclicModule(ctx=F3, sigma=[], q=3)
-    assert empty.codes.shape == (0, 0) and empty.sigma == [] and empty.dim == 0
-    big, given = FieldCtx(32771), np.array([[1, -1], [0, 1]])
-    cases = ((F3, given, [[1, 2], [0, 1]]), (FieldCtx(2, (1, 1, 1)), [[1, 3], [0, 1]], None),
-             (big, given, [[1, big.p - 1], [0, 1]]))
-    for ctx, sigma, want in cases:
-        mod = CyclicModule(ctx=ctx, sigma=sigma, q=ctx.p)
-        with pytest.raises(ValueError, match="read-only"):
-            mod.codes[0, 0] = 0
-        # the list view holds Python ints, as the benchmark's JSON digest needs
-        assert mod.sigma == mod.codes.tolist() == (want or sigma)
-        assert all(type(x) is int for row in mod.sigma for x in row)
-    # the module keeps a copy: changing the array it was given changes nothing
-    given[0, 0] = 2
-    assert mod.sigma == [[1, big.p - 1], [0, 1]]
-    # out-of-range extension-field codes are refused, not read as other codes
-    with pytest.raises(ValueError, match=r"GF\(4\) codes lie in 0\.\.3"):
-        CyclicModule(ctx=FieldCtx(2, (1, 1, 1)), sigma=[[1, -1], [0, 1]], q=2)
 
 
 def test_closed_form_monotone_sanity():

@@ -530,10 +530,10 @@ def test_public_matrix_arguments_are_lists(monkeypatch):
     assert cohom.h1_basis_certificate(cov, 3).dim == 2
     cov.window(1, -5).verify_order()
     j3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    mod = cohom.CyclicModule(ctx=FieldCtx(3), sigma=j3, q=3)
+    mod = modrep.CyclicModule(ctx=FieldCtx(3), sigma=j3, q=3)
     assert modrep.block_decomposition(mod) == Counter({3: 1})
     # J_3 is the free module k[Z/3]: one invariant line, no higher cohomology
-    assert [cohom.periodic_cohomology(mod, i) for i in (0, 1, 2)] == [1, 0, 0]
+    assert [modrep.periodic_cohomology(mod, i) for i in (0, 1, 2)] == [1, 0, 0]
     # J_3 contains J_2 = span(e_0, e_1) with quotient J_1: not split, and the
     # invariants 1 + 1 != 1 are not additive either
     triple = modrep.ExactTriple(b=mod, a_basis=[[1, 0, 0], [0, 1, 0]])

@@ -1,4 +1,4 @@
-"""Block decompositions, the splitting criterion, and Maschke averaging.
+"""Cyclic modules: block decompositions, periodic cohomology, splitting, averaging.
 
 The forward implication "right-exact invariants => splits" is refuted by
 explicit non-split sequences built by hand in this file (verified by
@@ -16,9 +16,9 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from wildcoh import char2ex, linalg, modrep
-from wildcoh.cohom import CyclicModule
+from wildcoh import char2ex, cohom, linalg, modrep
 from wildcoh.gf import FieldCtx
+from wildcoh.modrep import CyclicModule
 
 import oracles
 
@@ -420,6 +420,112 @@ def test_additive_does_not_imply_splits_q4():
     assert not modrep.splits(tri)
 
 
+def test_periodic_cohomology_trivial_module():
+    for p in (2, 3, 5, 7):
+        mod = CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
+        assert [modrep.periodic_cohomology(mod, i) for i in (0, 1, 2)] == [1, 1, 1]
+
+
+def test_periodic_cohomology_free_module():
+    for p in (2, 3, 5, 7):
+        ctx = FieldCtx(p)
+        cycle = [[1 if i == (j + 1) % p else 0 for j in range(p)] for i in range(p)]
+        mod = CyclicModule(ctx=ctx, sigma=cycle, q=p)
+        assert modrep.periodic_cohomology(mod, 0) == 1
+        assert modrep.periodic_cohomology(mod, 1) == 0
+        assert modrep.periodic_cohomology(mod, 2) == 0
+
+
+def explicit_norm(mod):
+    # oracle: the norm 1 + sigma + ... + sigma^(q-1) as a sum of powers
+    ctx = mod.ctx
+    norm = oracles.zeros(mod.dim, mod.dim)
+    power = oracles.identity(mod.dim)
+    for _ in range(mod.q):
+        norm = linalg.mat_add(ctx, norm, power)
+        power = linalg.mat_mul(ctx, power, mod.sigma)
+    return norm
+
+
+@pytest.mark.parametrize("order, q", [(2, 2), (3, 3), (2, 4), (5, 5), (2, 8), (3, 9), (4, 4),
+                                      (9, 9)])
+def test_periodic_cohomology_against_the_explicit_norm(order, q):
+    # the prime fields, and GF(4) and GF(9), by their orders
+    ctx = {ctx.q: ctx for ctx, _ in TRIPLE_FIELDS}[order]
+    rng = random.Random(100 * q + order)
+    for _ in range(12):
+        mod = modrep.random_cyclic_module(ctx, q, rng)
+        dim = mod.dim
+        aug = linalg.mat_sub(ctx, mod.sigma, oracles.identity(dim))
+        norm = explicit_norm(mod)
+        power = oracles.identity(dim)
+        for _ in range(q - 1):
+            power = linalg.mat_mul(ctx, power, aug)
+        assert norm == power
+        ker_aug = dim - oracles.rank(ctx, aug)
+        want = [ker_aug, dim - oracles.rank(ctx, norm) - oracles.rank(ctx, aug),
+                ker_aug - oracles.rank(ctx, norm)]
+        assert [modrep.periodic_cohomology(mod, i) for i in (0, 1, 2)] == want
+
+
+def test_periodic_cohomology_jordan_block():
+    mod = CyclicModule(ctx=F3, sigma=[[1, 1], [0, 1]], q=3)
+    assert modrep.periodic_cohomology(mod, 0) == 1
+    assert modrep.periodic_cohomology(mod, 1) == 1
+    # norm = (sigma - 1)^2 vanishes on a size-2 block, so H^2 = ker(sigma-1)
+    assert modrep.periodic_cohomology(mod, 2) == 1
+    with pytest.raises(ValueError):
+        modrep.periodic_cohomology(mod, 3)
+
+
+def test_periodic_cohomology_of_the_zero_module():
+    zero = CyclicModule(ctx=F3, sigma=[], q=3)
+    assert modrep.block_decomposition(zero) == Counter()
+    assert [modrep.periodic_cohomology(zero, i) for i in (0, 1, 2)] == [0, 0, 0]
+
+
+def test_cyclic_module_validation():
+    with pytest.raises(ValueError):
+        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=[[2]], q=3))  # order 2, not 3
+    with pytest.raises(ValueError, match="not a positive power of 3"):
+        CyclicModule(ctx=F3, sigma=[[1]], q=6)  # refused at construction
+    with pytest.raises(ValueError, match="not a positive power of 3"):
+        CyclicModule(ctx=F3, sigma=[[1]], q=1)
+    # N is nilpotent for J_4, but N^3 != 0: sigma has order 9, not 3
+    j4 = [[1 if j - i in (0, 1) else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="does not have the declared order"):
+        modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=3))
+    modrep.block_decomposition(CyclicModule(ctx=F3, sigma=j4, q=9))
+    win = cohom.cached_cover(3, 2).window(0, -6)
+    sigma = linalg.mat_add(win.ctx, oracles.identity(win.size), win.nil.tolist())
+    modrep.block_decomposition(CyclicModule(ctx=win.ctx, sigma=sigma, q=win.p))
+
+
+def test_cyclic_module_keeps_its_generator_once_as_read_only_codes():
+    for ctx in (F3, FieldCtx(32771)):  # int64 codes and Python-int codes
+        for bad in ([[1, 0], [1]], [[1, 0, 0], [0, 1, 0]], [[[1]]], [1], [[]]):
+            with pytest.raises(ValueError):
+                CyclicModule(ctx=ctx, sigma=bad, q=ctx.p)
+    empty = CyclicModule(ctx=F3, sigma=[], q=3)
+    assert empty.codes.shape == (0, 0) and empty.sigma == [] and empty.dim == 0
+    big, given = FieldCtx(32771), np.array([[1, -1], [0, 1]])
+    cases = ((F3, given, [[1, 2], [0, 1]]), (FieldCtx(2, (1, 1, 1)), [[1, 3], [0, 1]], None),
+             (big, given, [[1, big.p - 1], [0, 1]]))
+    for ctx, sigma, want in cases:
+        mod = CyclicModule(ctx=ctx, sigma=sigma, q=ctx.p)
+        with pytest.raises(ValueError, match="read-only"):
+            mod.codes[0, 0] = 0
+        # the list view holds Python ints, as the benchmark's JSON digest needs
+        assert mod.sigma == mod.codes.tolist() == (want or sigma)
+        assert all(type(x) is int for row in mod.sigma for x in row)
+    # the module keeps a copy: changing the array it was given changes nothing
+    given[0, 0] = 2
+    assert mod.sigma == [[1, big.p - 1], [0, 1]]
+    # out-of-range extension-field codes are refused, not read as other codes
+    with pytest.raises(ValueError, match=r"GF\(4\) codes lie in 0\.\.3"):
+        CyclicModule(ctx=FieldCtx(2, (1, 1, 1)), sigma=[[1, -1], [0, 1]], q=2)
+
+
 def test_group_table_structure():
     z6 = modrep.GroupTable(list(range(6)), lambda a, b: (a + b) % 6)
     assert z6.identity == 0
@@ -449,14 +555,15 @@ _ORDER24 = char2ex.group_table()
 _S3 = modrep.GroupTable(list(permutations(range(3))), _compose_s3)
 
 
-@pytest.mark.parametrize("table, subgroup", [
+@pytest.mark.parametrize("table, compose, subgroup", [
     # Hg != gH for H = {id, (0 1)}, so left cosets would give other representatives
-    (_S3, [(0, 1, 2), (1, 0, 2)]),
+    (_S3, _compose_s3, [(0, 1, 2), (1, 0, 2)]),
     # a Sylow 3-subgroup, which is not normal in the order-24 group
-    (_ORDER24, [char2ex.IDENTITY, char2ex.AutTriple(2, 0, 0), char2ex.AutTriple(3, 0, 0)]),
+    (_ORDER24, char2ex.compose,
+     [char2ex.IDENTITY, char2ex.AutTriple(2, 0, 0), char2ex.AutTriple(3, 0, 0)]),
 ], ids=["S3", "order 24"])
-def test_group_table_matches_brute_force(table, subgroup):
-    elements, compose = table.elements, table.compose
+def test_group_table_matches_brute_force(table, compose, subgroup):
+    elements = table.elements
     n = len(elements)
     assert table.cayley.shape == (n, n) and not table.cayley.flags.writeable
     for i, g in enumerate(elements):
@@ -535,11 +642,15 @@ def test_average_section_takes_lists_or_code_arrays():
     assert {type(x) for row in as_arrays for x in row} == {int}
 
 
-@pytest.mark.parametrize("table", [
-    modrep.GroupTable(list(range(6)), lambda a, b: (a + b) % 6),
-    char2ex.group_table(),
+def _add_mod_6(a, b):
+    return (a + b) % 6
+
+
+@pytest.mark.parametrize("table, compose", [
+    (modrep.GroupTable(list(range(6)), _add_mod_6), _add_mod_6),
+    (char2ex.group_table(), char2ex.compose),
 ], ids=["Z/6", "order 24"])
-def test_regular_representation_is_a_permutation_homomorphism(table):
+def test_regular_representation_is_a_permutation_homomorphism(table, compose):
     reg = table.regular_representation()
     n = table.order
     for m in reg.values():
@@ -551,7 +662,7 @@ def test_regular_representation_is_a_permutation_homomorphism(table):
     # group is not abelian, so a transposed convention would fail here
     for g in table.elements:
         for h in table.elements:
-            assert (np.array(reg[g]) @ np.array(reg[h])).tolist() == reg[table.compose(g, h)]
+            assert (np.array(reg[g]) @ np.array(reg[h])).tolist() == reg[compose(g, h)]
     assert len({str(m) for m in reg.values()}) == n  # faithful
 
 
@@ -575,6 +686,14 @@ def test_average_section_error_cases():
     not_section = [[0] * n for _ in range(2 * n)]
     with pytest.raises(ValueError):
         modrep.average_section(z6, [0, 3], not_section, **action)
+    # Z/2 swaps the coordinates of k^2 and fixes k, but P = [1 0] does not
+    # commute with the swap: s is a section, trivially equivariant for the
+    # trivial subgroup, and its average would not be a section
+    z2 = modrep.GroupTable([0, 1], lambda a, b: (a + b) % 2)
+    with pytest.raises(ValueError, match="^projection is not G-equivariant$"):
+        modrep.average_section(z2, [0], [[1], [0]], ctx=F3,
+                               on_total={0: oracles.identity(2), 1: [[0, 1], [1, 0]]},
+                               on_quotient={0: [[1]], 1: [[1]]}, projection=[[1, 0]])
 
 
 def test_average_section_refuses_a_subset_that_is_not_a_subgroup():
