@@ -11,7 +11,8 @@ principal root branch (constant term 1), so a cover is canonical for
 modulo t^a, the finite model every cohomology computation runs on.  Window
 entries are binomial coefficients read from the closed forms of sigma(t)^e
 and x^j; the series sigma_t and x_t are the independent route to the same
-digits, each built by Newton iteration the first time something reads it.
+digits, each built by ``LaurentSeries.nth_root`` (one square and multiply on
+a p-adically reduced exponent) the first time something reads it.
 """
 
 from __future__ import annotations
@@ -147,13 +148,13 @@ class LocalCover:
 
     @cached_property
     def sigma_t(self) -> LaurentSeries:
-        """sigma(t) = t / (1 + t^n)^(1/n) mod t^(prec+1), by Newton iteration."""
+        """sigma(t) = t / (1 + t^n)^(1/n) mod t^(prec+1), by nth_root(-n)."""
         one, t_n = (LaurentSeries.monomial(self.ctx, e, self.prec) for e in (0, self.n))
         return (one + t_n).nth_root(-self.n).shift(1)
 
     @cached_property
     def x_t(self) -> LaurentSeries:
-        """x = t^p / (1 - t^(n(p-1)))^(1/n) mod t^(prec+p), by Newton iteration."""
+        """x = t^p / (1 - t^(n(p-1)))^(1/n) mod t^(prec+p), by nth_root(-n)."""
         one, t_big = (LaurentSeries.monomial(self.ctx, e, self.prec)
                       for e in (0, self.n * (self.p - 1)))
         return (one - t_big).nth_root(-self.n).shift(self.p)

@@ -9,10 +9,12 @@ wildcoh.gf) and every operation is one array kernel of the field on them;
 dense storage is deliberate, every window this library needs stays within
 a few thousand terms.  Products are ``FieldCtx.convolve``; inverses, powers
 and roots of a unit u(t) = v(t^s), with s the gcd of the exponents carrying
-a digit, are computed on the digits of v and spread back by ``spread``.  One
-Newton iteration, for v^(-1/n), serves them all: n = 1 is the inverse, a
-negative root index reads v^(-1/n) off directly, and a positive one inverts
-that root.
+a digit, are computed on the digits of v and spread back by ``spread``.
+Positive integer powers are one square and multiply.  Negative powers and
+roots of either sign index split v into its leading digit c and the 1-unit
+w = v / c; in characteristic p, w^P = 1 mod t^P for every power P of p, so
+below t^P the exponent e = a/b, b prime to p, acts as the integer
+a b^(-1) mod P, and w^e is one more square and multiply.
 """
 
 from __future__ import annotations
@@ -44,25 +46,19 @@ def power_digits(ctx: FieldCtx, a: np.ndarray, e: int, length: int) -> np.ndarra
         base = ctx.convolve(base, base, length)
 
 
-def _inverse_root_digits(ctx: FieldCtx, u: np.ndarray, n: int, length: int) -> np.ndarray:
-    """The first ``length`` digits of u^(-1/n) for a code array u and n >= 1.
+def _unit_power_digits(ctx: FieldCtx, u: np.ndarray, num: int, den: int,
+                       length: int) -> np.ndarray:
+    """The first ``length`` digits of w^(num/den) for the 1-unit w = u / u[0] of a
+    code array u and den prime to p; for |den| > 1 it is the root with constant term 1.
 
-    n = 1 gives the inverse of any unit u; n > 1 needs u[0] = 1 and gives
-    the root with constant term 1.
+    w^P = w(t^P) = 1 mod t^P for the least power P of p with P >= length, so
+    the exponent acts as the integer num den^(-1) mod P.
     """
-    # Newton: h <- h + h (1 - u h^n) / n doubles the digits of h known;
-    # u h^n - 1 vanishes below t^k, so only its digits k .. k2 are formed
-    h = np.zeros(length, dtype=ctx.dtype)
-    h[0] = ctx.inv(int(u[0]))
-    neg_n_inv = ctx.neg(ctx.inv(ctx.embed(n)))
-    k = 1
-    while k < length:
-        k2 = min(2 * k, length)
-        err = ctx.convolve(u, power_digits(ctx, h[:k], n, k2), k2)[k:]
-        corr = ctx.convolve(h[:k], err, k2 - k)
-        h[k : k + len(corr)] = ctx.mul_array(neg_n_inv, corr)
-        k = k2
-    return h
+    period = 1
+    while period < length:
+        period *= ctx.p
+    w = ctx.mul_array(ctx.inv(int(u[0])), u)
+    return power_digits(ctx, w, num * pow(den, -1, period) % period, length)
 
 
 def spread(ctx: FieldCtx, digits: np.ndarray, step: int, val: int, prec: int) -> "LaurentSeries":
@@ -261,11 +257,14 @@ class LaurentSeries:
         rel = self.prec - self.val
         if e == 0:
             return LaurentSeries.one(ctx, rel)
-        # f^e = t^(e val) v^e(t^s): square and multiply on the decimated unit
+        # f^e = t^(e val) v^e(t^s): square and multiply on the decimated unit;
+        # for e < 0, v^e = c^e w^e with c = v[0] and the 1-unit w = v / c
         step, unit, length = self._decimated()
-        if e < 0:
-            unit = _inverse_root_digits(ctx, unit, 1, length)
-        digits = power_digits(ctx, unit, abs(e), length)
+        if e > 0:
+            digits = power_digits(ctx, unit, e, length)
+        else:
+            digits = ctx.mul_array(ctx.pow(int(unit[0]), e),
+                                   _unit_power_digits(ctx, unit, e, 1, length))
         return spread(ctx, digits, step, e * self.val, rel + e * self.val)
 
     def derivative(self) -> "LaurentSeries":
@@ -302,12 +301,12 @@ class LaurentSeries:
         return result
 
     def nth_root(self, n: int) -> "LaurentSeries":
-        """Deterministic n-th root by inverse-root Newton on the decimated unit.
+        """Deterministic n-th root: self^(1/n), read off the decimated unit as a power.
 
         n != 0 and gcd(n, p) = 1.  A negative n gives the inverse of the
-        |n|-th root with no inversion, and a positive n inverts that.  The
-        branch is fixed by gf's enumeration-order root of the leading
-        coefficient together with the unit-part root normalized to constant term 1.
+        |n|-th root with no inversion.  The branch is fixed by gf's
+        enumeration-order root of the leading coefficient together with the
+        unit-part root normalized to constant term 1.
         """
         ctx = self.ctx
         if n == 0:
@@ -321,16 +320,18 @@ class LaurentSeries:
             raise ValueError("n-th root of a series that is 0 mod t^prec")
         if self.val % m != 0:
             raise ValueError(f"valuation {self.val} not divisible by root index {n}")
-        if n > 0:
-            return self.nth_root(-n).invert()
         lead = int(self.digits[0])
-        lead_inv_root = ctx.inv(ctx.nth_root(lead, m))  # lead^(-1/m); may raise NoRootError
+        lead_root = ctx.nth_root(lead, m)  # may raise NoRootError
         step, unit, length = self._decimated()
-        w = ctx.mul_array(ctx.inv(lead), unit)  # constant term 1
-        unit_root = ctx.mul_array(lead_inv_root, _inverse_root_digits(ctx, w, m, length))
+        unit_root = ctx.mul_array(lead_root if n > 0 else ctx.inv(lead_root),
+                                  _unit_power_digits(ctx, unit, 1, n, length))
         root = spread(ctx, unit_root, step, self.val // n, self.prec - self.val + self.val // n)
-        # for units root^(-m) = self iff root^m self = 1, which needs no inversion
-        product = root ** m * self
-        if not product.agrees(LaurentSeries.one(ctx, product.prec)):
-            raise ArithmeticError("Newton n-th root failed to verify")
+        # root^n = self, checked with no inversion
+        if n > 0:
+            verified = (root ** m).agrees(self)
+        else:
+            product = root ** m * self
+            verified = product.agrees(LaurentSeries.one(ctx, product.prec))
+        if not verified:
+            raise ArithmeticError("n-th root failed to verify")
         return root

@@ -328,6 +328,30 @@ def test_build_matches_the_inverted_root():
                     assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
 
 
+# (p, n) -> FieldCtx.convolve calls that building sigma_t and x_t makes at
+# the recommended precision: one square and multiply each on the reduced exponent
+SERIES_PRODUCTS = {(3, 1): (7, 7), (7, 5): (12, 6), (13, 20): (14, 11)}
+
+
+@pytest.mark.parametrize("p, n", SERIES_PRODUCTS)
+def test_normal_form_series_product_counts(monkeypatch, p, n):
+    calls = []
+    convolve = FieldCtx.convolve
+
+    def counted(self, *args):
+        calls.append(args)
+        return convolve(self, *args)
+
+    monkeypatch.setattr(FieldCtx, "convolve", counted)
+    cov = cover(p, n)
+    counts = []
+    for name in ("sigma_t", "x_t"):
+        calls.clear()
+        getattr(cov, name)
+        counts.append(len(calls))
+    assert tuple(counts) == SERIES_PRODUCTS[(p, n)]
+
+
 # (p, n) from the smallest field to p = 101, with n below, near and above p
 CLOSED_FORM_COVERS = [(2, 1), (2, 5), (3, 2), (5, 3), (7, 4), (13, 20), (31, 10), (101, 7)]
 

@@ -9,7 +9,7 @@ import hashlib
 import json
 import random
 from functools import reduce
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -164,19 +164,18 @@ def test_nth_root_preconditions():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_nth_root_refuses_a_perturbed_newton_root(monkeypatch, sign):
-    # one wrong digit in the w^(-1/m) run; the inversion for n > 0 is left as is
-    newton = laurent._inverse_root_digits
+    # one wrong digit in the w^(1/n) run of the exponent route, for either sign of n
+    route = laurent._unit_power_digits
 
-    def perturbed(ctx, u, n, length):
-        h = newton(ctx, u, n, length)
-        if n > 1:
-            h[length // 2] = ctx.add(int(h[length // 2]), 1)
+    def perturbed(ctx, u, num, den, length):
+        h = np.array(route(ctx, u, num, den, length))
+        h[len(h) // 2] = ctx.add(int(h[len(h) // 2]), 1)
         return h
 
     f = series(F5, {-6: 2, -3: 1, 0: 4, 1: 3}, 12)
     assert (f.nth_root(sign * 3) ** (sign * 3)).agrees(f)
-    monkeypatch.setattr(laurent, "_inverse_root_digits", perturbed)
-    with pytest.raises(ArithmeticError, match="^Newton n-th root failed to verify$"):
+    monkeypatch.setattr(laurent, "_unit_power_digits", perturbed)
+    with pytest.raises(ArithmeticError, match="^n-th root failed to verify$"):
         f.nth_root(sign * 3)
 
 
@@ -200,6 +199,79 @@ def test_newton_inverse_matches_recurrence():
                     continue
                 got, want = f.invert(), oracles.recurrence_inverse(f)
                 assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+
+
+F13 = FieldCtx(13)
+
+
+def period(ctx, length):
+    """The least power of p that is at least ``length``."""
+    out = 1
+    while out < length:
+        out *= ctx.p
+    return out
+
+
+@pytest.mark.parametrize("ctx", (F2, F3, F4, F9, F13), ids=repr)
+def test_one_unit_powers_depend_on_the_exponent_mod_the_period(ctx):
+    # w^P = 1 mod t^P in characteristic p, so e and e +- P give the same
+    # digits below t^P; e + P > 0 runs the plain square and multiply
+    rng = random.Random(3100 + ctx.q)
+    for _ in range(12):
+        prec = rng.randint(1, 40)
+        w = LaurentSeries(ctx, 0, [1] + [rng.randrange(ctx.q) for _ in range(prec - 1)], prec)
+        big = period(ctx, prec)
+        for e in (-7, -2, -1, 1, 3, rng.randint(-3 * big, 3 * big)):
+            for shifted in (e + big, e - big):
+                if e and shifted:
+                    assert same_series(w ** e, w ** shifted)
+
+
+def test_negative_powers_and_roots_of_units_with_any_lead():
+    # oracles: the term-by-term recurrence inverse and the dense Newton root,
+    # on units whose leading digit is not 1, at valuations of both signs
+    rng = random.Random(3200)
+    leads = set()
+    for ctx in (F3, F5, F4, F9, F13):
+        for _ in range(8):
+            f = random_series(ctx, rng, rng.randint(2, 30), unit=True)
+            for e in (-1, -2, -5):
+                assert same_series(f ** e, oracles.schoolbook_pow(f, e))
+            for n in (2, 3, 4, 5):
+                if gcd(n, ctx.p) != 1:
+                    continue
+                lead = ctx.pow(rng.randrange(2, ctx.q), n)
+                val = n * rng.randint(-2, 2)
+                g = LaurentSeries(ctx, val, (lead,) + f.coeffs[1:], val + f.prec)
+                root = oracles.dense_newton_root(g, n)
+                assert same_series(g.nth_root(n), root)
+                assert same_series(g.nth_root(-n), oracles.recurrence_inverse(root))
+                leads.add((ctx.q, lead))
+    assert {q for q, lead in leads if lead != 1} == {3, 5, 4, 9, 13}
+
+
+def test_huge_negative_exponent_is_reduced_before_the_square_and_multiply(monkeypatch):
+    # (1 + t)^N mod 3 by Lucas's theorem, then the recurrence inverse; the
+    # series route squares and multiplies on -N mod 3^4, not on a 100-bit N
+    big, prec = 10**30, 30
+    digits = []
+    for k in range(prec):
+        c, m, j = 1, big, k
+        while j:
+            c, m, j = c * comb(m % 3, j % 3) % 3, m // 3, j // 3
+        digits.append(c)
+    want = oracles.recurrence_inverse(LaurentSeries(F3, 0, digits, prec))
+    exponents = []
+    power_digits = laurent.power_digits
+
+    def recorded(ctx, a, e, length):
+        exponents.append(e)
+        return power_digits(ctx, a, e, length)
+
+    monkeypatch.setattr(laurent, "power_digits", recorded)
+    one_plus_t = series(F3, {0: 1, 1: 1}, prec)
+    assert same_series(one_plus_t ** -big, want)
+    assert exponents == [-big % 81]
 
 
 def stepped_series(ctx, rng, step, val, rel, constant_only=False):
