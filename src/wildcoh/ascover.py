@@ -323,6 +323,21 @@ class LatticeWindow:
     def x_powers(self) -> range:
         return _x_powers(self.p, self.lo, self.a)
 
+    def trailing(self, lo: int) -> "LatticeWindow":
+        """The window [lo, a) inside this one, as views of its arrays.
+
+        N's entry at (t^(e+nk), t^e) is binom(-e/n, k), which depends on e
+        and k alone, so N on [lo, a) is the trailing block of N here.  x^j
+        leads at t^(pj), so the x-powers of [lo, a) are the last ones here,
+        and their rows vanish below t^lo.
+        """
+        if not self.lo <= lo < self.a:
+            raise ValueError(f"window [{lo}, {self.a}) is not inside [{self.lo}, {self.a})")
+        cut = lo - self.lo
+        drop = _x_powers(self.p, lo, self.a).start - self.x_powers.start
+        return LatticeWindow(cover=self.cover, a=self.a, lo=lo, nil=self.nil[cut:, cut:],
+                             x_image=self.x_image[drop:, cut:])
+
     def class_stack(self) -> np.ndarray:
         """The blocks nil[r::n, r::n], zero-padded to one (n, b, b) code array.
 

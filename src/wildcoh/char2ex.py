@@ -164,7 +164,6 @@ class IndecomposabilityCertificate:
     are the six elements with u = 1 and r != 0.
     """
 
-    first_line_stable: bool
     witnesses: list[AutTriple]
     q8_witnesses: list[AutTriple]
     indecomposable: bool
@@ -181,7 +180,6 @@ def indecomposability_certificate(matrix: MatrixFn) -> IndecomposabilityCertific
             witnesses.append(g)
     q8_witnesses = [g for g in witnesses if g.u == 1]
     return IndecomposabilityCertificate(
-        first_line_stable=stable,
         witnesses=witnesses,
         q8_witnesses=q8_witnesses,
         indecomposable=stable and bool(witnesses),

@@ -6,7 +6,9 @@ of a quotient lattice: inside a window [lo, a) this is ker(sigma - 1)
 modulo the span of the truncated powers of the invariant parameter x.
 Every lattice dimension is recomputed with the window widened by p and
 must agree, so precision failures surface as errors instead of wrong
-numbers.  The cohomology of explicit matrix modules lives in modrep.
+numbers.  Only the widened window is built: the window itself is its
+trailing block.  The cohomology of explicit matrix modules lives in
+modrep.
 """
 
 from __future__ import annotations
@@ -63,22 +65,45 @@ def _x_image(win: LatticeWindow) -> np.ndarray:
     return rows
 
 
-def _lattice_model(cov: LocalCover, a: int, w: int) -> CohomologyClassSet:
-    win = cov.window(a, a - w)
-    # dim ker N, summed over the residue blocks of N, all ranked in one pass
-    fixed = win.size - sum(linalg.ranks(win.ctx, win.class_stack()))
-    # the x-image is an independent subspace of ker N
-    return CohomologyClassSet(window=win, dim=fixed - len(_x_image(win)))
+def _class_ranks(win: LatticeWindow, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of N's class blocks on [lo, a) and on the whole window, from one elimination.
+
+    Entry r of both is the block of the exponents win.lo + r mod n.  Each
+    block of class_stack is strictly lower triangular, so flipped on both
+    axes it is strictly upper triangular: the rank of its first k columns
+    is the rank of its trailing k x k block, the top k exponents of its
+    class.  Flipped, a block's padding comes first, and [lo, a) leaves out
+    the ceil((lo - win.lo - r) / n) lowest exponents of block r.  The
+    flipped first column and last row are zero in every block, so they
+    are left out of the elimination, and the prefix counts shift by one.
+    """
+    stack = win.class_stack()
+    # flipped on both axes, less each block's row 0 and last column, which are zero
+    prefix = linalg.prefix_ranks(win.ctx, stack[:, :0:-1, -2::-1])
+    blocks = np.arange(win.n)
+    cut = stack.shape[2] - 1 + (blocks - (lo - win.lo)) // win.n
+    return prefix[blocks, cut], prefix[:, -1]
 
 
-def _widened(kind: str, noun: str, run, count, w: int, p: int):
-    """run(w), once count agrees on it and on the re-run run(w + p); else
-    StabilizationError names the kind of window and the noun of its count."""
-    model, wide = run(w), run(w + p)
-    if count(model) != count(wide):
-        raise StabilizationError(f"{kind} window did not stabilize: {noun} {count(model)} "
-                                 f"at W={w}, {count(wide)} at W={w + p}")
-    return model
+def _lattice_models(cov: LocalCover, a: int,
+                    w: int) -> tuple[CohomologyClassSet, CohomologyClassSet]:
+    """H^1 in the windows of widths w and w + p below t^a, from the wider one alone."""
+    wide = cov.window(a, a - w - cov.p)
+    # its checks imply those of the narrow rows: a subset, vanishing below t^(a-w)
+    _x_image(wide)
+    narrow = wide.trailing(a - w)
+    # dim ker N, summed over the residue blocks of N; the x-image is an
+    # independent subspace of ker N
+    return tuple(CohomologyClassSet(window=win, dim=win.size - int(ranks.sum()) - len(win.x_image))
+                 for win, ranks in zip((narrow, wide), _class_ranks(wide, a - w)))
+
+
+def _widened(kind: str, noun: str, count: int, wide: int, w: int, p: int) -> None:
+    """Raise StabilizationError, naming the kind of window and the noun of its
+    count, unless the count at width w agrees with the one at w + p."""
+    if count != wide:
+        raise StabilizationError(f"{kind} window did not stabilize: {noun} {count} "
+                                 f"at W={w}, {wide} at W={w + p}")
 
 
 def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClassSet:
@@ -87,14 +112,17 @@ def h1_lattice(cov: LocalCover, a: int, w: int | None = None) -> CohomologyClass
     The window has the least size n + p + 1 unless w asks for more (only
     bench/tests passes w, through a wrapper).  The dimension is recomputed
     with the window widened by p; disagreement raises StabilizationError.
+    Only the widened window is built: the window itself is its trailing
+    block, and one elimination of the widened class blocks ranks both.
     """
     least = ascover.least_window(cov.p, cov.n)
     if w is None:
         w = least
     elif w < least:
         raise ValueError(f"window {w} too small; need at least n + p + 1 = {least}")
-    return _widened("h1", "dim", lambda width: _lattice_model(cov, a, width),
-                    lambda model: model.dim, w, cov.p)
+    model, wide = _lattice_models(cov, a, w)
+    _widened("h1", "dim", model.dim, wide.dim, w, cov.p)
+    return model
 
 
 @dataclass
@@ -160,8 +188,11 @@ def _check_d_commutes(src: LatticeWindow, tgt: LatticeWindow) -> None:
         raise ascover.NormalFormError("differential image is not sigma-fixed (precision bug)")
 
 
-def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
-    """The d-rank of one window pass, split into the share of each exponent class mod n.
+def _d_rank_shares(src: LatticeWindow, tgt: LatticeWindow, src_ranks: np.ndarray) -> np.ndarray:
+    """The d-rank of one window pair, split into the share of each exponent class mod n.
+
+    src_ranks holds the rank of N_src on each class.  The x-images of
+    both windows are taken as checked.
 
     d sends t^e to e t^(e+n); let D be its matrix and X the target
     x-image.  The rank of d(ker N_src) modulo X is rank A - rank N_src - #X
@@ -179,18 +210,13 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
       checked entry by entry, which implies the kernel condition, so
       N_src's class blocks are ranked alone.
     """
-    ctx, p, n = cov.ctx, cov.p, cov.n
-    src = cov.window(0, -w)
-    _x_image(src)  # for its checks only: the source x-image lies in ker N
-    tgt = cov.window(n + 1, -1 - w)  # its H^1 is read modulo its x-image
+    ctx, p, n = src.ctx, src.p, src.n
     js = tgt.x_powers
-    x_cols = _x_image(tgt).T
+    x_cols = tgt.x_image.T  # the target's H^1 is read modulo its x-image
     exps = np.arange(src.lo, src.a)
     image = exps + n - tgt.lo  # the target row of t^(e+n), one run of consecutive rows
     unit = exps % p != 0
     _check_d_commutes(src, tgt)
-    # class_stack's block r holds the exponents lo + r mod n
-    src_ranks = np.array(linalg.ranks(ctx, src.class_stack()))[(np.arange(n) - src.lo) % n]
     # A' = [[N_src on the p | e columns, N_src E^-1 X^T], [0, X^T off the unit
     # rows]], up to the sign of rows.  Its rows are the t^e of the source,
     # then the t^f of the target, from a row whose class and block position
@@ -214,19 +240,41 @@ def _d_rank_classes(cov: LocalCover, w: int) -> np.ndarray:
     return units + schur_ranks - src_ranks - x_powers
 
 
+def _d_rank_classes(cov: LocalCover, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d-rank's shares by exponent class mod n at widths w and w + p.
+
+    One source and one target window of width w + p are built; the
+    narrow pair is their trailing blocks, and one elimination of the
+    source's class blocks ranks N_src for both pairs.
+    """
+    p, n = cov.p, cov.n
+    src = cov.window(0, -w - p)
+    _x_image(src)  # for its checks only: the source x-image lies in ker N
+    tgt = cov.window(n + 1, -1 - w - p)
+    _x_image(tgt)  # the narrow rows are a subset, vanishing below the narrow window
+    # _class_ranks' block r holds the exponents src.lo + r mod n; reorder by class
+    by_class = (np.arange(n) - src.lo) % n
+    narrow_ranks, wide_ranks = (ranks[by_class] for ranks in _class_ranks(src, -w))
+    return (_d_rank_shares(src.trailing(-w), tgt.trailing(-1 - w), narrow_ranks),
+            _d_rank_shares(src, tgt, wide_ranks))
+
+
 def d_image_rank(cov: LocalCover) -> int:
     """Rank of the differential H^1(G, B) -> H^1(G, B dt) by linear algebra.
 
     B dt is modeled as the a = n+1 lattice via h dt -> t^(n+1) h; the map
     sends h in ker N to t^(n+1) h', read modulo the target's x-image.
     The window has the least size n + p + 1, re-run widened by p as in
-    h1_lattice.  The rank is computed once per cover, with every check,
-    and lives on the cover: later calls read it back, a raise stores
+    h1_lattice, from one source and one target window of the widened
+    size.  The rank is computed once per cover, with every check, and
+    lives on the cover: later calls read it back, a raise stores
     nothing, and a rebuilt cover computes it again.
     """
     if cov._d_rank is None:
-        cov._d_rank = _widened("d-image", "rank", lambda w: int(_d_rank_classes(cov, w).sum()),
-                               int, ascover.least_window(cov.p, cov.n), cov.p)
+        w = ascover.least_window(cov.p, cov.n)
+        rank, wide = (int(shares.sum()) for shares in _d_rank_classes(cov, w))
+        _widened("d-image", "rank", rank, wide, w, cov.p)
+        cov._d_rank = rank
     return cov._d_rank
 
 

@@ -6,9 +6,10 @@ result is byte-stable; it runs on the field context's code arrays, one
 kernel for every field.  The array side is two kernels: ``echelon``
 reduces a 2-D code array to its reduced row echelon form, and ``modrep``
 spans every subspace and conjugates every random module with it;
-``ranks`` takes a stack of small matrices as one code array and counts
-the rank of them all in one elimination, and ``power_ranks`` ranks every
-power of a stack of nilpotent matrices with it.  ``rref`` is the list
+``prefix_ranks`` takes a stack of small matrices as one code array and
+counts the rank of every column prefix of them all in one elimination,
+``ranks`` is its last count, and ``power_ranks`` ranks every power of a
+stack of nilpotent matrices with it.  ``rref`` is the list
 form of ``echelon``, with no library caller: it stays for
 bench/tracer.py, which wraps it by name and sizes its argument with
 ``len()``, and for the tests' list oracles in tests/oracles.py.
@@ -94,16 +95,18 @@ def rref(ctx: FieldCtx, a: Matrix) -> tuple[Matrix, list[int]]:
     return reduced.tolist(), pivots
 
 
-def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
-    """Rank of every matrix of a (B, r, c) code array, in one elimination.
+def _pivot_flags(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """Row k + 1 flags the matrices of a (B, r, c) code array whose column k
+    holds a pivot, from one elimination of them all; row 0 is False.
 
     A fraction-free forward pass: at each column every matrix replaces
     each row by pivot * row - row[0] * pivot_row, where the pivot row is
     its first row nonzero in that column.  This clears the column in
     every row, the pivot row included, so nothing is inverted or moved,
     and the column is dropped.  A matrix whose column has a pivot gains
-    one in rank.  Zero rows and columns, such as the padding of smaller
-    matrices in a stack, change no rank.
+    one in rank, and the pass records one flag per column.  Zero rows,
+    such as the padding of smaller matrices in a stack, change no rank,
+    and a zero column raises none.
 
     Stacks of ``_TALL_ROWS`` rows or more take two shortcuts that cost
     smaller stacks more than they save:
@@ -112,29 +115,47 @@ def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
       its reduction; extension fields and Python-int codes keep their own.
     - A top row that is zero in every member can serve no pivot, and
       no update changes it, so it leaves the stack.  On a strictly lower
-      triangular stack, as the class stacks of N are, row j is still
-      zero from column j on when column j comes up, since each pivot row
-      that updated it lies above it and is zero from its own index on.
-      So every row leaves with its column: the same ranks, from about a
-      third fewer updated entries on a square stack.
+      triangular stack, row j is still zero from column j on when column
+      j comes up, since each pivot row that updated it lies above it and
+      is zero from its own index on.  So every row leaves with its
+      column: the same ranks, from about a third fewer updated entries
+      on a square stack.  On a strictly upper triangular stack, as
+      cohom's flipped class stacks are, a pivot row is cleared by its
+      own update, and the top row leaves once it is clear in every
+      member.
     """
     m = np.asarray(stack)
     tall = m.shape[1] >= _TALL_ROWS
     if tall:
         m = m.astype(ctx.narrow_dtype, copy=False)
     batch = np.arange(len(m))
-    counts = np.zeros(len(m), dtype=np.int64)
+    found = np.zeros((m.shape[2] + 1, len(m)), dtype=bool)
+    k = 0
     while np.count_nonzero(m):
         if tall and not m[:, 0].any():
             m = m[:, 1:]
         lead = m[:, :, 0]
         pivot = m[batch, (lead != 0).argmax(axis=1)]
         missing = pivot[:, 0] == 0
-        counts += ~missing
+        k += 1
+        found[k] = pivot[:, 0]
         # a matrix whose column is zero keeps its rows: scale 1, factors 0
         m = ctx.mul_sub(m[:, :, 1:], (pivot[:, 0] + missing)[:, None, None], lead[:, :, None],
                         pivot[:, None, 1:])
-    return counts.tolist()
+    return found
+
+
+def prefix_ranks(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """Entry [b, k] is the rank of the first k columns of stack[b], 0 <= k <= c,
+    for every matrix of a (B, r, c) code array: the running sums of the
+    pivot flags of one elimination."""
+    return _pivot_flags(ctx, stack).cumsum(axis=0).T
+
+
+def ranks(ctx: FieldCtx, stack: np.ndarray) -> list[int]:
+    """Rank of every matrix of a (B, r, c) code array: the last prefix rank,
+    counted from the pivot flags with no running sums."""
+    return _pivot_flags(ctx, stack).sum(0).tolist()
 
 
 def power_ranks(ctx: FieldCtx, stack: np.ndarray, q: int) -> np.ndarray:

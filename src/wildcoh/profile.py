@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from wildcoh import ascover, cohom, modrep
@@ -121,8 +122,10 @@ def genus_upstairs(prof: RamificationProfile) -> int:
     return g_x
 
 
+@lru_cache(maxsize=64)
 def _h1_trivial_module_dim(p: int) -> int:
-    # dim H^1(Z/p, k) computed, not assumed: trivial one-dimensional module
+    # dim H^1(Z/p, k) computed, not assumed: trivial one-dimensional module,
+    # once per p, since it depends on p alone
     mod = modrep.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
     return modrep.periodic_cohomology(mod, 1)
 

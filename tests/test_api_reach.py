@@ -34,10 +34,11 @@ REMOVED = [
     (profile, "MainTheoremVerdict"),
     (FieldCtx, "sub_outer"),
 ]
-# dataclass fields that only echoed the call's arguments
+# dataclass fields that only echoed the call's arguments, or that nothing in src/ read
 REMOVED_FIELDS = [
     (ascover.NormalFormReport, {"p", "n", "prec"}),
     (cohom.BasisCertificate, {"a"}),
+    (char2ex.IndecomposabilityCertificate, {"first_line_stable"}),
 ]
 # messages of checks that an earlier check on the same data implies
 UNREACHABLE = ["composition left", "sigma-fixed in the window", "divisible by the characteristic",

@@ -140,7 +140,7 @@ def test_d_image_monomial_level_mapping():
     # h -> t^(n+1) h' sends t^-2 to -2 t^0 = 1 (dies against x^0) and
     # t^-1 to -t (survives) for p = 3, n = 2
     cov = cohom.cached_cover(3, 2)
-    model2 = cohom._lattice_model(cov, 3, 6 + 2 + 2)
+    model2, _ = cohom._lattice_models(cov, 3, 6 + 2 + 2)
     win = model2.window
     ech = linalg.RowEchelon(win.ctx, win.x_image.tolist())
     assert ech.contains(unit_vector(win, 0))
@@ -179,23 +179,52 @@ def basis_route_d_rank(cov, w):
 def test_d_rank_matches_the_kernel_basis_route(p, n):
     assume(n % p != 0)
     cov = cohom.cached_cover(p, n)
-    for w in (n + p + 1, n + 2 * p + 1):
-        assert cohom._d_rank_classes(cov, w).sum() == basis_route_d_rank(cov, w)
+    w = n + p + 1
+    # one source and one target of width w + p give the shares at both widths
+    for shares, width in zip(cohom._d_rank_classes(cov, w), (w, w + p)):
+        assert shares.sum() == basis_route_d_rank(cov, width)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 101])
+def test_one_widened_window_holds_the_narrow_one(p):
+    # for every n <= 20 prime to p, a in [-3, n + 4] and both widths w, the
+    # trailing block of the window of width w + p is the window of width w,
+    # and one elimination of the wider class blocks ranks both
+    for n in range(1, 21):
+        if n % p == 0:
+            continue
+        cov = cohom.cached_cover(p, n)
+        least = n + p + 1
+        for w in (least, least + p):
+            for a in range(-3, n + 5):
+                wide, fresh = cov.window(a, a - w - p), cov.window(a, a - w)
+                narrow = wide.trailing(a - w)
+                assert (narrow.a, narrow.lo) == (fresh.a, fresh.lo)
+                assert np.array_equal(narrow.nil, fresh.nil)
+                assert np.array_equal(narrow.x_image, fresh.x_image)
+                narrow_ranks, _ = cohom._class_ranks(wide, a - w)
+                # block r of the fresh window holds the exponents of block r + p of the wide one
+                assert (narrow_ranks[(np.arange(n) + p) % n].tolist()
+                        == linalg.ranks(cov.ctx, fresh.class_stack()))
+        for shares, width in zip(cohom._d_rank_classes(cov, least), (least, least + p)):
+            assert shares.sum() == basis_route_d_rank(cov, width)
+    with pytest.raises(ValueError, match=r"^window \[0, 0\) is not inside \[-5, 0\)$"):
+        cov.window(0, -5).trailing(0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
-       n=st.integers(1, 20), data=st.data())
-def test_each_residue_class_adds_its_indicator_to_the_d_rank(p, n, data):
+       n=st.integers(1, 20))
+def test_each_residue_class_adds_its_indicator_to_the_d_rank(p, n):
     # class r holds the one exponent i in [1-n, -1] with i = r mod n; d(t^i)
     # survives iff p divides neither i nor i + n, and class 0 has no such i
     assume(n % p != 0)
-    w = data.draw(st.sampled_from([n + p + 1, n + 2 * p + 1]), label="w")
-    shares = cohom._d_rank_classes(cohom.cached_cover(p, n), w)
     want = [0] * n
     for i in range(1 - n, 0):
         want[i % n] = int(i % p != 0 and (i + n) % p != 0)
-    assert shares.tolist() == want
+    # the shares at widths n + p + 1 and n + 2p + 1
+    for shares in cohom._d_rank_classes(cohom.cached_cover(p, n), n + p + 1):
+        assert shares.tolist() == want
 
 
 def test_window_size_precondition():
@@ -236,9 +265,12 @@ def patch_x_image(monkeypatch, fresh_covers):
 
 
 def test_x_image_raises_on_a_truncation_sigma_moves(patch_x_image):
+    # x^-2 is the first x-power of the window at W = 6, and the second of
+    # the widened one, the only window built
     def perturb(win, rows):
         moved = int(np.flatnonzero(win.nil.any(axis=0))[0])  # N t^moved != 0
-        rows[0][moved] = (rows[0][moved] + 1) % win.p
+        row = rows[win.x_powers.index(-2)]
+        row[moved] = (row[moved] + 1) % win.p
 
     patch_x_image(perturb)
     with pytest.raises(ascover.NormalFormError, match=r"^x\^-2 truncation is not sigma-fixed$"):
@@ -260,27 +292,34 @@ def test_x_image_raises_on_dependent_truncations(patch_x_image, row):
             run(cohom.cached_cover(3, 2))
 
 
-def test_h1_raises_when_the_widened_window_disagrees(patch_x_image):
-    # dropping an x-power only from the widened window adds a class there
-    def drop(win, rows):
-        if win.size == 9:
-            rows.pop()
+def test_h1_raises_when_the_widened_window_disagrees(monkeypatch, fresh_covers):
+    # t^-8 lies in the widened window [-9, 0) alone, off the support of every
+    # x-power: with its column of N zeroed it joins ker N and adds a class
+    # there, and the window at W = 6, the trailing block, keeps its own
+    window = ascover.LocalCover.window
 
-    patch_x_image(drop)
+    def corrupted(self, a, lo):
+        win = window(self, a, lo)
+        win.nil[:, -8 - lo] = 0
+        return win
+
+    monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^h1 window did not stabilize: dim 2 at W=6, 3 at W=9$"):
         cohom.h1_lattice(cohom.cached_cover(3, 2), 0, w=6)
 
 
-def test_d_rank_raises_when_the_widened_window_disagrees(patch_x_image):
-    # only the widened target swaps x^-1 for the fixed t^1 = -d(t^-1), which
-    # stays in x^-1's class: d(t^-1) now dies there, and x^-1 is no image in
-    # characteristic 3, since d(x^-3) = 3 x^-1
-    def swap(win, rows):
-        if win.a == 3 and win.size == 13:
-            rows[-2] = unit_vector(win, 1)
+def swap_widened_target(win, rows):
+    # x^-3 is in the widened target [-10, 3) alone; the fixed t^1 = -d(t^-1)
+    # takes its place and stays in its class mod 2, so d(t^-1) dies there
+    # and not in the target at W = 6, the trailing block
+    if win.a == 3:
+        assert win.x_powers.start == -3 and win.lo == -10
+        rows[0] = unit_vector(win, 1)
 
-    patch_x_image(swap)
+
+def test_d_rank_raises_when_the_widened_window_disagrees(patch_x_image):
+    patch_x_image(swap_widened_target)
     with pytest.raises(cohom.StabilizationError,
                        match=r"^d-image window did not stabilize: rank 1 at W=6, 0 at W=9$"):
         cohom.d_image_rank(cohom.cached_cover(3, 2))
@@ -298,7 +337,7 @@ def test_d_rank_raises_on_a_differential_image_sigma_moves(monkeypatch, fresh_co
 
     def corrupted(self, a, lo):
         win = window(self, a, lo)
-        if (a, lo) == (0, -w):
+        if (a, lo) == (0, -w - cov.p):  # the widened source, the only one built
             win.nil[:, e - lo] = 0  # t^e joins ker N_src
         return win
 
@@ -326,8 +365,11 @@ def test_d_rank_raises_when_the_target_moves_a_differential_image(monkeypatch, f
 
     def corrupted(self, a, lo):
         win = window(self, a, lo)
-        if (a, lo) == (cov.n + 1, -1 - w):
-            win.nil[row, col] = (win.nil[row, col] + 1) % cov.p
+        # the widened target, the only one built: the target at W = w is
+        # its trailing block, p rows and columns in
+        if (a, lo) == (cov.n + 1, -1 - w - cov.p):
+            at = row + cov.p, col + cov.p
+            win.nil[at] = (win.nil[at] + 1) % cov.p
         return win
 
     monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
@@ -387,9 +429,9 @@ def test_certificate_raises_when_an_x_power_misses_its_monomial(patch_x_image):
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 3), (101, 7)])
 def test_each_window_reads_one_binomial_table(monkeypatch, fresh_covers, p, n):
-    # N and the x-image of a window come from one Lucas table: h1 builds two
-    # windows, the d-rank four, and the certificate, whose [t^0] vanishes at
-    # a = 1, reads only its h1 windows
+    # N and the x-image of a window come from one Lucas table: h1 builds one
+    # window, the widened one, the d-rank a widened source and target, and
+    # the certificate, whose [t^0] vanishes at a = 1, reads only its h1 window
     cov = cohom.cached_cover(p, n)
     calls = []
     binomials = ascover.LocalCover.binomials
@@ -405,7 +447,7 @@ def test_each_window_reads_one_binomial_table(monkeypatch, fresh_covers, p, n):
         calls.clear()
         run()
         counts.append(len(calls))
-    assert counts == [2, 4, 2]
+    assert counts == [1, 2, 1]
 
 
 @pytest.fixture
@@ -426,7 +468,7 @@ def test_d_rank_is_computed_once_per_cover(fresh_covers, built_windows):
     cov = cohom.cached_cover(3, 2)
     assert cov._d_rank is None
     assert cohom.d_image_rank(cov) == 1
-    assert len(built_windows) == 4  # source and target, at w and at w + p
+    assert len(built_windows) == 2  # source and target of width w + p; w is their trailing block
     built_windows.clear()
     assert cohom.d_image_rank(cov) == 1
     assert built_windows == []
@@ -434,12 +476,7 @@ def test_d_rank_is_computed_once_per_cover(fresh_covers, built_windows):
 
 
 def test_a_raised_d_rank_stores_nothing(patch_x_image):
-    # the widened-window swap of test_d_rank_raises_when_the_widened_window_disagrees
-    def swap(win, rows):
-        if win.a == 3 and win.size == 13:
-            rows[-2] = unit_vector(win, 1)
-
-    patch_x_image(swap)
+    patch_x_image(swap_widened_target)
     cov = cohom.cached_cover(3, 2)
     for _ in range(2):
         with pytest.raises(cohom.StabilizationError,
@@ -456,7 +493,7 @@ def test_a_cleared_cover_cache_computes_the_d_rank_again(fresh_covers, built_win
     again = cohom.cached_cover(5, 3)
     assert again is not first and again._d_rank is None
     assert cohom.d_image_rank(again) == rank == cohom.d_image_closed_form(5, 3)
-    assert len(built_windows) == 4
+    assert len(built_windows) == 2
 
 
 def test_equal_jumps_share_one_d_rank(monkeypatch, fresh_covers):
@@ -472,7 +509,7 @@ def test_equal_jumps_share_one_d_rank(monkeypatch, fresh_covers):
 
     monkeypatch.setattr(cohom, "_d_rank_classes", counting)
     assert profile.defect_by_linear_algebra(prof) == profile.defect(prof) == 0
-    assert runs == [7, 12]  # w = n + p + 1, then w + p, once for all twelve points
+    assert runs == [7]  # w = n + p + 1, with w + p, once for all twelve points
 
 
 def test_covers_compare_equal_with_filled_caches():

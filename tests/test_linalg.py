@@ -371,6 +371,29 @@ def test_row_drop_keeps_the_rows_of_a_stack_that_is_not_strictly_lower():
     assert linalg.ranks(FieldCtx(5), stack) == [1, 1]
 
 
+@pytest.mark.parametrize("name", STACK_FIELDS)
+@PROPERTY
+@given(rng=rngs, rows=dims, cols=dims, triangular=st.booleans())
+def test_prefix_ranks_count_every_column_prefix(name, rng, rows, cols, triangular):
+    # random, zero and padded members, or strictly lower triangular ones and
+    # their flips on both axes, the strictly upper ones that cohom eliminates
+    ctx = STACK_FIELDS[name]
+    if triangular:
+        lower = [random_strictly_lower(rng, ctx, max(rows, cols)) for _ in range(3)]
+        members = lower + [[row[::-1] for row in m[::-1]] for m in lower]
+    else:
+        members = random_stack_members(rng, ctx, rows, cols)
+    stack = np.array(members, dtype=ctx.dtype)
+    want = [[oracles.rank(ctx, [row[:k] for row in m]) for k in range(len(m[0]) + 1)]
+            for m in members]
+    for height in (linalg._TALL_ROWS, 1):
+        with tall_rows(height):
+            prefix = linalg.prefix_ranks(ctx, stack)
+            assert prefix.tolist() == want
+            assert linalg.ranks(ctx, stack) == prefix[:, -1].tolist()
+    assert stack.tolist() == members
+
+
 # the (p, n) covers of the benchmark's lattice sweep
 SWEEP_COVERS = ([(3, n) for n in (1, 2, 5, 8, 11)]
                 + [(p, n) for p in (5, 7, 13, 31) for n in (1, 3, 6, 9, 12)]

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from wildcoh import cohom, profile
+from wildcoh import cohom, modrep, profile
 from wildcoh.profile import RamificationProfile
 
 
@@ -154,6 +154,26 @@ def test_cross_module_identity_uses_ranks_not_formulas():
     prof = RamificationProfile(5, 0, (7,))
     rank_route = cohom.d_image_rank(cohom.cached_cover(5, 7))
     assert profile.defect(prof) == rank_route == 4
+
+
+def test_dims_reads_h1_of_the_trivial_module_once_per_p(monkeypatch):
+    # dim H^1(Z/p, k) comes from the Jordan blocks of the trivial module,
+    # computed the first time a p needs it and read back after
+    profile._h1_trivial_module_dim.cache_clear()
+    decomposed = []
+    block_decomposition = modrep.block_decomposition
+
+    def counting(mod):
+        decomposed.append(mod.q)
+        return block_decomposition(mod)
+
+    monkeypatch.setattr(modrep, "block_decomposition", counting)
+    for _ in range(3):
+        for p in (2, 3, 5):
+            assert profile.dims(RamificationProfile(p, 1, (1,))).h1_o_inv == 1
+    assert decomposed == [2, 3, 5]
+    assert [profile._h1_trivial_module_dim(p) for p in (2, 3, 5)] == [1, 1, 1]
+    assert decomposed == [2, 3, 5]
 
 
 def test_profile_validation():
