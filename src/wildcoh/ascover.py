@@ -331,8 +331,6 @@ class LatticeWindow:
         leads at t^(pj), so the x-powers of [lo, a) are the last ones here,
         and their rows vanish below t^lo.
         """
-        if not self.lo <= lo < self.a:
-            raise ValueError(f"window [{lo}, {self.a}) is not inside [{self.lo}, {self.a})")
         cut = lo - self.lo
         drop = _x_powers(self.p, lo, self.a).start - self.x_powers.start
         return LatticeWindow(cover=self.cover, a=self.a, lo=lo, nil=self.nil[cut:, cut:],

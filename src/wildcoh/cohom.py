@@ -8,7 +8,8 @@ Every lattice dimension is recomputed with the window widened by p and
 must agree, so precision failures surface as errors instead of wrong
 numbers.  Only the widened window is built: the window itself is its
 trailing block.  The cohomology of explicit matrix modules lives in
-modrep.
+modrep; the shared cover cache also keeps dim H^1(Z/p, k) of the
+trivial module per p, read through modrep.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from wildcoh import ascover, linalg
+from wildcoh import ascover, linalg, modrep
 from wildcoh.ascover import LatticeWindow, LocalCover
+from wildcoh.gf import FieldCtx
 
 
 class StabilizationError(RuntimeError):
@@ -279,10 +281,32 @@ def d_image_rank(cov: LocalCover) -> int:
 
 
 @lru_cache(maxsize=64)
+def _cover(p: int, n: int) -> LocalCover:
+    return ascover.build(p, n, ascover.recommended_precision(p, n))
+
+
+@lru_cache(maxsize=64)
+def trivial_module_h1(p: int) -> int:
+    """dim H^1(Z/p, k) of the trivial one-dimensional module, read off its
+    Jordan type by modrep rather than assumed, once per p."""
+    return modrep.periodic_cohomology(modrep.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p), 1)
+
+
 def cached_cover(p: int, n: int) -> LocalCover:
     """Shared cover at the recommended precision for grid sweeps.
 
     Bounded, because the pairs (p, n) come from sweep's ranges; a
-    verify-all run needs 27 covers.
+    verify-all run needs 27 covers.  ``cache_info`` counts the covers,
+    and ``cache_clear`` drops them together with the per-p
+    ``trivial_module_h1``, so a cleared cache starts cold.
     """
-    return ascover.build(p, n, ascover.recommended_precision(p, n))
+    return _cover(p, n)
+
+
+def _clear_shared() -> None:
+    _cover.cache_clear()
+    trivial_module_h1.cache_clear()
+
+
+cached_cover.cache_info = _cover.cache_info
+cached_cover.cache_clear = _clear_shared

@@ -30,11 +30,11 @@ Matrix = list[list[int]]
 Vector = list[int]
 
 # The least height at which ranks narrows a prime field's codes and
-# drops zero top rows.  On class stacks of N the row drop cost 2-4 us more
-# a call at 3-5 rows and was even at 12-20 rows.  It was 18 % faster at 7
-# classes of 30 rows and 21 % faster at 3 classes of 69 rows.  The
-# narrowing copy costs about 1 us a call, which the small stacks of most
-# lattice windows do not pay back.
+# drops zero top rows.  On cohom's flipped class stacks the row drop was
+# 21-27 % faster at p = 101 (3 classes of 68 rows, 1 of 203), even at
+# 1 class of 63 rows, and 9-16 % slower at 4-27 rows.  The narrowing copy
+# costs about 1 us a call, which the small stacks of most lattice
+# windows do not pay back.
 _TALL_ROWS = 16
 
 
@@ -114,15 +114,10 @@ def _pivot_flags(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
       to p = 181, int32 up to 2**15), where each update is exact before
       its reduction; extension fields and Python-int codes keep their own.
     - A top row that is zero in every member can serve no pivot, and
-      no update changes it, so it leaves the stack.  On a strictly lower
-      triangular stack, row j is still zero from column j on when column
-      j comes up, since each pivot row that updated it lies above it and
-      is zero from its own index on.  So every row leaves with its
-      column: the same ranks, from about a third fewer updated entries
-      on a square stack.  On a strictly upper triangular stack, as
-      cohom's flipped class stacks are, a pivot row is cleared by its
-      own update, and the top row leaves once it is clear in every
-      member.
+      no update changes it, so it leaves the stack.  On a strictly upper
+      triangular stack, as cohom's flipped class stacks are, each pivot
+      row is cleared by its own update and leaves once it is clear in
+      every member.
     """
     m = np.asarray(stack)
     tall = m.shape[1] >= _TALL_ROWS

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from wildcoh import ascover, cohom, modrep
-from wildcoh.gf import FieldCtx, is_prime
+from wildcoh import ascover, cohom
+from wildcoh.gf import is_prime
 
 
 def _is_int(value) -> bool:
@@ -122,14 +121,6 @@ def genus_upstairs(prof: RamificationProfile) -> int:
     return g_x
 
 
-@lru_cache(maxsize=64)
-def _h1_trivial_module_dim(p: int) -> int:
-    # dim H^1(Z/p, k) computed, not assumed: trivial one-dimensional module,
-    # once per p, since it depends on p alone
-    mod = modrep.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
-    return modrep.periodic_cohomology(mod, 1)
-
-
 def dims(prof: RamificationProfile) -> DefectReport:
     """Full dimension report, cross-checked along three formula routes."""
     p = prof.p
@@ -153,7 +144,7 @@ def dims(prof: RamificationProfile) -> DefectReport:
             t + 1 + (n - 1) // p for t, n in zip(per_point, prof.jumps)
         )
         # local H^1 dimensions summed against the quotient, minus H^1(Z/p, k)
-        h1_o_route_c = prof.g_y + sum(per_point) - _h1_trivial_module_dim(p)
+        h1_o_route_c = prof.g_y + sum(per_point) - cohom.trivial_module_h1(p)
 
     if h0_route_a != h0_route_b:
         raise AssertionError(
