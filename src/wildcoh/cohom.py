@@ -67,6 +67,14 @@ def _x_image(win: LatticeWindow) -> np.ndarray:
     return rows
 
 
+def _widened_window(cov: LocalCover, a: int, lo: int) -> LatticeWindow:
+    """The window [lo, a), its x-image checked, and so that of every trailing
+    block: a subset of the rows, vanishing below the block."""
+    win = cov.window(a, lo)
+    _x_image(win)
+    return win
+
+
 def _class_ranks(win: LatticeWindow, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """The ranks of N's class blocks on [lo, a) and on the whole window, from one elimination.
 
@@ -78,6 +86,7 @@ def _class_ranks(win: LatticeWindow, lo: int) -> tuple[np.ndarray, np.ndarray]:
     the ceil((lo - win.lo - r) / n) lowest exponents of block r.  The
     flipped first column and last row are zero in every block, so they
     are left out of the elimination, and the prefix counts shift by one.
+    Each cleared pivot row stays in the elimination and counts nothing more.
     """
     stack = win.class_stack()
     # flipped on both axes, less each block's row 0 and last column, which are zero
@@ -90,9 +99,7 @@ def _class_ranks(win: LatticeWindow, lo: int) -> tuple[np.ndarray, np.ndarray]:
 def _lattice_models(cov: LocalCover, a: int,
                     w: int) -> tuple[CohomologyClassSet, CohomologyClassSet]:
     """H^1 in the windows of widths w and w + p below t^a, from the wider one alone."""
-    wide = cov.window(a, a - w - cov.p)
-    # its checks imply those of the narrow rows: a subset, vanishing below t^(a-w)
-    _x_image(wide)
+    wide = _widened_window(cov, a, a - w - cov.p)
     narrow = wide.trailing(a - w)
     # dim ker N, summed over the residue blocks of N; the x-image is an
     # independent subspace of ker N
@@ -172,7 +179,7 @@ def h1_basis_certificate(cov: LocalCover, a: int) -> BasisCertificate:
 
 
 def _check_d_commutes(src: LatticeWindow, tgt: LatticeWindow) -> None:
-    """Check _d_rank_classes' identity N_tgt D = S N_src entry by entry,
+    """Check _d_rank_shares' identity N_tgt D = S N_src entry by entry,
     or raise NormalFormError.
 
     Both sides are formed by the field's kernels in its narrow codes, so
@@ -194,7 +201,8 @@ def _d_rank_shares(src: LatticeWindow, tgt: LatticeWindow, src_ranks: np.ndarray
     """The d-rank of one window pair, split into the share of each exponent class mod n.
 
     src_ranks holds the rank of N_src on each class.  The x-images of
-    both windows are taken as checked.
+    both windows and the identity N_tgt D = S N_src below are taken as
+    checked.
 
     d sends t^e to e t^(e+n); let D be its matrix and X the target
     x-image.  The rank of d(ker N_src) modulo X is rank A - rank N_src - #X
@@ -208,9 +216,9 @@ def _d_rank_shares(src: LatticeWindow, tgt: LatticeWindow, src_ranks: np.ndarray
       because d commutes with sigma: N_tgt D = S N_src, where S sends the
       row t^f of N_src, times f, to the row t^(f+n), and every other
       target row is zero.  Entrywise this is alpha binom(alpha - 1, k) =
-      (alpha - k) binom(alpha, k) for alpha = -e/n.  The identity is
-      checked entry by entry, which implies the kernel condition, so
-      N_src's class blocks are ranked alone.
+      (alpha - k) binom(alpha, k) for alpha = -e/n.  _check_d_commutes
+      checks the identity entry by entry, which implies the kernel
+      condition, so N_src's class blocks are ranked alone.
     """
     ctx, p, n = src.ctx, src.p, src.n
     js = tgt.x_powers
@@ -218,7 +226,6 @@ def _d_rank_shares(src: LatticeWindow, tgt: LatticeWindow, src_ranks: np.ndarray
     exps = np.arange(src.lo, src.a)
     image = exps + n - tgt.lo  # the target row of t^(e+n), one run of consecutive rows
     unit = exps % p != 0
-    _check_d_commutes(src, tgt)
     # A' = [[N_src on the p | e columns, N_src E^-1 X^T], [0, X^T off the unit
     # rows]], up to the sign of rows.  Its rows are the t^e of the source,
     # then the t^f of the target, from a row whose class and block position
@@ -247,16 +254,17 @@ def _d_rank_classes(cov: LocalCover, w: int) -> tuple[np.ndarray, np.ndarray]:
 
     One source and one target window of width w + p are built; the
     narrow pair is their trailing blocks, and one elimination of the
-    source's class blocks ranks N_src for both pairs.
+    source's class blocks ranks N_src for both pairs.  N_tgt D = S N_src
+    is checked on the widened pair alone: the narrow one is its sub-block
+    but for entries above N_src's diagonal, which the class guard refuses.
     """
     p, n = cov.p, cov.n
-    src = cov.window(0, -w - p)
-    _x_image(src)  # for its checks only: the source x-image lies in ker N
-    tgt = cov.window(n + 1, -1 - w - p)
-    _x_image(tgt)  # the narrow rows are a subset, vanishing below the narrow window
+    src = _widened_window(cov, 0, -w - p)
+    tgt = _widened_window(cov, n + 1, -1 - w - p)
     # _class_ranks' block r holds the exponents src.lo + r mod n; reorder by class
     by_class = (np.arange(n) - src.lo) % n
     narrow_ranks, wide_ranks = (ranks[by_class] for ranks in _class_ranks(src, -w))
+    _check_d_commutes(src, tgt)
     return (_d_rank_shares(src.trailing(-w), tgt.trailing(-1 - w), narrow_ranks),
             _d_rank_shares(src, tgt, wide_ranks))
 

@@ -161,16 +161,18 @@ class FieldCtx:
     def nth_root(self, a: int, n: int) -> int:
         """First code c (in enumeration order 0,1,2,...) with c**n == a.
 
-        Requires gcd(n, p) == 1; raises NoRootError when no root exists.
+        Requires gcd(n, p) == 1; raises NoRootError when no root exists.  The
+        code a is read as ``array`` reads it: reduced mod p in a prime field.
         The units are cyclic of order q - 1: for a unit a and g = gcd(n, q - 1),
         c -> c^n permutes them when g = 1, so a has one root, and otherwise
-        a has a root iff a^((q-1)/g) = 1.  Zero and unreduced integers are scanned.
+        a has a root iff a^((q-1)/g) = 1.  Zero is scanned.
         """
         if n < 1:
             raise ValueError("root index must be positive")
         if gcd(n, self.p) != 1:
             raise ValueError(f"root index {n} not coprime to characteristic {self.p}")
-        unit, g = 0 < a < self.q, gcd(n, self.q - 1)
+        a = int(self.array(a))
+        unit, g = a != 0, gcd(n, self.q - 1)
         if unit and g == 1:
             return self.pow(a, pow(n, -1, self.q - 1))
         if not unit or self.pow(a, (self.q - 1) // g) == 1:

@@ -9,7 +9,9 @@ spans every subspace and conjugates every random module with it;
 ``prefix_ranks`` takes a stack of small matrices as one code array and
 counts the rank of every column prefix of them all in one elimination,
 ``ranks`` is its last count, and ``power_ranks`` ranks every power of a
-stack of nilpotent matrices with it.  ``rref`` is the list
+stack of nilpotent matrices with it.  That elimination takes one path
+for every stack, whatever its height: the field's narrow codes, and
+every row kept.  ``rref`` is the list
 form of ``echelon``, with no library caller: it stays for
 bench/tracer.py, which wraps it by name and sizes its argument with
 ``len()``, and for the tests' list oracles in tests/oracles.py.
@@ -28,14 +30,6 @@ from wildcoh.gf import FieldCtx
 
 Matrix = list[list[int]]
 Vector = list[int]
-
-# The least height at which ranks narrows a prime field's codes and
-# drops zero top rows.  On cohom's flipped class stacks the row drop was
-# 21-27 % faster at p = 101 (3 classes of 68 rows, 1 of 203), even at
-# 1 class of 63 rows, and 9-16 % slower at 4-27 rows.  The narrowing copy
-# costs about 1 us a call, which the small stacks of most lattice
-# windows do not pay back.
-_TALL_ROWS = 16
 
 
 def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
@@ -106,29 +100,16 @@ def _pivot_flags(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
     and the column is dropped.  A matrix whose column has a pivot gains
     one in rank, and the pass records one flag per column.  Zero rows,
     such as the padding of smaller matrices in a stack, change no rank,
-    and a zero column raises none.
-
-    Stacks of ``_TALL_ROWS`` rows or more take two shortcuts that cost
-    smaller stacks more than they save:
-    - A prime field eliminates in ``ctx.narrow_dtype`` codes (int16 up
-      to p = 181, int32 up to 2**15), where each update is exact before
-      its reduction; extension fields and Python-int codes keep their own.
-    - A top row that is zero in every member can serve no pivot, and
-      no update changes it, so it leaves the stack.  On a strictly upper
-      triangular stack, as cohom's flipped class stacks are, each pivot
-      row is cleared by its own update and leaves once it is clear in
-      every member.
+    and a zero column raises none.  Every stack is eliminated in
+    ``ctx.narrow_dtype`` codes, where each update is exact before its
+    reduction: a prime field's int16 or int32 copy, an extension field's
+    and Python-int codes as they are.
     """
-    m = np.asarray(stack)
-    tall = m.shape[1] >= _TALL_ROWS
-    if tall:
-        m = m.astype(ctx.narrow_dtype, copy=False)
+    m = np.asarray(stack).astype(ctx.narrow_dtype, copy=False)
     batch = np.arange(len(m))
     found = np.zeros((m.shape[2] + 1, len(m)), dtype=bool)
     k = 0
     while np.count_nonzero(m):
-        if tall and not m[:, 0].any():
-            m = m[:, 1:]
         lead = m[:, :, 0]
         pivot = m[batch, (lead != 0).argmax(axis=1)]
         missing = pivot[:, 0] == 0

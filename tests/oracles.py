@@ -7,6 +7,8 @@ take roots digit by digit on the scalar field operations, with none of
 the array kernels of ``wildcoh.laurent``.
 """
 
+from bisect import bisect_left
+
 from wildcoh import linalg
 from wildcoh.gf import FieldCtx
 from wildcoh.laurent import LaurentSeries
@@ -26,6 +28,16 @@ def rank(ctx: FieldCtx, a: Matrix) -> int:
     return len(linalg.rref(ctx, a)[1])
 
 
+def prefix_ranks(ctx: FieldCtx, a: Matrix) -> list[int]:
+    """Rank of the first k columns of a, for k = 0 .. cols.
+
+    The RREF pivots lie in column order, so the first k columns hold the
+    pivots left of column k and no more.
+    """
+    pivots = linalg.rref(ctx, a)[1]
+    return [bisect_left(pivots, k) for k in range(len(a[0]) + 1)]
+
+
 def inverse(ctx: FieldCtx, a: Matrix) -> Matrix:
     n = len(a)
     aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
@@ -36,8 +48,12 @@ def inverse(ctx: FieldCtx, a: Matrix) -> Matrix:
 
 
 def enumerated_root(ctx: FieldCtx, a: int, n: int) -> int | None:
-    """First code c in 0, 1, 2, ... with c**n == a, trying every code; None when none is."""
-    return next((c for c in range(ctx.q) if ctx.pow(c, n) == a), None)
+    """First code c in 0, 1, 2, ... with c**n == a, trying every code; None when none is.
+
+    A prime field reads the integer a as its residue mod p.
+    """
+    residue = a % ctx.p if ctx.m == 1 else a
+    return next((c for c in range(ctx.q) if ctx.pow(c, n) == residue), None)
 
 
 def schoolbook_product(ctx, a, b):

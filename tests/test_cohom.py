@@ -376,6 +376,50 @@ def test_d_rank_raises_when_the_target_moves_a_differential_image(monkeypatch, f
         cohom.d_image_rank(cov)
 
 
+def test_d_rank_raises_when_the_source_moves_a_differential_image(monkeypatch, fresh_covers):
+    # one entry (t^f, t^e) of N_src changed inside the block of the source
+    # at W = w, in e's class below the diagonal and off the source x-image,
+    # with p not dividing f: the identity, checked on the widened pair
+    # alone, must still see it
+    cov = cohom.cached_cover(5, 3)
+    w = cov.n + cov.p + 1
+    x_support = cov.window(0, -w).x_image.any(axis=0)
+    f, e = next((f, e) for e in range(-w, 0) for f in range(e + cov.n, 0, cov.n)
+                if f % cov.p and not x_support[e + w])
+    window = ascover.LocalCover.window
+
+    def corrupted(self, a, lo):
+        win = window(self, a, lo)
+        if (a, lo) == (0, -w - cov.p):  # the widened source, the only one built
+            win.nil[f - lo, e - lo] = (win.nil[f - lo, e - lo] + 1) % cov.p
+        return win
+
+    monkeypatch.setattr(ascover.LocalCover, "window", corrupted)
+    with pytest.raises(ascover.NormalFormError,
+                       match=r"^differential image is not sigma-fixed \(precision bug\)$"):
+        cohom.d_image_rank(cov)
+
+
+def test_d_rank_checks_the_differential_once(monkeypatch, fresh_covers):
+    # N_tgt D = S N_src is checked on the widened source and target alone:
+    # the pair at W = w is their trailing blocks
+    calls = []
+    check = cohom._check_d_commutes
+
+    def counting(src, tgt):
+        calls.append(((src.a, src.lo), (tgt.a, tgt.lo)))
+        return check(src, tgt)
+
+    monkeypatch.setattr(cohom, "_check_d_commutes", counting)
+    for p, n in ((3, 2), (5, 3), (101, 7)):
+        cov = cohom.cached_cover(p, n)
+        w = n + p + 1
+        for _ in range(2):  # the second call reads the stored rank
+            cohom.d_image_rank(cov)
+        assert calls == [((0, -w - p), (n + 1, -1 - w - p))]
+        calls.clear()
+
+
 def test_d_rank_refuses_an_x_power_outside_its_class(patch_x_image):
     # a fixed, independent target row in the wrong class must not be dropped
     def move(win, rows):

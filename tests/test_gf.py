@@ -112,6 +112,15 @@ def test_nth_root_matches_the_enumeration():
     assert cases == 3910
 
 
+def test_nth_root_reduces_prime_integers_and_refuses_other_extension_codes():
+    # as array, inv and the scalar ops read them: 6 = 1 = 1^2, 5 = 0 = 0^2 and
+    # -1 = 4 = 2^2 in GF(5); GF(4) has no code 4 or -1
+    assert [F5.nth_root(a, 2) for a in (6, 5, -1)] == [1, 0, 2]
+    for a, n in ((4, 3), (4, 1), (-1, 1)):
+        with pytest.raises(ValueError, match=r"^GF\(4\) codes lie in 0\.\.3$"):
+            F4.nth_root(a, n)
+
+
 def test_inverse_roundtrip_and_zero_division():
     for ctx in ALL_CTX:
         with pytest.raises(ZeroDivisionError):

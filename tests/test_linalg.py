@@ -8,7 +8,6 @@ operations, and prime-field rref, nullspace, and the rank and inverse
 that tests/oracles.py builds on rref, against sympy.
 """
 
-import contextlib
 import random
 from collections import Counter
 
@@ -43,7 +42,7 @@ FIELDS = {
     "GF2^31-1": FieldCtx((1 << 31) - 1),
 }
 PRIME_FIELDS = [name for name, ctx in FIELDS.items() if ctx.m == 1]
-# stacked elimination runs tall prime-field stacks in int16 codes up to
+# stacked elimination runs prime-field stacks in int16 codes up to
 # p = 181 and in int32 codes up to p = 2**15; these primes sit on both
 # sides of the edges
 STACK_FIELDS = {**FIELDS, "GF181": FieldCtx(181), "GF191": FieldCtx(191),
@@ -258,15 +257,6 @@ def test_mat_mul_reads_its_entries_as_field_codes():
             linalg.mat_mul(F4, a, b)
 
 
-@contextlib.contextmanager
-def tall_rows(height):
-    """ranks with its tall-stack shortcuts (narrow codes, the row drop)
-    from ``height`` rows on: 1 puts every stack on them, a huge height none."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_TALL_ROWS", height)
-        yield
-
-
 def random_stack_members(rng, ctx, rows, cols):
     """Matrices of one (B, rows, cols) stack that reach every branch of the
     stacked elimination: random, low rank, repeated rows, zero, a unit
@@ -293,8 +283,6 @@ def test_stacked_ranks_match_one_rank_per_matrix(name, rng, rows, cols):
     rng.shuffle(members)
     stack = np.array(members, dtype=ctx.dtype)
     assert linalg.ranks(ctx, stack) == [oracles.rank(ctx, m) for m in members]
-    with tall_rows(1):
-        assert linalg.ranks(ctx, stack) == [oracles.rank(ctx, m) for m in members]
     assert stack.tolist() == members  # the stack is left as it was
 
 
@@ -317,8 +305,8 @@ def test_stacked_ranks_edge_shapes(name):
     ("GF32749", np.int32), ("GF40009", object), ("GF4", np.int64), ("GF9", np.int64),
     ("GF25", np.int64)])
 def test_stacked_elimination_codes(monkeypatch, name, dtype):
-    # tall prime-field stacks narrow their codes, short ones keep the
-    # field's; extension tables and Python ints always keep theirs
+    # prime-field stacks narrow their codes, short and tall alike;
+    # extension tables and Python ints keep theirs
     ctx = STACK_FIELDS[name]
     seen = []
     mul_sub = FieldCtx.mul_sub
@@ -328,12 +316,12 @@ def test_stacked_elimination_codes(monkeypatch, name, dtype):
         return mul_sub(self, a, b, c, d)
 
     monkeypatch.setattr(FieldCtx, "mul_sub", recording)
-    for rows, codes in ((3, ctx.dtype), (linalg._TALL_ROWS, dtype)):
+    for rows in (3, 20):
         seen.clear()
         stack = np.full((2, rows, 4), ctx.q - 1, dtype=ctx.dtype)
         stack[1, rows - 1, 0] = 0
         assert linalg.ranks(ctx, stack) == [1, 2]
-        assert seen and set(seen) == {np.dtype(codes)}
+        assert seen and set(seen) == {np.dtype(dtype)}
     assert ctx.narrow_dtype == dtype
 
 
@@ -343,30 +331,36 @@ def random_strictly_lower(rng, ctx, size):
             for i in range(size)]
 
 
-@pytest.mark.parametrize("name", STACK_FIELDS)
-@PROPERTY
-@given(rng=rngs, size=st.integers(1, linalg._TALL_ROWS + 4), batch=st.integers(1, 4),
-       upper=st.booleans())
-def test_row_drop_pass_gives_the_general_mask(name, rng, size, batch, upper):
-    # below _TALL_ROWS the pass keeps its rows; from there on it drops zero
-    # top rows, which on a strictly lower stack is every row with its column,
-    # and one entry on or above the diagonal keeps its row in the stack
-    ctx = STACK_FIELDS[name]
-    members = [random_strictly_lower(rng, ctx, size) for _ in range(batch)]
-    if upper:
-        i = rng.randrange(size)
-        members[rng.randrange(batch)][i][rng.randrange(i, size)] = random_code(rng, ctx, True)
+def prefix_ranks_match_the_oracle(ctx, members):
+    """prefix_ranks of one stack of the members against the oracle's
+    column-prefix ranks of each member alone, which it returns."""
     stack = np.array(members, dtype=ctx.dtype)
-    got = linalg.ranks(ctx, stack)
-    with tall_rows(size + 1):
-        assert got == linalg.ranks(ctx, stack)
-    assert got == [oracles.rank(ctx, m) for m in members]
-    assert stack.tolist() == members
+    want = [oracles.prefix_ranks(ctx, m) for m in members]
+    assert linalg.prefix_ranks(ctx, stack).tolist() == want
+    assert stack.tolist() == members  # the stack is left as it was
+    return want
+
+
+@pytest.mark.parametrize("name", STACK_FIELDS)
+def test_row_drop_pass_gives_the_general_mask(name):
+    # at every height 1..70, one stack of strictly lower triangular members,
+    # with and without one entry on or above the diagonal, and their flips
+    # on both axes, strictly upper as cohom's flipped class stacks are: the
+    # rows that such a stack clears stay in it, and count nothing
+    ctx = STACK_FIELDS[name]
+    rng = random.Random(70)
+    for size in range(1, 71):
+        lower = random_strictly_lower(rng, ctx, size)
+        raised = [row[:] for row in lower]
+        i = rng.randrange(size)
+        raised[i][rng.randrange(i, size)] = random_code(rng, ctx, True)
+        members = [lower, raised]
+        prefix_ranks_match_the_oracle(ctx, members + [[row[::-1] for row in m[::-1]] for m in members])
 
 
 def test_row_drop_keeps_the_rows_of_a_stack_that_is_not_strictly_lower():
     # one diagonal entry: dropping row 0 with column 0 would lose the rank
-    stack = np.zeros((2, linalg._TALL_ROWS, linalg._TALL_ROWS), dtype=np.int64)
+    stack = np.zeros((2, 16, 16), dtype=np.int64)
     stack[0, 0, 0] = stack[1, 5, 2] = 1
     assert linalg.ranks(FieldCtx(5), stack) == [1, 1]
 
@@ -386,11 +380,9 @@ def test_prefix_ranks_count_every_column_prefix(name, rng, rows, cols, triangula
     stack = np.array(members, dtype=ctx.dtype)
     want = [[oracles.rank(ctx, [row[:k] for row in m]) for k in range(len(m[0]) + 1)]
             for m in members]
-    for height in (linalg._TALL_ROWS, 1):
-        with tall_rows(height):
-            prefix = linalg.prefix_ranks(ctx, stack)
-            assert prefix.tolist() == want
-            assert linalg.ranks(ctx, stack) == prefix[:, -1].tolist()
+    prefix = linalg.prefix_ranks(ctx, stack)
+    assert prefix.tolist() == want
+    assert linalg.ranks(ctx, stack) == prefix[:, -1].tolist()
     assert stack.tolist() == members
 
 
@@ -400,17 +392,19 @@ SWEEP_COVERS = ([(3, n) for n in (1, 2, 5, 8, 11)]
                 + [(101, 3), (101, 7)])
 
 
-@pytest.mark.parametrize("p, n", SWEEP_COVERS)
+@pytest.mark.parametrize("p, n", SWEEP_COVERS + [(101, 1)])
 def test_row_drop_pass_gives_the_general_mask_on_class_stacks(p, n):
+    # every class stack block by block, as it is and flipped on both axes,
+    # as cohom eliminates it; at the widened width, p = 101 reaches source
+    # blocks of 69 rows (n = 3) and, with (101, 1), of 204
     cov = cohom.cached_cover(p, n)
     for w in (n + p + 1, n + 2 * p + 1):
         # the d-rank's source, its target and h1 windows on both sides of 0
         for a, lo in ((0, -w), (n + 1, -1 - w), (-3, -3 - w), (n + 4, n + 4 - w)):
             stack = cov.window(a, lo).class_stack()
-            with tall_rows(1):
-                got = linalg.ranks(cov.ctx, stack)
-            with tall_rows(stack.shape[1] + 1):
-                assert got == linalg.ranks(cov.ctx, stack)
+            want = prefix_ranks_match_the_oracle(cov.ctx, stack.tolist())
+            assert linalg.ranks(cov.ctx, stack) == [counts[-1] for counts in want]
+            prefix_ranks_match_the_oracle(cov.ctx, stack[:, ::-1, ::-1].tolist())
 
 
 @pytest.mark.parametrize("name", FIELDS)
