@@ -108,6 +108,8 @@ class FieldCtx:
         self._add_array = (digits[:, None] + digits[None, :]) % p @ self._weights
         self._digit_array = digits
         self._mul_array = mul
+        # the regular representation: [b, i, l] is digit l of x^i b
+        self._regular = digits[mul[:, self._weights]]
         self._sub_array = self._add_array[:, -digits % p @ self._weights]
         self._inv_array = np.argmax(mul == 1, axis=1)
 
@@ -244,11 +246,22 @@ class FieldCtx:
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of 2-D arrays or of stacks of them, as ``@`` pairs
-        them (a prime field takes whatever ``@`` takes)."""
+        them (a prime field takes whatever ``@`` takes).
+
+        Characteristic 2 multiplies code pairs by table and adds them by
+        exclusive or.  Odd p takes one integer product through the regular
+        representation: the digits of a, (..., r, k m), times the
+        multiplication matrices of b, (..., k m, c m), reduced mod p."""
         if self.m == 1:
             return a @ b % self.p
-        prod = self._mul_array[a[..., :, :, None], b[..., None, :, :]]
-        return self._sum(prod, prod.ndim - 2)
+        if self.p == 2:
+            prod = self._mul_array[a[..., :, :, None], b[..., None, :, :]]
+            return self._sum(prod, prod.ndim - 2)
+        (r, k), (c, m) = a.shape[-2:], (b.shape[-1], self.m)
+        left = self._digit_array[a].reshape(*a.shape[:-2], r, k * m)
+        right = self._regular[b].swapaxes(-3, -2).reshape(*b.shape[:-2], k * m, c * m)
+        prod = left @ right
+        return prod.reshape(*prod.shape[:-1], c, m) % self.p @ self._weights
 
     def convolve(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients of the product of two 1-D code

@@ -137,14 +137,14 @@ class ExactTriple:
 
         Both are linear in x and send 1 to 1, so they serve sigma and N alike.
         """
-        ctx, dim = self.b.ctx, self.b.dim
-        rows, pivots = self.a_codes, self.a_pivots
-        free = sorted(set(range(dim)).difference(pivots))
-        # the rows are reduced: a vector of A has its coordinates at the pivots
-        on_a = ctx.matmul(rows, x.T)[:, pivots].T
-        # reducing column f of x against A leaves x[free, f] - rows[:, free]^T x[pivots, f]
-        reduced = ctx.matmul(rows[:, free].T, x[pivots][:, free])
-        return on_a, ctx.sub_array(x[free][:, free], reduced)
+        rows, pivots, ctx = self.a_codes, self.a_pivots, self.b.ctx
+        # pivots first: the reduced rows are [1 | R_F], with R_F on the free columns
+        order = pivots + [c for c in range(self.b.dim) if c not in pivots]
+        x, rows, a = x.take(order, 0).take(order, 1), rows.take(order, 1), len(pivots)
+        # A's vectors have their coordinates at the pivots: x_PP + x_PF R_F^T;
+        # reducing x's free columns against A leaves x_FF - R_F^T x_PF
+        on_a = ctx.matmul(x[:a], rows.T)
+        return on_a, ctx.sub_array(x[a:, a:], ctx.matmul(rows[:, a:].T, x[:a, a:]))
 
     def _module(self, sigma: np.ndarray) -> CyclicModule:
         return CyclicModule(ctx=self.b.ctx, sigma=sigma, q=self.b.q)
@@ -158,12 +158,13 @@ class ExactTriple:
         return self._module(self._induced(self.b.codes)[1])
 
     def nil_stack(self) -> np.ndarray:
-        """N on B, A and C, zero-padded to one (3, dim B, dim B) code array."""
+        """The (2, dim B, dim B) code array [N_B, diag(N_A, N_C)]: rank
+        diag(X, Y)^j = rank X^j + rank Y^j, so the pair ranks A and C together."""
         nil = self.b.nil_codes()
-        stack = np.zeros((3, *nil.shape), dtype=nil.dtype)
-        stack[0] = nil
-        for out, part in zip(stack[1:], self._induced(nil)):
-            out[: len(part), : len(part)] = part
+        on_a, on_c = self._induced(nil)
+        stack = np.zeros((2, *nil.shape), dtype=nil.dtype)
+        stack[0], a = nil, len(on_a)
+        stack[1, :a, :a], stack[1, a:, a:] = on_a, on_c
         return stack
 
 
@@ -172,20 +173,20 @@ def splits(triple: ExactTriple) -> bool:
 
     Block counts are second differences of the rank sequence rank N^j and
     determine it, so this holds iff rank N_B^j = rank N_A^j + rank N_C^j
-    for every j.
+    for every j: the two columns of the pair's power ranks agree.
     """
     ranks = linalg.power_ranks(triple.b.ctx, triple.nil_stack(), triple.b.q)
-    return bool((ranks[:, 0] == ranks[:, 1] + ranks[:, 2]).all())
+    return bool((ranks[:, 0] == ranks[:, 1]).all())
 
 
 def invariants_additive(triple: ExactTriple) -> bool:
     """True iff dim A^G + dim C^G = dim B^G (right-exactness of invariants).
 
     dim X^G = dim X - rank N_X and dim B = dim A + dim C, so this holds iff
-    rank N_B = rank N_A + rank N_C.
+    rank N_B = rank N_A + rank N_C: the pair's two ranks agree.
     """
-    rank_b, rank_a, rank_c = linalg.ranks(triple.b.ctx, triple.nil_stack())
-    return rank_a + rank_c == rank_b
+    rank_b, rank_ac = linalg.ranks(triple.b.ctx, triple.nil_stack())
+    return rank_ac == rank_b
 
 
 class GroupTable:

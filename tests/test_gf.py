@@ -149,7 +149,7 @@ def test_inv_array_matches_inv(ctx):
 
 @pytest.mark.parametrize("ctx", [F4, F9, F25], ids=repr)
 def test_scalar_ops_match_the_array_kernels(ctx):
-    # every pair of codes; the sums come from matmul's digit-sum route
+    # every pair of codes; the sums come from matmul, as each pair times a column of ones
     a, b = np.divmod(np.arange(ctx.q * ctx.q), ctx.q)
     pairs = list(zip(a.tolist(), b.tolist()))
     sums = ctx.matmul(np.stack([a, b], axis=1)[:, None, :], np.ones((2, 1), dtype=ctx.dtype))
@@ -162,6 +162,54 @@ def test_scalar_ops_match_the_array_kernels(ctx):
     # scalar ops hand back Python ints, as a tuple table did
     ops = (ctx.add(2, 3), ctx.sub(2, 3), ctx.neg(3), ctx.mul(2, 3), ctx.inv(3))
     assert {type(x) for x in ops} == {int}
+
+
+F27 = FieldCtx(3, (1, 2, 0, 1))  # x^3 + 2x + 1, irreducible mod 3
+F125 = FieldCtx(5, (2, 3, 0, 1))  # x^3 + 3x + 2, irreducible mod 5
+
+
+def schoolbook_matmul(ctx, a, b):
+    """The product of two code arrays, broadcast as ``@`` pairs them, one
+    scalar multiply and add per term."""
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    b = np.broadcast_to(b, batch + b.shape[-2:])
+    out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for *at, i, j in np.ndindex(*out.shape):
+        acc = 0
+        for x, y in zip(a[(*at, i)].tolist(), b[(*at, slice(None), j)].tolist()):
+            acc = ctx.add(acc, ctx.mul(x, y))
+        out[(*at, i, j)] = acc
+    return out
+
+
+# (left, right) shapes: an empty inner dimension, rows or columns, as the
+# induced maps of A = 0 and A = B meet them; a stack against one shared
+# factor on either side; and a batch axis of 1 broadcast against B
+PRODUCT_SHAPES = (
+    ((3, 0), (0, 4)), ((2, 3, 0), (2, 0, 4)), ((0, 3), (3, 4)), ((3, 4), (4, 0)),
+    ((0, 0), (0, 0)), ((4, 3, 5), (5, 2)), ((3, 5), (4, 5, 2)), ((1, 3, 4), (5, 4, 2)),
+    ((5, 1, 4), (1, 4, 3)), ((2, 3, 4), (2, 4, 5)), ((10, 10), (10, 10)), ((1, 1), (1, 1)),
+)
+
+
+@pytest.mark.parametrize("ctx", [F9, F25, F27, F125], ids=repr)
+def test_odd_extension_product_matches_the_schoolbook(ctx, monkeypatch):
+    # the regular-representation product, with no digit sum over the terms
+    sums = []
+    digit_sum = FieldCtx._sum
+    monkeypatch.setattr(FieldCtx, "_sum", lambda *args: sums.append(1) or digit_sum(*args))
+    rng = np.random.default_rng(ctx.q)
+    for left, right in PRODUCT_SHAPES:
+        a, b = rng.integers(0, ctx.q, left), rng.integers(0, ctx.q, right)
+        got = ctx.matmul(a, b)
+        assert got.dtype == ctx.dtype
+        assert got.shape == (a @ b).shape
+        assert got.tolist() == schoolbook_matmul(ctx, a, b).tolist()
+    assert not sums
+    # characteristic 2 still adds its products by exclusive or
+    F4.matmul(np.ones((2, 3), dtype=np.int64), np.ones((3, 2), dtype=np.int64))
+    assert sums
 
 
 def test_inv_array_without_tables():

@@ -239,13 +239,59 @@ def test_stacked_route_matches_one_rank_per_power(ctx, q):
         assert modrep.splits(triple) == (blocks[0] == blocks[1] + blocks[2])
         fixed = [ranks[0] - ranks[1] for ranks in sequences]
         assert modrep.invariants_additive(triple) == (fixed[1] + fixed[2] == fixed[0])
-        # the stack holds N of B, A and C, each zero-padded to dim B
-        stack = triple.nil_stack()
-        assert stack.shape == (3, triple.b.dim, triple.b.dim)
-        for part, mod in zip(stack, (triple.b, a_mod, c_mod)):
-            assert part[: mod.dim, : mod.dim].tolist() == mod.nil_codes().tolist()
-            assert not part[mod.dim :].any() and not part[:, mod.dim :].any()
-        assert linalg.ranks(ctx, stack) == [ranks[1] for ranks in sequences]
+        # the pair [N_B, diag(N_A, N_C)]
+        stack, a = triple.nil_stack(), a_mod.dim
+        assert stack.shape == (2, triple.b.dim, triple.b.dim)
+        assert stack[0].tolist() == triple.b.nil_codes().tolist()
+        assert stack[1, :a, :a].tolist() == a_mod.nil_codes().tolist()
+        assert stack[1, a:, a:].tolist() == c_mod.nil_codes().tolist()
+        assert not stack[1, :a, a:].any() and not stack[1, a:, :a].any()
+        b_ranks, a_ranks, c_ranks = sequences
+        assert linalg.ranks(ctx, stack) == [b_ranks[1], a_ranks[1] + c_ranks[1]]
+        # every power's row is rank N_B^j against rank N_A^j + rank N_C^j
+        for j, row in enumerate(linalg.power_ranks(ctx, stack, q).tolist(), 1):
+            at = [ranks[j] if j < len(ranks) else 0 for ranks in sequences]
+            assert row == [at[0], at[1] + at[2]]
+
+
+@pytest.mark.parametrize("ctx, q", TRIPLE_FIELDS, ids=lambda x: repr(x))
+def test_zero_and_whole_subspaces_split(ctx, q):
+    # A = 0 and A = B: B/A is B in every coordinate, or A's echelon basis is
+    # the identity, so the pair's second member is N_B itself
+    rng = random.Random(2600 + q * ctx.q)
+    for _ in range(20):
+        mod = modrep.random_cyclic_module(ctx, q, rng)
+        for a_basis in ([], oracles.identity(mod.dim)):
+            triple = modrep.ExactTriple(b=mod, a_basis=a_basis)
+            assert triple.a_basis == a_basis
+            stack = triple.nil_stack()
+            assert stack[1].tolist() == stack[0].tolist() == mod.nil_codes().tolist()
+            assert modrep.splits(triple) and modrep.invariants_additive(triple)
+
+
+def test_a_triple_is_ranked_as_one_pair(monkeypatch):
+    # splits and invariants_additive eliminate once each, on stacks of
+    # pairs: N_B against diag(N_A, N_C), at every power
+    leading = []
+    flags = linalg._pivot_flags
+
+    def counting(ctx, stack):
+        leading.append(len(stack))
+        return flags(ctx, stack)
+
+    monkeypatch.setattr(linalg, "_pivot_flags", counting)
+    rng, ranked = random.Random(38), 0
+    for ctx, q in TRIPLE_FIELDS:
+        for _ in range(10):
+            triple = modrep.random_exact_triple(ctx, q, rng)
+            if not triple.b.nil_codes().any():
+                continue  # N_B = 0 has no power to rank
+            modrep.splits(triple)
+            modrep.invariants_additive(triple)
+            assert len(leading) == 2 and leading[1] == 2 and leading[0] % 2 == 0
+            leading.clear()
+            ranked += 1
+    assert ranked >= 35
 
 
 def test_splits_refuses_a_wrong_order():
