@@ -8,8 +8,7 @@ Every lattice dimension is recomputed with the window widened by p and
 must agree, so precision failures surface as errors instead of wrong
 numbers.  Only the widened window is built: the window itself is its
 trailing block.  The cohomology of explicit matrix modules lives in
-modrep; the shared cover cache also keeps dim H^1(Z/p, k) of the
-trivial module per p, read through modrep.
+modrep, which this module does not import.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from wildcoh import ascover, linalg, modrep
+from wildcoh import ascover, linalg
 from wildcoh.ascover import LatticeWindow, LocalCover
-from wildcoh.gf import FieldCtx
 
 
 class StabilizationError(RuntimeError):
@@ -52,8 +50,11 @@ class CohomologyClassSet:
     dim: int
 
 
-def _x_image(win: LatticeWindow) -> np.ndarray:
-    """The window's x-image, checked sigma-fixed and independent."""
+def _widened_window(cov: LocalCover, a: int, lo: int) -> LatticeWindow:
+    """The window [lo, a), its x-image checked sigma-fixed and independent,
+    and so that of every trailing block: a subset of the rows, vanishing
+    below the block."""
+    win = cov.window(a, lo)
     rows = win.x_image
     # row i of X N^T is N applied to x^(x_powers[i]): all of them in one product
     moved = win.ctx.matmul(rows, win.nil.T).any(axis=1)
@@ -64,14 +65,6 @@ def _x_image(win: LatticeWindow) -> np.ndarray:
     leads = (rows != 0).argmax(axis=1)
     if not rows.any(axis=1).all() or len(set(leads.tolist())) < len(rows):
         raise CertificateError("x-power truncations are not independent")
-    return rows
-
-
-def _widened_window(cov: LocalCover, a: int, lo: int) -> LatticeWindow:
-    """The window [lo, a), its x-image checked, and so that of every trailing
-    block: a subset of the rows, vanishing below the block."""
-    win = cov.window(a, lo)
-    _x_image(win)
     return win
 
 
@@ -289,32 +282,11 @@ def d_image_rank(cov: LocalCover) -> int:
 
 
 @lru_cache(maxsize=64)
-def _cover(p: int, n: int) -> LocalCover:
-    return ascover.build(p, n, ascover.recommended_precision(p, n))
-
-
-@lru_cache(maxsize=64)
-def trivial_module_h1(p: int) -> int:
-    """dim H^1(Z/p, k) of the trivial one-dimensional module, read off its
-    Jordan type by modrep rather than assumed, once per p."""
-    return modrep.periodic_cohomology(modrep.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p), 1)
-
-
 def cached_cover(p: int, n: int) -> LocalCover:
     """Shared cover at the recommended precision for grid sweeps.
 
     Bounded, because the pairs (p, n) come from sweep's ranges; a
-    verify-all run needs 27 covers.  ``cache_info`` counts the covers,
-    and ``cache_clear`` drops them together with the per-p
-    ``trivial_module_h1``, so a cleared cache starts cold.
+    verify-all run needs 27 covers.  ``cache_clear`` drops the covers and
+    the d-ranks they keep, so a cleared cache starts cold.
     """
-    return _cover(p, n)
-
-
-def _clear_shared() -> None:
-    _cover.cache_clear()
-    trivial_module_h1.cache_clear()
-
-
-cached_cover.cache_info = _cover.cache_info
-cached_cover.cache_clear = _clear_shared
+    return ascover.build(p, n, ascover.recommended_precision(p, n))

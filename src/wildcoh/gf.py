@@ -238,25 +238,20 @@ class FieldCtx:
             return (a * b - c * d) % self.p
         return self._sub_array[self._mul_array[a, b], self._mul_array[c, d]]
 
-    def _sum(self, a: np.ndarray, axis: int) -> np.ndarray:
-        # extension fields add base-p digits, then re-encode
-        if self.p == 2:  # digits add mod 2, so codes add by exclusive or
-            return np.bitwise_xor.reduce(a, axis)
-        return self._digit_array[a].sum(axis) % self.p @ self._weights
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of 2-D arrays or of stacks of them, as ``@`` pairs
         them (a prime field takes whatever ``@`` takes).
 
-        Characteristic 2 multiplies code pairs by table and adds them by
-        exclusive or.  Odd p takes one integer product through the regular
-        representation: the digits of a, (..., r, k m), times the
-        multiplication matrices of b, (..., k m, c m), reduced mod p."""
+        Extension fields add codes here alone.  Characteristic 2 multiplies
+        code pairs by table and adds them by exclusive or.  Odd p takes one
+        integer product through the regular representation: the digits of
+        a, (..., r, k m), times the multiplication matrices of b,
+        (..., k m, c m), reduced mod p."""
         if self.m == 1:
             return a @ b % self.p
-        if self.p == 2:
+        if self.p == 2:  # digits add mod 2, so codes add by exclusive or
             prod = self._mul_array[a[..., :, :, None], b[..., None, :, :]]
-            return self._sum(prod, prod.ndim - 2)
+            return np.bitwise_xor.reduce(prod, prod.ndim - 2)
         (r, k), (c, m) = a.shape[-2:], (b.shape[-1], self.m)
         left = self._digit_array[a].reshape(*a.shape[:-2], r, k * m)
         right = self._regular[b].swapaxes(-3, -2).reshape(*b.shape[:-2], k * m, c * m)
@@ -266,17 +261,20 @@ class FieldCtx:
     def convolve(self, a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
         """The first ``length`` coefficients of the product of two 1-D code
         arrays read as polynomials, each cut to ``length`` first: fewer if the
-        product is shorter, none if ``length <= 0`` or either array is empty."""
+        product is shorter, none if ``length <= 0`` or either array is empty.
+
+        An extension field takes a as one row times the band whose row i
+        holds b shifted right by i, through ``matmul``."""
         if length <= 0 or not len(a) or not len(b):
             return np.zeros(0, dtype=self.dtype)
         a, b = a[:length], b[:length]
         if self.m == 1:  # np.convolve's own route, without its Python wrapper
             return np.correlate(a, b[::-1], "full")[:length] % self.p
-        # shift row i of the product table right by i, then sum the rows
+        # rows of width + 1 read at width shift each copy of b right by its row index
         la, width = len(a), len(a) + len(b) - 1
-        skew = np.zeros((la, width + 1), dtype=np.int64)
-        skew[:, : len(b)] = self._mul_array[a[:, None], b[None, :]]
-        return self._sum(skew.ravel()[: la * width].reshape(la, width)[:, :length], 0)
+        band = np.zeros((la, width + 1), dtype=self.dtype)
+        band[:, : len(b)] = b
+        return self.matmul(a[None], band.ravel()[: la * width].reshape(la, width)[:, :length])[0]
 
     def __eq__(self, other: object) -> bool:
         return (

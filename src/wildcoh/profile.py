@@ -15,8 +15,8 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from wildcoh import ascover, cohom
-from wildcoh.gf import is_prime
+from wildcoh import ascover, cohom, modrep
+from wildcoh.gf import FieldCtx, is_prime
 
 
 def _is_int(value) -> bool:
@@ -144,7 +144,9 @@ def dims(prof: RamificationProfile) -> DefectReport:
             t + 1 + (n - 1) // p for t, n in zip(per_point, prof.jumps)
         )
         # local H^1 dimensions summed against the quotient, minus H^1(Z/p, k)
-        h1_o_route_c = prof.g_y + sum(per_point) - cohom.trivial_module_h1(p)
+        # of the trivial module, read off its Jordan type rather than assumed
+        trivial = modrep.CyclicModule(ctx=FieldCtx(p), sigma=[[1]], q=p)
+        h1_o_route_c = prof.g_y + sum(per_point) - modrep.periodic_cohomology(trivial, 1)
 
     if h0_route_a != h0_route_b:
         raise AssertionError(

@@ -620,4 +620,6 @@ def test_cover_cache_is_bounded():
     info = cache.cache_info()
     assert info.maxsize == 64
     assert info.currsize <= info.maxsize
+    # the cache is a plain lru_cache: only one has cache_parameters
+    assert cache.cache_parameters() == {"maxsize": 64, "typed": False}
     cache.cache_clear()

@@ -78,6 +78,14 @@ def test_dims_worked_cases():
     assert (small.h0_omega_inv, small.h1_o_inv, small.h1_dr_inv) == (0, 0, 0)
     assert small.defect == 0 and small.weakly_ramified
 
+    # above 2**15 the codes are Python ints: the trivial module's Jordan
+    # type is read through the object-code elimination
+    big = RamificationProfile(32771, 1, (1,))
+    wide = profile.dims(big)
+    assert (wide.h0_omega_inv, wide.h1_o_inv, wide.h1_dr_inv) == (1, 1, 2)
+    assert wide.defect == 0 and wide.weakly_ramified
+    assert profile.dims(big) == wide
+
 
 def test_dims_defect_identity():
     for prof in (
@@ -156,26 +164,30 @@ def test_cross_module_identity_uses_ranks_not_formulas():
     assert profile.defect(prof) == rank_route == 4
 
 
-def test_dims_reads_h1_of_the_trivial_module_once_per_p(monkeypatch):
+def test_dims_reads_h1_of_the_trivial_module_on_every_call(monkeypatch):
     # dim H^1(Z/p, k) comes from the Jordan blocks of the trivial module,
-    # computed the first time a p needs it and read back after, until the
-    # shared cover cache is cleared
-    cohom.cached_cover.cache_clear()
+    # decomposed afresh by every report with a jump and kept nowhere
     decomposed = []
     block_decomposition = modrep.block_decomposition
 
     def counting(mod):
-        decomposed.append(mod.q)
+        decomposed.append((mod.dim, mod.q))
         return block_decomposition(mod)
 
     monkeypatch.setattr(modrep, "block_decomposition", counting)
-    for _ in range(3):
-        for p in (2, 3, 5):
-            assert profile.dims(RamificationProfile(p, 1, (1,))).h1_o_inv == 1
-    assert decomposed == [2, 3, 5]
+    profiles = [RamificationProfile(p, 1, (1,)) for p in (2, 3, 5)]
+    profiles.append(RamificationProfile(5, 0, (2, 3)))
+    reports = []
+    for prof in profiles:
+        del decomposed[:]
+        reports.append(profile.dims(prof))
+        assert reports[-1].h1_o_inv == prof.g_y - 1 + profile.r_prime_degree(prof)
+        assert decomposed == [(1, prof.p)]
+    del decomposed[:]
+    assert profile.dims(RamificationProfile(7, 2, ())).h1_o_inv == 2
+    assert decomposed == []
     cohom.cached_cover.cache_clear()
-    assert [profile.dims(RamificationProfile(p, 0, (2,))).h1_o_inv for p in (3, 5)] == [1, 1]
-    assert decomposed == [2, 3, 5, 3, 5]
+    assert [profile.dims(prof) for prof in profiles] == reports
 
 
 def test_profile_validation():
